@@ -4,6 +4,7 @@ package replaycheck_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"dejavu/internal/core"
 	"dejavu/internal/faults/memfs"
 	"dejavu/internal/replaycheck"
+	"dejavu/internal/trace"
 	"dejavu/internal/workloads"
 )
 
@@ -63,26 +65,56 @@ func TestJournalRecordReplayRoundTrip(t *testing.T) {
 }
 
 // TestJournalSeededReplayMatchesFromZero is the checkpoint-seeding
-// acceptance bar: for EVERY durable checkpoint in the journal, replay
+// acceptance bar: for EVERY durable checkpoint in a journal, replay
 // seeded from it must land on exactly the final state a from-zero replay
 // reaches — same events, output, heap image, and per-thread logical
 // clocks — and its event digest must be a suffix of the from-zero one.
+// The journals are recorded on Run's fast path, for the callback-dense
+// events program and for every corpus workload at two rotation
+// thresholds.
 func TestJournalSeededReplayMatchesFromZero(t *testing.T) {
-	fs := memfs.New()
-	prog := journalProg()
-	rec, err := replaycheck.RecordJournal(prog, fs, journalOptions())
-	if err != nil || rec.RunErr != nil {
-		t.Fatalf("record journal: %v / %v", err, rec.RunErr)
+	t.Run("events12", func(t *testing.T) {
+		checkSeededMatchesFromZero(t, journalProg, journalOptions(), journalReplayOptions(), 2)
+	})
+	for _, name := range workloads.Names() {
+		for _, rot := range []int{3, 16} {
+			t.Run(fmt.Sprintf("%s/rot%d", name, rot), func(t *testing.T) {
+				o := optsFor(name, 1)
+				o.HeapBytes, o.RotateEvents, o.KeepEvents = 1<<16, rot, 256
+				ro := replaycheck.Options{HeapBytes: 1 << 16, KeepEvents: 256}
+				j := checkSeededMatchesFromZero(t, workloads.Registry[name], o, ro, 0)
+				// A workload that logs well past the threshold must have
+				// rotated (fig1ab and fig1cd log almost nothing but their
+				// end markers at seed 1).
+				if logged := j.Events() + switches(j); logged > 2*rot && len(j.Manifest.Checkpoints) == 0 {
+					t.Fatalf("rotation never fired over %d logged entries", logged)
+				}
+			})
+		}
 	}
-	zero, j, err := replaycheck.ReplayJournal(prog, fs, journalReplayOptions())
+}
+
+// checkSeededMatchesFromZero records prog into a journal, replays it from
+// zero, and then replays it seeded from each of its checkpoints (at least
+// minCkpts of them), comparing every seeded run with the from-zero one.
+// It returns the journal.
+func checkSeededMatchesFromZero(t *testing.T, prog func() *bytecode.Program, rec, rep replaycheck.Options, minCkpts int) *trace.Journal {
+	t.Helper()
+	fs := memfs.New()
+	r, err := replaycheck.RecordJournal(prog(), fs, rec)
+	if err != nil || r.RunErr != nil {
+		t.Fatalf("record journal: %v / %v", err, r.RunErr)
+	}
+	zero, j, err := replaycheck.ReplayJournal(prog(), fs, rep)
 	if err != nil || zero.RunErr != nil {
 		t.Fatalf("from-zero replay: %v / %v", err, zero.RunErr)
 	}
-	if len(j.Manifest.Checkpoints) < 2 {
-		t.Fatalf("want several checkpoints, got %d", len(j.Manifest.Checkpoints))
+	if len(j.Manifest.Checkpoints) < minCkpts {
+		t.Fatalf("want at least %d checkpoints, got %d", minCkpts, len(j.Manifest.Checkpoints))
 	}
+	t.Logf("%d checkpoints over %d instructions", len(j.Manifest.Checkpoints), zero.Events)
 	for _, ci := range j.Manifest.Checkpoints {
-		seeded, info, err := replaycheck.ReplayJournalFrom(prog, fs, ci.VMEvents, journalReplayOptions())
+		seeded, info, err := replaycheck.ReplayJournalFrom(prog(), fs, ci.VMEvents, rep)
 		if err != nil {
 			t.Fatalf("ckpt %d: seeded replay: %v", ci.Index, err)
 		}
@@ -128,6 +160,16 @@ func TestJournalSeededReplayMatchesFromZero(t *testing.T) {
 			}
 		}
 	}
+	return j
+}
+
+// switches counts the journal's logged switch entries.
+func switches(j *trace.Journal) int {
+	n := 0
+	for _, sg := range j.Manifest.Segments {
+		n += sg.Switches
+	}
+	return n
 }
 
 // TestJournalSeedTargetSelection: targets between checkpoints pick the

@@ -10,12 +10,12 @@ import (
 	"dejavu/internal/threads"
 )
 
-// Token-threaded fast path. Run drives runFast when no journal is
-// attached: a per-VM decoded instruction stream (operands pre-resolved,
-// common pairs fused into superinstructions) dispatched through a
-// handler table, with the current method, code and pc cached in Go
-// locals for a whole scheduling slice instead of being re-read from the
-// heap frame every instruction.
+// Token-threaded fast path. Run drives runFast whenever dispatch is left
+// on auto, with or without a journal: a per-VM decoded instruction
+// stream (operands pre-resolved, common pairs fused into
+// superinstructions) dispatched through a handler table, with the current
+// method, code and pc cached in Go locals for a whole scheduling slice
+// instead of being re-read from the heap frame every instruction.
 //
 // Everything replay-observable is kept bit-identical to the legacy
 // dispatchOp loop:
@@ -32,19 +32,30 @@ import (
 //     call site pc must sit in the caller header before pushFrame), at
 //     Native instructions (nested callback interpretation re-enters the
 //     legacy loop through the heap-resident pc, and remote tool VMs
-//     read the mirrors), on every thread-state change, and when the
-//     slice exits. In between, nothing replay-visible reads them:
-//     FinalState renders statics-reachable heap only, and within one
-//     dispatch mode the flush schedule is identical between record and
-//     replay, so heap digests still match bit-for-bit.
+//     read the mirrors), on every thread-state change, before a journal
+//     checkpoint snapshot, and when the slice exits. In between, nothing
+//     replay-visible reads them: FinalState renders statics-reachable
+//     heap only, and within one dispatch mode the flush schedule is
+//     identical between record and replay, so heap digests still match
+//     bit-for-bit.
 //   - Inline caches (CallV target, GetF/PutF field refness, SConst
 //     intern index, native ids) key on program identity — class layout,
 //     string pool and native registry are immutable per program — and
 //     are never invalidated by replay state.
+//   - Journal rotation: Step polls RotatePending at every instruction
+//     boundary, but the answer can only turn true after the engine
+//     writes to the trace. Within a slice the only such writes that do
+//     not end the slice come from Native and timed-wait clock reads, and
+//     those flag a poll (journalLogged) that the per-instruction budget
+//     compare picks up through checkAt; the loop also polls at every
+//     slice boundary, where Step polls before dispatching. A clock the
+//     dispatch itself logs (timer check) is polled after the slice's
+//     first instruction, run from the unfused stream so a fused head
+//     cannot carry the boundary past the second component. Segment
+//     boundaries and checkpoint bytes therefore match Step's exactly.
 //
 // Step keeps the legacy loop unconditionally: debuggers rely on its
-// strict one-instruction-per-call contract and journal rotation polls
-// at its boundaries.
+// strict one-instruction-per-call contract.
 
 type fastFn func(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error)
 
@@ -208,11 +219,11 @@ func (vm *VM) pairBoundary(t *threads.Thread, d *bytecode.DInstr, spBias int) er
 	return nil
 }
 
-// buildDecoded builds the per-VM decoded stream and pre-resolves the
-// identity-pure caches the bytecode layer cannot know: SConst intern
-// indexes and native ids.
-func (vm *VM) buildDecoded() {
-	dp := bytecode.DecodeProgram(vm.prog, true)
+// decodeStream builds a per-VM decoded stream (fused or not) and
+// pre-resolves the identity-pure caches the bytecode layer cannot know:
+// SConst intern indexes and native ids.
+func (vm *VM) decodeStream(fuse bool) *bytecode.DecodedProgram {
+	dp := bytecode.DecodeProgram(vm.prog, fuse)
 	for mi := range dp.Methods {
 		code := dp.Methods[mi].Code
 		for i := range code {
@@ -235,16 +246,33 @@ func (vm *VM) buildDecoded() {
 			}
 		}
 	}
-	vm.decoded = dp
+	return dp
+}
+
+// plainCode returns method mid's unfused decoded stream. Its pcs index
+// the same instructions as the fused stream's, so a slice can switch
+// between the two at any instruction boundary.
+func (vm *VM) plainCode(mid int) []bytecode.DInstr {
+	if vm.plain == nil {
+		vm.plain = vm.decodeStream(false)
+	}
+	return vm.plain.Methods[mid].Code
 }
 
 // runFast is Run's token-threaded loop: dispatch a thread, then execute
 // its whole scheduling slice with method/code/pc in locals.
 func (vm *VM) runFast() error {
 	if vm.decoded == nil {
-		vm.buildDecoded()
+		vm.decoded = vm.decodeStream(true)
 	}
 	for {
+		// The slice boundary: Step would poll here, before dispatching.
+		// rotationDue also re-arms checkAt for the coming slice.
+		if vm.rotationDue() {
+			if err := vm.rotateJournal(); err != nil {
+				return err
+			}
+		}
 		done, err := vm.EnsureDispatched()
 		if err != nil {
 			return err
@@ -278,11 +306,36 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 		vm.flushAllMirrors()
 	}
 
+	// A clock the dispatch just logged can make a rotation due. Step
+	// polled before dispatching, so its next poll comes after this
+	// slice's first instruction: run that one unfused, so that the poll
+	// lands between a fused pair's components, as Step's does.
+	head := vm.pollDue
+	if head {
+		code = vm.plainCode(m.ID)
+	}
+
 	for {
-		if vm.cfg.MaxEvents > 0 && vm.events >= vm.cfg.MaxEvents {
-			stop(pc)
-			vm.err = ErrEventBudget
-			return vm.err
+		// One compare covers the event budget and a pending journal poll
+		// (checkAt is 0 while pollDue is set); journal-less runs only
+		// ever see the budget here.
+		if vm.events >= vm.checkAt {
+			if head {
+				head = false // the slice's entry boundary: Step polled before dispatch
+			} else if vm.pollDue {
+				code = vm.decoded.Methods[m.ID].Code // back to the fused stream
+				if vm.rotationDue() {
+					stop(pc) // the checkpoint must see the flushed frame pc and mirrors
+					if err := vm.rotateJournal(); err != nil {
+						return err
+					}
+				}
+			}
+			if vm.cfg.MaxEvents > 0 && vm.events >= vm.cfg.MaxEvents {
+				stop(pc)
+				vm.err = ErrEventBudget
+				return vm.err
+			}
 		}
 		if vm.stackLen(t)-t.SP < opHeadroom {
 			// The abandoned segment stays in the heap image until a
@@ -688,6 +741,9 @@ func fpNative(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	if id < 0 {
 		return 0, 0, fmt.Errorf("unknown native %q", vm.prog.Strings[d.A])
 	}
+	// Clock, native, input and callback events all go through here (and
+	// nested callbacks may log switches), so a journal poll follows.
+	vm.journalLogged()
 	return vm.doNativeID(t, id, int(d.B))
 }
 
@@ -837,7 +893,7 @@ func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 		if millis < 0 {
 			millis = 0
 		}
-		wakeAt = vm.eng.ClockRead() + millis
+		wakeAt = vm.readClock() + millis
 	}
 	w, otag, ok := vm.fpop(t)
 	if !ok {

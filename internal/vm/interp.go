@@ -3,6 +3,7 @@ package vm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -39,13 +40,15 @@ func (vm *VM) trap(t *threads.Thread, m *bytecode.Method, pc int, reason error) 
 	return &VMError{ThreadID: t.ID, Method: m.FullName(), PC: pc, Line: line, Reason: reason}
 }
 
-// Run executes until the program halts or errs. With no journal
-// attached (rotation polls at Step boundaries) and dispatch left on
+// Run executes until the program halts or errs. With dispatch left on
 // auto, the token-threaded fast loop runs whole scheduling slices at a
-// time; otherwise Run drives the reference Step loop. Both produce
-// bit-identical traces, digests and switch schedules.
+// time, with or without a journal attached: it polls journal rotation
+// only at the boundaries where the answer can have changed, which are
+// exactly the boundaries where Step would rotate. DispatchLegacy drives
+// the reference Step loop instead. Both produce bit-identical traces,
+// journals, checkpoints, digests and switch schedules.
 func (vm *VM) Run() error {
-	if vm.cfg.Dispatch == DispatchAuto && vm.cfg.Journal == nil {
+	if vm.cfg.Dispatch == DispatchAuto {
 		return vm.runFast()
 	}
 	for {
@@ -62,17 +65,15 @@ func (vm *VM) Run() error {
 // Step executes exactly one instruction (dispatching threads and expiring
 // timers as needed first) and returns done=true when the program has
 // terminated. Debuggers drive the VM through Step so every stop lands on
-// an instruction boundary.
+// an instruction boundary. Step always runs the legacy switch loop.
 func (vm *VM) Step() (done bool, err error) {
 	// Segmented-journal rotation happens here, at the instruction boundary
 	// before any dispatching: the snapshot taken now is exactly the state a
 	// seeded replay restores, and every event the coming dispatch or
 	// instruction logs lands in the new segment.
-	if vm.cfg.Journal != nil && vm.err == nil && !vm.halted &&
-		vm.nestedDepth == 0 && vm.cfg.Journal.RotatePending() {
+	if vm.rotationDue() {
 		if err := vm.rotateJournal(); err != nil {
-			vm.err = fmt.Errorf("vm: journal rotation: %w", err)
-			return true, vm.err
+			return true, err
 		}
 	}
 	if done, err := vm.EnsureDispatched(); done || err != nil {
@@ -100,19 +101,60 @@ func (vm *VM) Step() (done bool, err error) {
 	return vm.halted, nil
 }
 
+// rotationDue clears the fast loop's poll request and reports whether the
+// journal wants a rotation at this instruction boundary. Callers must
+// have flushed any deferred state (frame pc, thread mirrors) before they
+// answer with rotateJournal.
+func (vm *VM) rotationDue() bool {
+	vm.pollDue, vm.checkAt = false, vm.budgetAt()
+	return vm.cfg.Journal != nil && vm.err == nil && !vm.halted &&
+		vm.nestedDepth == 0 && vm.cfg.Journal.RotatePending()
+}
+
+// budgetAt is the event count at which the MaxEvents budget runs out.
+func (vm *VM) budgetAt() uint64 {
+	if vm.cfg.MaxEvents > 0 {
+		return vm.cfg.MaxEvents
+	}
+	return math.MaxUint64
+}
+
+// journalLogged notes that the engine may just have written to the
+// journal's data stream. RotatePending can only turn true after such a
+// write, so the fast loop polls at its next instruction boundary and
+// nowhere else inside a slice. Journal-less VMs never set the request.
+func (vm *VM) journalLogged() {
+	if vm.cfg.Journal != nil {
+		vm.pollDue, vm.checkAt = true, 0
+	}
+}
+
+// readClock is the VM's one wall-clock read: recorded, replayed, and
+// flagged to the fast loop as a journal write.
+func (vm *VM) readClock() int64 {
+	v := vm.eng.ClockRead()
+	vm.journalLogged()
+	return v
+}
+
 // rotateJournal seals the current journal segment with a checkpoint of the
 // VM as it stands at this instruction boundary. Only meaningful while
 // recording — a replaying VM never rotates (its journal is read-only).
+// A failure is sticky: it becomes the run's error.
 func (vm *VM) rotateJournal() error {
 	nyp, ok := vm.eng.RecordPos()
 	if !ok {
 		return nil
 	}
 	snap, err := vm.Snapshot()
-	if err != nil {
-		return err
+	if err == nil {
+		err = vm.cfg.Journal.Rotate(snap.Encode(vm.progHash), vm.events, nyp)
 	}
-	return vm.cfg.Journal.Rotate(snap.Encode(vm.progHash), vm.events, nyp)
+	if err != nil {
+		vm.err = fmt.Errorf("vm: journal rotation: %w", err)
+		return vm.err
+	}
+	return nil
 }
 
 // EnsureDispatched brings the VM to a state where CurrentSite is valid —
@@ -144,7 +186,7 @@ func (vm *VM) EnsureDispatched() (done bool, err error) {
 // idle (some thread sleeps) — the caller loops.
 func (vm *VM) dispatch() *threads.Thread {
 	if _, ok := vm.sched.NextWake(); ok {
-		now := vm.eng.ClockRead()
+		now := vm.readClock()
 		if e := vm.eng.Err(); e != nil {
 			vm.err = fmt.Errorf("vm: replay diverged in timer check: %w", e)
 			return nil
@@ -723,7 +765,7 @@ func (vm *VM) dispatchOp(t *threads.Thread, m *bytecode.Method, pc int, in bytec
 			if millis < 0 {
 				millis = 0
 			}
-			wakeAt = vm.eng.ClockRead() + millis
+			wakeAt = vm.readClock() + millis
 		}
 		obj, err := vm.popObj(t)
 		if err != nil {
@@ -791,7 +833,7 @@ func (vm *VM) dispatchOp(t *threads.Thread, m *bytecode.Method, pc int, in bytec
 		if millis < 0 {
 			millis = 0
 		}
-		vm.sched.Sleep(t, vm.eng.ClockRead()+millis)
+		vm.sched.Sleep(t, vm.readClock()+millis)
 		return ctrlNext, 0, nil
 
 	case bytecode.Interrupt:

@@ -105,7 +105,7 @@ func (vm *VM) doNativeID(t *threads.Thread, id, nargs int) (control, int, error)
 	case natClock:
 		// Wall-clock reads use the dedicated clock channel shared with the
 		// scheduler's timer machinery.
-		return ctrlNext, 0, vm.push(t, uint64(vm.eng.ClockRead()), false)
+		return ctrlNext, 0, vm.push(t, uint64(vm.readClock()), false)
 
 	case natNanotime:
 		vals := vm.eng.NativeCall(id, func() []int64 {

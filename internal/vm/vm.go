@@ -122,15 +122,19 @@ type Config struct {
 	Verify bool
 
 	// Journal, when set on a recording VM, drives segmented-journal
-	// rotation: Step polls RotatePending at instruction boundaries and
-	// answers with Rotate. The engine's TraceSink should be the same
-	// object, so the sealed segments and the checkpoints stay in step.
+	// rotation: the VM polls RotatePending at instruction boundaries and
+	// answers with Rotate. Step polls at every boundary; Run's fast loop
+	// polls only where the answer can have changed (slice boundaries and
+	// right after an instruction that logged to the trace), which are the
+	// same boundaries where Step rotates. The engine's TraceSink should be
+	// the same object, so the sealed segments and the checkpoints stay in
+	// step.
 	Journal JournalSink
 
 	// Dispatch selects the interpreter loop Run uses. The default
-	// (DispatchAuto) takes the token-threaded fast path whenever no
-	// journal is attached; DispatchLegacy forces the reference switch
-	// loop, which the cross-dispatch differential harness uses as its
+	// (DispatchAuto) takes the token-threaded fast path, with or without
+	// a journal; DispatchLegacy forces the reference switch loop, which
+	// the cross-dispatch differential harnesses use as their byte-level
 	// oracle. Step always uses the legacy loop — debuggers need its
 	// strict one-instruction-per-call contract.
 	Dispatch DispatchMode
@@ -140,8 +144,7 @@ type Config struct {
 type DispatchMode int
 
 const (
-	// DispatchAuto uses token-threaded dispatch when possible (no
-	// journal attached), falling back to the legacy loop otherwise.
+	// DispatchAuto uses token-threaded dispatch.
 	DispatchAuto DispatchMode = iota
 	// DispatchLegacy forces the reference dispatchOp switch loop.
 	DispatchLegacy
@@ -197,6 +200,16 @@ type VM struct {
 	// place) and derived purely from program identity, so it is never
 	// invalidated by replay state.
 	decoded *bytecode.DecodedProgram
+	// plain is the unfused decoded stream, built on first use: the fast
+	// loop runs a slice's first instruction from it when a journal poll
+	// must land between the components of a fused pair.
+	plain *bytecode.DecodedProgram
+
+	// checkAt is the event count at which the fast loop's per-instruction
+	// boundary compare leaves the hot path: the MaxEvents budget, or 0
+	// while pollDue asks for a journal rotation poll (see journalLogged).
+	checkAt uint64
+	pollDue bool
 
 	// Reusable scratch buffers that keep the record hot path
 	// allocation-free: single-result native calls, pollevents callback
