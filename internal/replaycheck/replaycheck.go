@@ -197,6 +197,10 @@ func (o Options) newVM(prog *bytecode.Program, eng *core.Engine, d *Digest) (*vm
 	return vm.New(prog, cfg)
 }
 
+// runVM drives a constructed VM to completion. Tests swap in a Step loop
+// (export_test.go) to hold Run and Step to the same results.
+var runVM = (*vm.VM).Run
+
 // Record executes prog in record mode and returns the run plus its trace.
 func Record(prog *bytecode.Program, o Options) (*Result, error) {
 	return record(prog, o, nil)
@@ -264,7 +268,7 @@ func record(prog *bytecode.Program, o Options, sink trace.Sink) (*Result, error)
 		return nil, err
 	}
 	start := time.Now()
-	runErr := m.Run()
+	runErr := runVM(m)
 	runTime := time.Since(start)
 	return &Result{
 		Digest:   d,
@@ -330,7 +334,7 @@ func replay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Optio
 		}
 	}
 	start := time.Now()
-	runErr := m.Run()
+	runErr := runVM(m)
 	runTime := time.Since(start)
 	return &Result{
 		Digest:   d,
@@ -444,7 +448,7 @@ func RunOff(prog *bytecode.Program, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	runErr := m.Run()
+	runErr := runVM(m)
 	return &Result{
 		Digest:   d,
 		Output:   append([]byte(nil), m.Output()...),

@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -390,5 +391,344 @@ func TestArithmeticAgainstGo(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stepToEnd drives m one Step at a time, as a debugger or a session
+// travel does, and returns the run's error.
+func stepToEnd(m *VM) error {
+	for {
+		done, err := m.Step()
+		if err != nil {
+			return err
+		}
+		if done {
+			return nil
+		}
+	}
+}
+
+// innermostTrap returns the deepest VMError in err's chain: a trap raised
+// inside a native callback is reported at the callback's own instruction.
+func innermostTrap(err error) *VMError {
+	var found *VMError
+	for err != nil {
+		if ve, ok := err.(*VMError); ok {
+			found = ve
+		}
+		err = errors.Unwrap(err)
+	}
+	return found
+}
+
+// TestTrapParity pins every error arm of newarr, astore, instof, spawn,
+// sleep, interrupt and prints: the trap's reason text, method, pc and
+// source line (the line marked "# trap") must be the same whether the VM
+// runs through Run or is stepped one instruction at a time.
+func TestTrapParity(t *testing.T) {
+	cases := []struct {
+		name   string
+		src    string
+		tool   bool // run Main.tool on a tool VM attached to Main.main's VM
+		method string
+		pc     int
+		reason string
+	}{
+		{"newarr negative length", `
+program p
+class Main {
+  method main 0 0 {
+    iconst -1
+    newarr int   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "bad array length -1"},
+		{"newarr huge length", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 268435457
+    newarr byte   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "bad array length 268435457"},
+		{"newarr reference length", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    newarr ref   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
+		{"astore reference into int array", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 2
+    newarr int
+    iconst 0
+    null
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 4, "type error: reference into int array"},
+		{"astore reference into byte array", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 2
+    newarr byte
+    iconst 1
+    null
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 4, "type error: reference into byte array"},
+		{"astore primitive into ref array", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 2
+    newarr ref
+    iconst 0
+    iconst 7
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 4, "type error: primitive into ref array"},
+		{"astore on non-array", `
+program p
+class A { field x }
+class Main {
+  method main 0 0 {
+    new A
+    iconst 0
+    iconst 1
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 3, "astore on non-array"},
+		{"astore out of bounds", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 2
+    newarr int
+    iconst 5
+    iconst 1
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 4, "heap: index 5 out of bounds (length 2)"},
+		{"astore reference index", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 2
+    newarr int
+    null
+    iconst 1
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 4, "type error: expected primitive, found reference"},
+		{"astore on null", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    iconst 0
+    iconst 1
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 3, "null reference"},
+		{"astore underflow", `
+program p
+class Main {
+  method main 0 0 {
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 0, "operand stack underflow"},
+		{"astore on stub", `
+program p
+class Main {
+  method main 0 0 {
+    halt
+  }
+  method tool 0 0 {
+    native "remotedict" 0
+    iconst 0
+    iconst 0
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, true, "Main.tool", 3, "remote objects are read-only (astore on stub)"},
+		{"instof on primitive", `
+program p
+class A { field x }
+class Main {
+  method main 0 0 {
+    iconst 3
+    instof A   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "type error: expected reference, found primitive"},
+		{"spawn underflow", `
+program p
+class Main {
+  method w 1 1 {
+    ret
+  }
+  method main 0 0 {
+    spawn Main.w   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 0, "operand stack underflow"},
+		{"sleep on reference", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    sleep   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
+		{"blocking sleep inside a callback", `
+program p
+class Main {
+  method handler 2 2 {
+    iconst 5
+    sleep   # trap
+    ret
+  }
+  method main 0 1 {
+  loop:
+    sconst "Main.handler"
+    iconst 8
+    native "pollevents" 2
+    pop
+    jmp loop
+  }
+}
+entry Main.main`, false, "Main.handler", 1, "blocking sleep inside a native callback"},
+		{"interrupt of unknown thread", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 99
+    interrupt   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "interrupt of unknown thread 99"},
+		{"interrupt reference", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    interrupt   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
+		{"prints on non-string", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 3
+    newarr int
+    prints   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 2, "prints on non-string"},
+		{"prints null", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    prints   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "null reference"},
+		{"prints primitive", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 4
+    prints   # trap
+    halt
+  }
+}
+entry Main.main`, false, "Main.main", 1, "type error: expected reference, found primitive"},
+	}
+	for _, tc := range cases {
+		line := 0
+		for i, l := range strings.Split(tc.src, "\n") {
+			if strings.Contains(l, "# trap") {
+				line = i + 1
+			}
+		}
+		for _, drive := range []struct {
+			name string
+			run  func(*VM) error
+		}{{"run", (*VM).Run}, {"step", stepToEnd}} {
+			t.Run(tc.name+"/"+drive.name, func(t *testing.T) {
+				m, err := New(asm(t, tc.src), Config{MaxEvents: 100_000, HostRand: 3})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.tool {
+					if err := m.Run(); err != nil {
+						t.Fatalf("app run: %v", err)
+					}
+					tool := asm(t, tc.src)
+					tm, ok := tool.MethodByName("Main.tool")
+					if !ok {
+						t.Fatal("no Main.tool")
+					}
+					tool.Entry = tm.ID
+					toolVM, err := New(tool, Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := toolVM.AttachLocalPeer(m); err != nil {
+						t.Fatal(err)
+					}
+					m = toolVM
+				}
+				err = drive.run(m)
+				ve := innermostTrap(err)
+				if ve == nil {
+					t.Fatalf("err = %v, want a trap", err)
+				}
+				if got := ve.Reason.Error(); got != tc.reason {
+					t.Errorf("reason = %q, want %q", got, tc.reason)
+				}
+				if ve.Method != tc.method || ve.PC != tc.pc || ve.Line != line {
+					t.Errorf("trap at %s:%d line %d, want %s:%d line %d",
+						ve.Method, ve.PC, ve.Line, tc.method, tc.pc, line)
+				}
+			})
+		}
 	}
 }
