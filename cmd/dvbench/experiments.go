@@ -1676,29 +1676,96 @@ func runE21(r *report) error {
 
 // --- E22 ---
 
-// runE22 quantifies the token-threaded interpreter fast path (ISSUE 10):
-// record-mode Mev/s for the legacy switch loop vs threaded dispatch
-// across the bench matrix, with the cross-dispatch identity assertions
-// inline — both dispatchers must emit bit-identical trace bytes, produce
-// the same output, and replay the same trace to the same digest. Results
-// land in BENCH_E22.json so later sessions can track the trajectory.
+// e22Run is one record or replay of an E22 workload, driven to completion
+// by drive (VM.Run or a Step loop).
+type e22Run struct {
+	trace  []byte
+	output []byte
+	events uint64
+	digest uint64
+	took   time.Duration // drive alone: no assembly, no heap-image setup
+}
+
+// e22Exec records prog (traceIn == nil) or replays traceIn with the
+// seeded FakeTime/preemption set-up replaycheck uses, timing drive alone.
+// observe installs the digest observer; timed runs leave it off.
+func e22Exec(prog *bytecode.Program, traceIn []byte, observe bool, drive func(*vm.VM) error) (*e22Run, error) {
+	ecfg := core.DefaultConfig(core.ModeRecord)
+	if traceIn != nil {
+		ecfg = core.DefaultConfig(core.ModeReplay)
+		ecfg.TraceIn = traceIn
+		ecfg.Time = &core.FakeTime{Base: -1 << 40}
+		ecfg.Preempt = nil
+	} else {
+		ecfg.Time = &core.FakeTime{Base: 1_000_000, Step: 3}
+		ecfg.Preempt = core.NewSeededPreemptor(21, 5, 60)
+	}
+	ecfg.ProgHash = vm.ProgramHash(prog)
+	eng, err := core.NewEngine(ecfg)
+	if err != nil {
+		return nil, err
+	}
+	cfg := vm.Config{HeapBytes: 1 << 20, Engine: eng, IdleSleep: 1}
+	d := replaycheck.NewDigest()
+	if observe {
+		cfg.Observer = d
+	}
+	m, err := vm.New(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	if err := drive(m); err != nil {
+		return nil, err
+	}
+	return &e22Run{
+		trace:  eng.End(),
+		output: append([]byte(nil), m.Output()...),
+		events: m.Events(),
+		digest: d.Sum(),
+		took:   time.Since(start),
+	}, nil
+}
+
+// stepLoop drives m one instruction per Step call, as the debugger and
+// session travel do.
+func stepLoop(m *vm.VM) error {
+	for {
+		done, err := m.Step()
+		if err != nil {
+			return err
+		}
+		if done {
+			return nil
+		}
+	}
+}
+
+// runE22 measures the one interpreter under its two drivers: record-mode
+// Mev/s for a Step loop (one instruction per call over the unfused
+// stream, eager flushes, a journal poll per instruction — the debugger's
+// and session travel's path) vs VM.Run (whole scheduling slices over the
+// fused stream). Identity assertions run inline: both drivers must
+// record bit-identical trace bytes and output, and the Run trace must
+// replay to the recording's digest under both. Results land in
+// BENCH_E22.json.
 func runE22(r *report) error {
 	type row struct {
 		Workload     string  `json:"workload"`
 		Events       uint64  `json:"events"`
-		MevsLegacy   float64 `json:"mevs_legacy"`
-		MevsFast     float64 `json:"mevs_fast"`
-		Speedup      float64 `json:"speedup"`
+		MevsStep     float64 `json:"mevs_step"`
+		MevsRun      float64 `json:"mevs_run"`
+		RunOverStep  float64 `json:"run_over_step"`
 		TraceBytes   int     `json:"trace_bytes"`
 		ReplayDigest string  `json:"replay_digest"`
 	}
 	type doc struct {
-		Workloads      []row   `json:"workloads"`
-		GeomeanSpeedup float64 `json:"geomean_speedup"`
-		DigestsMatch   bool    `json:"digests_match"`
+		Workloads          []row   `json:"workloads"`
+		GeomeanRunOverStep float64 `json:"geomean_run_over_step"`
+		DigestsMatch       bool    `json:"digests_match"`
 	}
 	const reps = 5
-	legacy := func(c *vm.Config) { c.Dispatch = vm.DispatchLegacy }
+	run := (*vm.VM).Run
 	mevs := func(ev uint64, d time.Duration) float64 {
 		if d <= 0 {
 			return 0
@@ -1711,105 +1778,81 @@ func runE22(r *report) error {
 	logSum := 0.0
 	for _, name := range sortedKeys(benchWorkloads) {
 		prog := benchWorkloads[name]
-		o := replaycheck.Options{Seed: 21, HeapBytes: 1 << 20}
-		once := func(tweak func(*vm.Config)) (*replaycheck.Result, time.Duration, error) {
-			ro := o
-			ro.TweakVM = tweak
-			rr, err := replaycheck.Record(prog(), ro)
-			if err != nil || rr.RunErr != nil {
-				return nil, 0, fmt.Errorf("record: %v %v", err, rr.RunErr)
-			}
-			// RunTime covers VM.Run alone: heap-image allocation and
-			// program assembly are identical fixed costs on both sides
-			// and would only dilute the dispatcher ratio.
-			return rr, rr.RunTime, nil
-		}
-		// Timed reps run without the digest observer: the per-event
-		// observer callback is harness instrumentation, and its fixed cost
-		// on both sides dilutes the dispatcher ratio being measured. Reps
-		// alternate between the dispatchers so ambient machine noise lands
-		// on both sides equally; best-of-N per side.
-		legacyBare := func(c *vm.Config) { c.Dispatch = vm.DispatchLegacy; c.Observer = nil }
-		bare := func(c *vm.Config) { c.Observer = nil }
-		var lt, ft time.Duration
+		// Timed reps alternate between the drivers so ambient machine
+		// noise lands on both sides equally; best-of-N per side. The
+		// observer stays off: its per-event callback is harness cost.
+		var st, rt time.Duration
 		for i := 0; i < reps; i++ {
-			_, d, err := once(legacyBare)
+			s, err := e22Exec(prog(), nil, false, stepLoop)
 			if err != nil {
-				return fmt.Errorf("%s legacy: %v", name, err)
+				return fmt.Errorf("%s step: %v", name, err)
 			}
-			if lt == 0 || d < lt {
-				lt = d
+			if st == 0 || s.took < st {
+				st = s.took
 			}
-			_, d, err = once(bare)
+			f, err := e22Exec(prog(), nil, false, run)
 			if err != nil {
-				return fmt.Errorf("%s fast: %v", name, err)
+				return fmt.Errorf("%s run: %v", name, err)
 			}
-			if ft == 0 || d < ft {
-				ft = d
+			if rt == 0 || f.took < rt {
+				rt = f.took
 			}
 		}
-		// Identity runs keep the observer: they feed the cross-dispatch
-		// trace/output/digest assertions and are not timed.
-		lres, _, err := once(legacy)
+		// Identity runs keep the observer and are not timed.
+		srec, err := e22Exec(prog(), nil, true, stepLoop)
 		if err != nil {
-			return fmt.Errorf("%s legacy: %v", name, err)
+			return fmt.Errorf("%s step: %v", name, err)
 		}
-		fres, _, err := once(nil)
+		rrec, err := e22Exec(prog(), nil, true, run)
 		if err != nil {
-			return fmt.Errorf("%s fast: %v", name, err)
+			return fmt.Errorf("%s run: %v", name, err)
 		}
-		// Identity assertions: same events, same trace bytes, same
-		// output, and the shared trace must replay to the same digest
-		// under both dispatchers.
-		if lres.Events != fres.Events {
-			return fmt.Errorf("%s: event counts diverged (%d vs %d)", name, lres.Events, fres.Events)
+		if srec.events != rrec.events {
+			return fmt.Errorf("%s: event counts diverged (step %d, run %d)", name, srec.events, rrec.events)
 		}
-		if !bytes.Equal(lres.Trace, fres.Trace) {
-			return fmt.Errorf("%s: trace bytes diverged between dispatchers", name)
+		if !bytes.Equal(srec.trace, rrec.trace) {
+			return fmt.Errorf("%s: trace bytes diverged between Step and Run", name)
 		}
-		if !bytes.Equal(lres.Output, fres.Output) {
-			return fmt.Errorf("%s: output diverged between dispatchers", name)
+		if !bytes.Equal(srec.output, rrec.output) {
+			return fmt.Errorf("%s: output diverged between Step and Run", name)
 		}
-		ro := o
-		ro.TweakVM = legacy
-		lrep, err := replaycheck.Replay(prog(), fres.Trace, ro)
-		if err != nil || lrep.RunErr != nil {
-			return fmt.Errorf("%s legacy replay: %v %v", name, err, lrep.RunErr)
+		srep, err := e22Exec(prog(), rrec.trace, true, stepLoop)
+		if err != nil {
+			return fmt.Errorf("%s step replay: %v", name, err)
 		}
-		frep, err := replaycheck.Replay(prog(), fres.Trace, o)
-		if err != nil || frep.RunErr != nil {
-			return fmt.Errorf("%s fast replay: %v %v", name, err, frep.RunErr)
+		rrep, err := e22Exec(prog(), rrec.trace, true, run)
+		if err != nil {
+			return fmt.Errorf("%s run replay: %v", name, err)
 		}
-		if lrep.Digest.Sum() != frep.Digest.Sum() || lrep.Digest.Sum() != lres.Digest.Sum() {
-			return fmt.Errorf("%s: replay digests diverged between dispatchers", name)
+		if srep.digest != rrep.digest || rrep.digest != rrec.digest || srec.digest != rrec.digest {
+			return fmt.Errorf("%s: digests diverged between Step and Run", name)
 		}
-		speedup := float64(lt) / float64(ft)
-		logSum += math.Log(speedup)
+		ratio := float64(st) / float64(rt)
+		logSum += math.Log(ratio)
 		rw := row{
 			Workload:     name,
-			Events:       fres.Events,
-			MevsLegacy:   mevs(lres.Events, lt),
-			MevsFast:     mevs(fres.Events, ft),
-			Speedup:      speedup,
-			TraceBytes:   len(fres.Trace),
-			ReplayDigest: fmt.Sprintf("%016x", frep.Digest.Sum()),
+			Events:       rrec.events,
+			MevsStep:     mevs(rrec.events, st),
+			MevsRun:      mevs(rrec.events, rt),
+			RunOverStep:  ratio,
+			TraceBytes:   len(rrec.trace),
+			ReplayDigest: fmt.Sprintf("%016x", rrep.digest),
 		}
 		out.Workloads = append(out.Workloads, rw)
 		rows = append(rows, []string{name,
 			fmt.Sprintf("%d", rw.Events),
-			fmt.Sprintf("%.1f", rw.MevsLegacy),
-			fmt.Sprintf("%.1f", rw.MevsFast),
-			fmt.Sprintf("%.2fx", rw.Speedup),
+			fmt.Sprintf("%.1f", rw.MevsStep),
+			fmt.Sprintf("%.1f", rw.MevsRun),
+			fmt.Sprintf("%.2fx", rw.RunOverStep),
 			"identical"})
 	}
-	out.GeomeanSpeedup = math.Exp(logSum / float64(len(out.Workloads)))
-	r.table([]string{"workload", "events", "Mev/s legacy", "Mev/s threaded", "speedup", "trace+digest"}, rows)
+	out.GeomeanRunOverStep = math.Exp(logSum / float64(len(out.Workloads)))
+	r.table([]string{"workload", "events", "Mev/s Step", "Mev/s Run", "Run/Step", "trace+digest"}, rows)
 	blob, _ := json.MarshalIndent(out, "", "  ")
 	if err := os.WriteFile("BENCH_E22.json", append(blob, '\n'), 0o644); err != nil {
 		return fmt.Errorf("write BENCH_E22.json: %v", err)
 	}
-	r.note("wrote BENCH_E22.json; geomean speedup %.2fx. The threaded dispatcher emits", out.GeomeanSpeedup)
-	r.note("bit-identical trace bytes and replays to the same digest as the legacy switch,")
-	r.note("so recordings made by either loop are interchangeable.")
+	r.note("wrote BENCH_E22.json; Run is %.2fx a Step loop (geomean). Both drivers run the", out.GeomeanRunOverStep)
+	r.note("same handlers, record bit-identical trace bytes, and replay to the same digest.")
 	return nil
 }

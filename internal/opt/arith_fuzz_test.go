@@ -6,8 +6,9 @@ package opt
 // counts masked to 6 bits, signed compares — and must refuse to fold
 // anything whose trap position is replay-observable (Div/Mod). The
 // oracle is the whole pipeline: a const/const/op program is run raw,
-// optimized (which folds it), run again under both dispatchers, and all
-// four executions must produce the same output or the same trap.
+// optimized (which folds it), run both through VM.Run and through a Step
+// loop, and all four executions must produce the same output or the
+// same trap.
 
 import (
 	"fmt"
@@ -36,25 +37,35 @@ func binopProg(a, b int64, op bytecode.Opcode) *bytecode.Program {
 	return bb.MustProgram()
 }
 
-func runDispatch(t *testing.T, p *bytecode.Program, mode vm.DispatchMode) (string, error) {
+// runDispatch runs p to completion through VM.Run, or one Step at a time
+// when step is set.
+func runDispatch(t *testing.T, p *bytecode.Program, step bool) (string, error) {
 	t.Helper()
-	m, err := vm.New(p, vm.Config{Dispatch: mode})
+	m, err := vm.New(p, vm.Config{})
 	if err != nil {
 		t.Fatalf("vm.New: %v", err)
 	}
-	runErr := m.Run()
-	return string(m.Output()), runErr
+	if !step {
+		runErr := m.Run()
+		return string(m.Output()), runErr
+	}
+	for {
+		done, err := m.Step()
+		if err != nil || done {
+			return string(m.Output()), err
+		}
+	}
 }
 
 // checkArithDifferential runs one (a, b, op) case through the four
 // executions and cross-checks them plus foldBinop's prediction.
 func checkArithDifferential(t *testing.T, a, b int64, op bytecode.Opcode) {
 	t.Helper()
-	rawOut, rawErr := runDispatch(t, binopProg(a, b, op), vm.DispatchAuto)
-	legOut, legErr := runDispatch(t, binopProg(a, b, op), vm.DispatchLegacy)
-	if rawOut != legOut || fmt.Sprint(rawErr) != fmt.Sprint(legErr) {
-		t.Fatalf("%v %d,%d: dispatchers diverged: fast (%q, %v) legacy (%q, %v)",
-			op, a, b, rawOut, rawErr, legOut, legErr)
+	rawOut, rawErr := runDispatch(t, binopProg(a, b, op), false)
+	stepOut, stepErr := runDispatch(t, binopProg(a, b, op), true)
+	if rawOut != stepOut || fmt.Sprint(rawErr) != fmt.Sprint(stepErr) {
+		t.Fatalf("%v %d,%d: Run and Step diverged: run (%q, %v) step (%q, %v)",
+			op, a, b, rawOut, rawErr, stepOut, stepErr)
 	}
 
 	res, err := Optimize(binopProg(a, b, op), Options{Natives: vm.NativeSignature})
@@ -64,7 +75,7 @@ func checkArithDifferential(t *testing.T, a, b int64, op bytecode.Opcode) {
 	if !res.Certified {
 		t.Fatalf("%v %d,%d: refused:\n%s", op, a, b, res.Report.Text())
 	}
-	optOut, optErr := runDispatch(t, res.Program, vm.DispatchAuto)
+	optOut, optErr := runDispatch(t, res.Program, false)
 	if rawOut != optOut || fmt.Sprint(rawErr) != fmt.Sprint(optErr) {
 		t.Fatalf("%v %d,%d: optimizer changed behavior: raw (%q, %v) optimized (%q, %v)",
 			op, a, b, rawOut, rawErr, optOut, optErr)

@@ -1,10 +1,12 @@
 // Cross-dispatch differential harness: for every corpus workload and
-// seed, the token-threaded fast path and the legacy switch loop must be
-// indistinguishable — bit-identical trace bytes, same output, same
-// event and context-switch counts, same final state — and a trace
-// recorded by either must replay to the same digest under both. The
-// fast path fuses instruction pairs and caches decode-time facts, but
-// none of that may leak into anything record/replay observes.
+// seed, Run (fused slices, deferred flushes, journal polls at slice
+// boundaries) and a Step loop (unfused stream, eager flushes, a poll at
+// every instruction) must be indistinguishable — bit-identical trace
+// bytes, same output, same event and context-switch counts, same final
+// state — and a trace recorded by either must replay to the same digest
+// under both. Both drivers run the same handlers; fusion, deferred
+// flushes and decode-time caches must not leak into anything
+// record/replay observes.
 package replaycheck_test
 
 import (
@@ -20,17 +22,12 @@ import (
 	"dejavu/internal/workloads"
 )
 
-// legacyOpts forces the reference dispatcher on top of o, preserving any
-// existing TweakVM.
-func legacyOpts(o replaycheck.Options) replaycheck.Options {
-	prev := o.TweakVM
-	o.TweakVM = func(c *vm.Config) {
-		if prev != nil {
-			prev(c)
-		}
-		c.Dispatch = vm.DispatchLegacy
-	}
-	return o
+// withStepLoop runs f with every replaycheck run inside it driven by a
+// Step loop instead of Run; the deferred restore also runs when f fails
+// the test.
+func withStepLoop(f func()) {
+	defer replaycheck.UseStepLoop()()
+	f()
 }
 
 func TestCrossDispatchDifferential(t *testing.T) {
@@ -41,28 +38,31 @@ func TestCrossDispatchDifferential(t *testing.T) {
 
 				frec, err := replaycheck.Record(prog(), optsFor(name, seed))
 				if err != nil || frec.RunErr != nil {
-					t.Fatalf("fast record: %v %v", err, frec.RunErr)
+					t.Fatalf("run record: %v %v", err, frec.RunErr)
 				}
-				lrec, err := replaycheck.Record(prog(), legacyOpts(optsFor(name, seed)))
-				if err != nil || lrec.RunErr != nil {
-					t.Fatalf("legacy record: %v %v", err, lrec.RunErr)
-				}
+				var lrec *replaycheck.Result
+				withStepLoop(func() {
+					lrec, err = replaycheck.Record(prog(), optsFor(name, seed))
+					if err != nil || lrec.RunErr != nil {
+						t.Fatalf("step record: %v %v", err, lrec.RunErr)
+					}
+				})
 
 				if !bytes.Equal(frec.Trace, lrec.Trace) {
-					t.Fatalf("trace bytes diverged: fast %d bytes, legacy %d bytes",
+					t.Fatalf("trace bytes diverged: run %d bytes, step %d bytes",
 						len(frec.Trace), len(lrec.Trace))
 				}
 				if !bytes.Equal(frec.Output, lrec.Output) {
-					t.Fatalf("output diverged:\nfast:   %q\nlegacy: %q", frec.Output, lrec.Output)
+					t.Fatalf("output diverged:\nrun:  %q\nstep: %q", frec.Output, lrec.Output)
 				}
 				if frec.Events != lrec.Events {
-					t.Fatalf("event count diverged: fast %d, legacy %d", frec.Events, lrec.Events)
+					t.Fatalf("event count diverged: run %d, step %d", frec.Events, lrec.Events)
 				}
 				if fs, ls := frec.Digest.Switches(), lrec.Digest.Switches(); fs != ls {
-					t.Fatalf("context switches diverged: fast %d, legacy %d", fs, ls)
+					t.Fatalf("context switches diverged: run %d, step %d", fs, ls)
 				}
 				if fd, ld := frec.Digest.Sum(), lrec.Digest.Sum(); fd != ld {
-					t.Fatalf("record digest diverged: fast %#x, legacy %#x", fd, ld)
+					t.Fatalf("record digest diverged: run %#x, step %#x", fd, ld)
 				}
 				ffs, lfs := frec.VM.FinalState(), lrec.VM.FinalState()
 				if len(ffs) != len(lfs) {
@@ -75,17 +75,20 @@ func TestCrossDispatchDifferential(t *testing.T) {
 				}
 
 				// The shared trace must replay to the same digest under
-				// both dispatchers.
+				// both drivers.
 				frep, err := replaycheck.Replay(prog(), frec.Trace, optsFor(name, seed))
 				if err != nil || frep.RunErr != nil {
-					t.Fatalf("fast replay: %v %v", err, frep.RunErr)
+					t.Fatalf("run replay: %v %v", err, frep.RunErr)
 				}
-				lrep, err := replaycheck.Replay(prog(), frec.Trace, legacyOpts(optsFor(name, seed)))
-				if err != nil || lrep.RunErr != nil {
-					t.Fatalf("legacy replay: %v %v", err, lrep.RunErr)
-				}
+				var lrep *replaycheck.Result
+				withStepLoop(func() {
+					lrep, err = replaycheck.Replay(prog(), frec.Trace, optsFor(name, seed))
+					if err != nil || lrep.RunErr != nil {
+						t.Fatalf("step replay: %v %v", err, lrep.RunErr)
+					}
+				})
 				if fd, ld := frep.Digest.Sum(), lrep.Digest.Sum(); fd != ld {
-					t.Fatalf("replay digest diverged: fast %#x, legacy %#x", fd, ld)
+					t.Fatalf("replay digest diverged: run %#x, step %#x", fd, ld)
 				}
 				if fd, rd := frec.Digest.Sum(), frep.Digest.Sum(); fd != rd {
 					t.Fatalf("replay digest %#x differs from record digest %#x", rd, fd)
@@ -113,21 +116,21 @@ func journalFiles(t *testing.T, fs *memfs.MemFS) map[string][]byte {
 	return out
 }
 
-// sameFiles fails unless both dispatchers wrote the same file list with
+// sameFiles fails unless both drivers wrote the same file list with
 // byte-identical contents (MANIFEST, seg-*.dvs, ckpt-*.dvck).
-func sameFiles(t *testing.T, fast, legacy map[string][]byte) {
+func sameFiles(t *testing.T, fast, stepped map[string][]byte) {
 	t.Helper()
-	if len(fast) != len(legacy) {
-		t.Fatalf("file lists diverged: fast %d files %v, legacy %d files %v",
-			len(fast), sortedNames(fast), len(legacy), sortedNames(legacy))
+	if len(fast) != len(stepped) {
+		t.Fatalf("file lists diverged: run %d files %v, step %d files %v",
+			len(fast), sortedNames(fast), len(stepped), sortedNames(stepped))
 	}
-	for _, n := range sortedNames(legacy) {
+	for _, n := range sortedNames(stepped) {
 		fb, ok := fast[n]
 		if !ok {
-			t.Fatalf("fast dispatcher did not write %s (wrote %v)", n, sortedNames(fast))
+			t.Fatalf("Run did not write %s (wrote %v)", n, sortedNames(fast))
 		}
-		if !bytes.Equal(fb, legacy[n]) {
-			t.Fatalf("%s diverged: fast %d bytes, legacy %d bytes", n, len(fb), len(legacy[n]))
+		if !bytes.Equal(fb, stepped[n]) {
+			t.Fatalf("%s diverged: run %d bytes, step %d bytes", n, len(fb), len(stepped[n]))
 		}
 	}
 }
@@ -163,10 +166,10 @@ func journalDiffOptions(name string, seed int64, events int, bytes int64) replay
 	return o
 }
 
-// TestJournalCrossDispatchDifferential: Run's fast path polls journal
-// rotation only where the answer can change, yet every segment boundary,
-// checkpoint position and checkpoint byte must match the legacy loop,
-// which polls before every instruction.
+// TestJournalCrossDispatchDifferential: Run polls journal rotation only
+// where the answer can change, yet every segment boundary, checkpoint
+// position and checkpoint byte must match a Step loop, which polls
+// before every instruction.
 func TestJournalCrossDispatchDifferential(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, seed := range []int64{1, 4, 9} {
@@ -177,17 +180,20 @@ func TestJournalCrossDispatchDifferential(t *testing.T) {
 					ffs, lfs := memfs.New(), memfs.New()
 					frec, err := replaycheck.RecordJournal(prog(), ffs, o)
 					if err != nil || frec.RunErr != nil {
-						t.Fatalf("fast record: %v %v", err, frec.RunErr)
+						t.Fatalf("run record: %v %v", err, frec.RunErr)
 					}
-					lrec, err := replaycheck.RecordJournal(prog(), lfs, legacyOpts(o))
-					if err != nil || lrec.RunErr != nil {
-						t.Fatalf("legacy record: %v %v", err, lrec.RunErr)
-					}
+					var lrec *replaycheck.Result
+					withStepLoop(func() {
+						lrec, err = replaycheck.RecordJournal(prog(), lfs, o)
+						if err != nil || lrec.RunErr != nil {
+							t.Fatalf("step record: %v %v", err, lrec.RunErr)
+						}
+					})
 					if frec.Events != lrec.Events {
-						t.Fatalf("event count diverged: fast %d, legacy %d", frec.Events, lrec.Events)
+						t.Fatalf("event count diverged: run %d, step %d", frec.Events, lrec.Events)
 					}
 					if fd, ld := frec.Digest.Sum(), lrec.Digest.Sum(); fd != ld {
-						t.Fatalf("record digest diverged: fast %#x, legacy %#x", fd, ld)
+						t.Fatalf("record digest diverged: run %#x, step %#x", fd, ld)
 					}
 					sameFiles(t, journalFiles(t, ffs), journalFiles(t, lfs))
 				})
@@ -198,7 +204,7 @@ func TestJournalCrossDispatchDifferential(t *testing.T) {
 
 // TestFlightCrossDispatchDifferential: a flight ring rotates through the
 // same polls as a journal; its flushed window must be byte-identical
-// between the two dispatchers.
+// between Run and a Step loop.
 func TestFlightCrossDispatchDifferential(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, seed := range []int64{1, 4, 9} {
@@ -222,7 +228,10 @@ func TestFlightCrossDispatchDifferential(t *testing.T) {
 					return journalFiles(t, fs)
 				}
 				o := journalDiffOptions(name, seed, 0, 0)
-				sameFiles(t, flush(o), flush(legacyOpts(o)))
+				fast := flush(o)
+				var stepped map[string][]byte
+				withStepLoop(func() { stepped = flush(o) })
+				sameFiles(t, fast, stepped)
 			})
 		}
 	}

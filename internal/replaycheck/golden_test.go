@@ -171,9 +171,8 @@ func compareGoldens(t *testing.T, want, got goldens) {
 
 func TestInterpreterGoldens(t *testing.T) {
 	if *update {
-		restore := replaycheck.UseStepLoop()
-		g := collectGoldens(t)
-		restore()
+		var g goldens
+		withStepLoop(func() { g = collectGoldens(t) })
 		blob, err := json.MarshalIndent(g, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -197,7 +196,6 @@ func TestInterpreterGoldens(t *testing.T) {
 		compareGoldens(t, want, collectGoldens(t))
 	})
 	t.Run("step", func(t *testing.T) {
-		defer replaycheck.UseStepLoop()()
-		compareGoldens(t, want, collectGoldens(t))
+		withStepLoop(func() { compareGoldens(t, want, collectGoldens(t)) })
 	})
 }

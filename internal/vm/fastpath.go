@@ -10,33 +10,39 @@ import (
 	"dejavu/internal/threads"
 )
 
-// Token-threaded fast path. Run drives runFast whenever dispatch is left
-// on auto, with or without a journal: a per-VM decoded instruction
-// stream (operands pre-resolved, common pairs fused into
-// superinstructions) dispatched through a handler table, with the current
-// method, code and pc cached in Go locals for a whole scheduling slice
-// instead of being re-read from the heap frame every instruction.
+// The interpreter. Every opcode, and every fused superinstruction, has
+// exactly one handler in fastTab; there is no second implementation.
+// Both drivers dispatch through it:
 //
-// Everything replay-observable is kept bit-identical to the legacy
-// dispatchOp loop:
+//   - Run (and runSlice) executes whole scheduling slices over a
+//     per-VM decoded stream — operands pre-resolved, common pairs fused
+//     into superinstructions — with the current method, code and pc
+//     cached in Go locals instead of re-read from the heap frame every
+//     instruction.
+//   - Step (execOne) executes exactly one instruction of the unfused
+//     stream, re-reading the frame and flushing the resume pc and thread
+//     mirrors after it, and polls journal rotation at every boundary.
+//     Native callbacks (callNested) run the same way.
+//
+// Everything replay-observable is identical between the two drivers:
 //
 //   - Event accounting: every component of a fused pair counts its own
 //     event and reports its own original (pc, opcode) to the Observer,
 //     and the MaxEvents budget plus the stack-headroom growth check run
-//     at every component boundary, exactly like the legacy per-Step
+//     at every component boundary, exactly like Step's per-instruction
 //     checks. Yield points (method prologues, taken backward branches)
 //     fire from the same helpers (doCall, branch), so the logical
 //     clock, trace bytes and switch schedule cannot shift.
-//   - Deferred state: the frame's resume pc and the per-thread heap
-//     mirrors are flushed whenever they can be observed — at calls (the
-//     call site pc must sit in the caller header before pushFrame), at
-//     Native instructions (nested callback interpretation re-enters the
-//     legacy loop through the heap-resident pc, and remote tool VMs
-//     read the mirrors), on every thread-state change, before a journal
-//     checkpoint snapshot, and when the slice exits. In between, nothing
-//     replay-visible reads them: FinalState renders statics-reachable
-//     heap only, and within one dispatch mode the flush schedule is
-//     identical between record and replay, so heap digests still match
+//   - Deferred state: Run defers the frame's resume pc and the
+//     per-thread heap mirrors, and flushes them whenever they can be
+//     observed — at calls (the call site pc must sit in the caller
+//     header before pushFrame), at Native instructions (nested callback
+//     interpretation re-enters execOne through the heap-resident pc,
+//     and remote tool VMs read the mirrors), on every thread-state
+//     change, before a journal checkpoint snapshot, and when the slice
+//     exits. In between, nothing replay-visible reads them: FinalState
+//     renders statics-reachable heap only, and the flush schedule is
+//     identical between record and replay, so heap digests match
 //     bit-for-bit.
 //   - Inline caches (CallV target, GetF/PutF field refness, SConst
 //     intern index, native ids) key on program identity — class layout,
@@ -53,9 +59,6 @@ import (
 //     first instruction, run from the unfused stream so a fused head
 //     cannot carry the boundary past the second component. Segment
 //     boundaries and checkpoint bytes therefore match Step's exactly.
-//
-// Step keeps the legacy loop unconditionally: debuggers rely on its
-// strict one-instruction-per-call contract.
 
 type fastFn func(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error)
 
@@ -63,11 +66,6 @@ var fastTab []fastFn
 
 func init() {
 	fastTab = make([]fastFn, bytecode.NumTokens())
-	// Every plain opcode runs through the legacy dispatchOp by default;
-	// hot opcodes get dedicated pre-decoded handlers below.
-	for op := 0; op < bytecode.NumOpcodes(); op++ {
-		fastTab[op] = fpGeneric
-	}
 	fastTab[bytecode.Nop] = fpNop
 	fastTab[bytecode.IConst] = fpIConst
 	fastTab[bytecode.LConst] = fpIConst // Imm pre-decoded for both
@@ -112,10 +110,18 @@ func init() {
 	fastTab[bytecode.TimedWait] = fpWait
 	fastTab[bytecode.Notify] = fpNotify
 	fastTab[bytecode.NotifyAll] = fpNotify
+	fastTab[bytecode.NewArr] = fpNewArr
 	fastTab[bytecode.ALoad] = fpALoad
+	fastTab[bytecode.AStore] = fpAStore
 	fastTab[bytecode.ArrLen] = fpArrLen
+	fastTab[bytecode.InstOf] = fpInstOf
+	fastTab[bytecode.Spawn] = fpSpawn
 	fastTab[bytecode.ThreadID] = fpThreadID
+	fastTab[bytecode.YieldOp] = fpYield
+	fastTab[bytecode.Sleep] = fpSleep
+	fastTab[bytecode.Interrupt] = fpInterrupt
 	fastTab[bytecode.Print] = fpPrint
+	fastTab[bytecode.PrintS] = fpPrintS
 	fastTab[bytecode.Assert] = fpAssert
 	fastTab[bytecode.Halt] = fpHalt
 
@@ -127,11 +133,31 @@ func init() {
 	fastTab[bytecode.TokCmpJz] = fpCmpJump
 	fastTab[bytecode.TokCmpJnz] = fpCmpJump
 	fastTab[bytecode.TokIConstCall] = fpIConstCall
+
+	if missing := missingHandlers(fastTab); len(missing) > 0 {
+		panic(fmt.Sprintf("vm: no interpreter handler for tokens %v", missing))
+	}
 }
 
-// note performs the per-event accounting the legacy loop does in
-// execOne: the global and per-thread event counters plus the Observer
-// step callback, always with the component's original pc and opcode.
+// missingHandlers lists the tokens — valid opcodes and fused pairs — that
+// have no handler in tab. vm.New validates every program, so a token
+// outside this set never reaches the dispatch loops.
+func missingHandlers(tab []fastFn) []int {
+	var missing []int
+	for tok := 0; tok < bytecode.NumTokens(); tok++ {
+		if tok < bytecode.NumOpcodes() && !bytecode.Opcode(tok).Valid() {
+			continue
+		}
+		if tab[tok] == nil {
+			missing = append(missing, tok)
+		}
+	}
+	return missing
+}
+
+// note performs the per-event accounting: the global and per-thread
+// event counters plus the Observer step callback, always with the
+// component's original pc and opcode.
 func (vm *VM) note(t *threads.Thread, mid, pc int, op bytecode.Opcode) {
 	vm.events++
 	t.EventCount++
@@ -156,7 +182,8 @@ func (vm *VM) noteObs(t *threads.Thread, mid, pc int, op bytecode.Opcode) {
 // every fast handler would pay a function call per stack access — plus
 // push's per-call segment header decode for its overflow assertion.
 // These variants inline; error construction stays in the (cold) caller
-// branches. The error text must match the legacy helpers byte for byte.
+// branches. The error text matches the shared helpers byte for byte
+// (natives and callNested still use those).
 
 var (
 	errUnderflow = errors.New("operand stack underflow")
@@ -166,9 +193,9 @@ var (
 )
 
 // fpush writes val at t.SP and bumps it. It skips push's mid-
-// instruction overflow assertion: fast handlers run under the dispatch
-// loop's headroom guarantee (opHeadroom free slots at every instruction
-// and pair boundary), which covers any single instruction's pushes.
+// instruction overflow assertion: handlers run under both drivers'
+// headroom guarantee (opHeadroom free slots at every instruction and
+// pair boundary), which covers any single instruction's pushes.
 func (vm *VM) fpush(t *threads.Thread, val uint64, isRef bool) {
 	vm.h.StoreWord(t.StackSeg, t.SP, val)
 	t.Tags[t.SP] = isRef
@@ -189,9 +216,8 @@ func (vm *VM) fpop(t *threads.Thread) (val uint64, isRef, ok bool) {
 
 // boundaryErr marks an error raised at the instruction boundary between
 // the two components of a fused pair (event budget, stack growth
-// failure). It must surface unwrapped — the legacy loop reports these
-// outside any trap — with the resume pc pointing at the second
-// component.
+// failure). It must surface unwrapped — Step reports these outside any
+// trap — with the resume pc pointing at the second component.
 type boundaryErr struct{ err error }
 
 func (e *boundaryErr) Error() string { return e.err.Error() }
@@ -204,15 +230,15 @@ func (e *boundaryErr) Unwrap() error { return e.err }
 // observable event — so fusion must neither move nor skip it. spBias is
 // the net stack effect the unfused first component would have had that
 // the fused handler elided (it kept the value in a Go local instead of
-// pushing): the growth condition must see the SP the legacy loop would
-// see, or the two dispatch modes would grow at different points.
+// pushing): the growth condition must see the SP Step would see, or the
+// two drivers would grow at different points.
 func (vm *VM) pairBoundary(t *threads.Thread, d *bytecode.DInstr, spBias int) error {
 	if vm.cfg.MaxEvents > 0 && vm.events >= vm.cfg.MaxEvents {
 		return ErrEventBudget
 	}
 	if vm.stackLen(t)-(t.SP+spBias) < opHeadroom {
-		// Mid-pair, the legacy loop would have flushed the second
-		// component's pc; the abandoned segment keeps those bytes.
+		// Mid-pair, Step would have flushed the second component's pc;
+		// the abandoned segment keeps those bytes.
 		vm.flushFramePC(t, int(d.PC)+1)
 		return vm.growStack(t, opHeadroom+12)
 	}
@@ -249,9 +275,10 @@ func (vm *VM) decodeStream(fuse bool) *bytecode.DecodedProgram {
 	return dp
 }
 
-// plainCode returns method mid's unfused decoded stream. Its pcs index
-// the same instructions as the fused stream's, so a slice can switch
-// between the two at any instruction boundary.
+// plainCode returns method mid's unfused decoded stream, the one
+// execOne runs. Its pcs index the same instructions as the fused
+// stream's, so a slice can switch between the two at any instruction
+// boundary.
 func (vm *VM) plainCode(mid int) []bytecode.DInstr {
 	if vm.plain == nil {
 		vm.plain = vm.decodeStream(false)
@@ -259,9 +286,14 @@ func (vm *VM) plainCode(mid int) []bytecode.DInstr {
 	return vm.plain.Methods[mid].Code
 }
 
-// runFast is Run's token-threaded loop: dispatch a thread, then execute
-// its whole scheduling slice with method/code/pc in locals.
-func (vm *VM) runFast() error {
+// Run executes until the program halts or errs: dispatch a thread, then
+// execute its whole scheduling slice over the fused stream with
+// method/code/pc in locals, with or without a journal attached. It polls
+// journal rotation only at the boundaries where the answer can have
+// changed, which are exactly the boundaries where Step would rotate, so
+// a Run and a Step loop produce bit-identical traces, journals,
+// checkpoints, digests and switch schedules.
+func (vm *VM) Run() error {
 	if vm.decoded == nil {
 		vm.decoded = vm.decodeStream(true)
 	}
@@ -292,7 +324,7 @@ func (vm *VM) runFast() error {
 // runSlice executes t until it loses the CPU, the program halts, or an
 // error stops the run. On every exit it flushes the deferred state (the
 // frame's resume pc and all thread mirrors) so the heap looks exactly
-// like the legacy loop's at the same boundary.
+// like Step's at the same boundary.
 func (vm *VM) runSlice(t *threads.Thread) error {
 	h := vm.h
 	m := vm.frameMethod(t)
@@ -340,7 +372,7 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 		if vm.stackLen(t)-t.SP < opHeadroom {
 			// The abandoned segment stays in the heap image until a
 			// collection reclaims it; its header must hold the same pc
-			// the legacy loop would have flushed.
+			// Step would have flushed.
 			vm.flushFramePC(t, pc)
 			if err := vm.growStack(t, opHeadroom+12); err != nil {
 				stop(pc)
@@ -400,14 +432,6 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 }
 
 // --- plain handlers ---
-
-// fpGeneric runs any opcode through the legacy dispatchOp switch. The
-// rare ops (sync, spawn, sleep, interrupt…) stay on this path: one
-// shared implementation, bit-identical by construction.
-func fpGeneric(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
-	vm.note(t, m.ID, int(d.PC), d.Op)
-	return vm.dispatchOp(t, m, int(d.PC), bytecode.Instr{Op: d.Op, A: d.A, B: d.B})
-}
 
 func fpNop(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
@@ -622,10 +646,10 @@ func fpJzJnz(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 
 func fpRet(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	// The dying frame's header keeps the Ret's own pc in the legacy
-	// loop (written by the previous instruction's epilogue); those bytes
+	// Under Step the dying frame's header already holds the Ret's own pc
+	// (written by the previous instruction's epilogue); those bytes
 	// persist as garbage above SP after the pop and are part of the
-	// perturbation-free heap image.
+	// perturbation-free heap image, so Run writes them too.
 	vm.flushFramePC(t, int(d.PC))
 	var rv uint64
 	var rtag bool
@@ -651,8 +675,8 @@ func fpRet(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (c
 	return ctrlCall, resume, nil
 }
 
-// flushFramePC writes the frame's resume pc to the heap header; the fast
-// loop defers it, so call sites and native boundaries restore it before
+// flushFramePC writes the frame's resume pc to the heap header. Run
+// defers it, so call sites and native boundaries restore it before
 // anything (pushFrame, nested interpretation, remote mirrors) can look.
 func (vm *VM) flushFramePC(t *threads.Thread, pc int) {
 	vm.h.StoreWord(t.StackSeg, t.FP+FramePC, uint64(int64(pc)))
@@ -734,7 +758,7 @@ func fpNative(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	// Natives can re-enter the interpreter (callbacks pop frames through
 	// the heap-resident resume pc) and remote tool VMs read the thread
 	// mirrors, so the deferred state is flushed first — the heap looks
-	// exactly like the legacy loop's at this boundary.
+	// exactly like Step's at this boundary.
 	vm.flushFramePC(t, int(d.PC))
 	vm.flushAllMirrors()
 	id := int(d.Aux)
@@ -873,8 +897,8 @@ func fpPutS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 	return ctrlNext, 0, nil
 }
 
-// fpWait / fpNotify mirror the dispatchOp wait/notify arms (fpWait also
-// covers TimedWait, fpNotify also covers NotifyAll, keyed off d.Op).
+// fpWait also covers TimedWait, fpNotify also covers NotifyAll, keyed
+// off d.Op.
 func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	if vm.nestedDepth > 0 {
@@ -936,10 +960,6 @@ func fpNotify(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	return ctrlNext, 0, nil
 }
 
-// fpMonEnter / fpMonExit mirror the dispatchOp monitor arms. They are the
-// hottest generic-path ops in lock-heavy workloads; everything behavioral
-// (stub check, hooks, blocked-in-callback error, mirror flush) is kept
-// verbatim so the scheduler sees the exact legacy sequence.
 func fpMonEnter(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	w, otag, ok := vm.fpop(t)
@@ -1071,6 +1091,181 @@ func fpArrLen(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	return ctrlNext, 0, nil
 }
 
+func fpNewArr(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if tag {
+		return 0, 0, errWantPrim
+	}
+	n := int64(w)
+	if n < 0 || n > 1<<28 {
+		return 0, 0, fmt.Errorf("bad array length %d", n)
+	}
+	var kind heap.Kind
+	switch d.A {
+	case bytecode.KindInt64:
+		kind = heap.KindInt64Arr
+	case bytecode.KindRef:
+		kind = heap.KindRefArr
+	case bytecode.KindByte:
+		kind = heap.KindByteArr
+	}
+	a, err := vm.allocArray(kind, int(n))
+	if err != nil {
+		return 0, 0, err
+	}
+	vm.fpush(t, uint64(a), true)
+	return ctrlNext, 0, nil
+}
+
+func fpAStore(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	h := vm.h
+	v, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	iw, itag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if itag {
+		return 0, 0, errWantPrim
+	}
+	idx := int(int64(iw))
+	aw, atag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if !atag {
+		return 0, 0, errWantRef
+	}
+	if aw == 0 {
+		return 0, 0, errNullRef
+	}
+	arr := heap.Addr(aw)
+	if vm.isStub(arr) {
+		return 0, 0, fmt.Errorf("remote objects are read-only (astore on stub)")
+	}
+	if err := h.CheckBounds(arr, idx); err != nil {
+		return 0, 0, err
+	}
+	switch h.KindOf(arr) {
+	case heap.KindInt64Arr:
+		if tag {
+			return 0, 0, fmt.Errorf("type error: reference into int array")
+		}
+		h.StoreWord(arr, idx, v)
+	case heap.KindRefArr:
+		if !tag {
+			return 0, 0, fmt.Errorf("type error: primitive into ref array")
+		}
+		h.StoreWord(arr, idx, v)
+	case heap.KindByteArr:
+		if tag {
+			return 0, 0, fmt.Errorf("type error: reference into byte array")
+		}
+		h.StoreByte(arr, idx, byte(v))
+	default:
+		return 0, 0, fmt.Errorf("astore on non-array")
+	}
+	if vm.cfg.MemHook != nil {
+		vm.cfg.MemHook.OnHeapAccess(t.ID, arr, idx, true, v)
+	}
+	return ctrlNext, 0, nil
+}
+
+func fpInstOf(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if !tag {
+		return 0, 0, errWantRef
+	}
+	a := heap.Addr(w)
+	if vm.isStub(a) { // §3.4: instof consults the remote type
+		_, typeID, _, kind := vm.stubMeta(a)
+		vm.fpush(t, boolWord(kind == heap.KindObject && typeID == int(d.A)), false)
+		return ctrlNext, 0, nil
+	}
+	r := a != 0 && vm.h.KindOf(a) == heap.KindObject && vm.h.TypeID(a) == int(d.A)
+	vm.fpush(t, boolWord(r), false)
+	return ctrlNext, 0, nil
+}
+
+func fpSpawn(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	nargs := int(d.B)
+	if t.SP-nargs < t.FP+FrameHeader {
+		return 0, 0, errUnderflow
+	}
+	nt, err := vm.spawnThread(vm.prog.Methods[d.A].ID, t, t.SP-nargs)
+	if err != nil {
+		return 0, 0, err
+	}
+	// Pop the arguments now that they are copied.
+	for i := 0; i < nargs; i++ {
+		vm.fpop(t)
+	}
+	vm.fpush(t, uint64(nt.ID), false)
+	return ctrlNext, 0, nil
+}
+
+func fpYield(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	// A voluntary yield is a deterministic thread switch: both modes take
+	// it identically, so nothing is recorded.
+	if vm.nestedDepth > 0 {
+		return ctrlNext, 0, nil
+	}
+	vm.sched.Preempt(t)
+	return ctrlSwitch, int(d.PC) + 1, nil
+}
+
+func fpSleep(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	if vm.nestedDepth > 0 {
+		return 0, 0, fmt.Errorf("blocking sleep inside a native callback")
+	}
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if tag {
+		return 0, 0, errWantPrim
+	}
+	millis := int64(w)
+	if millis < 0 {
+		millis = 0
+	}
+	vm.sched.Sleep(t, vm.readClock()+millis)
+	return ctrlNext, 0, nil
+}
+
+func fpInterrupt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if tag {
+		return 0, 0, errWantPrim
+	}
+	tid := int64(w)
+	target, ok := vm.sched.Thread(int(tid))
+	if !ok {
+		return 0, 0, fmt.Errorf("interrupt of unknown thread %d", tid)
+	}
+	vm.sched.Interrupt(target)
+	vm.flushAllMirrors()
+	return ctrlNext, 0, nil
+}
+
 func fpThreadID(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	vm.fpush(t, uint64(t.ID), false)
@@ -1087,6 +1282,36 @@ func fpPrint(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 		return 0, 0, errWantPrim
 	}
 	vm.printInt(int64(w))
+	return ctrlNext, 0, nil
+}
+
+func fpPrintS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
+	vm.note(t, m.ID, int(d.PC), d.Op)
+	w, tag, ok := vm.fpop(t)
+	if !ok {
+		return 0, 0, errUnderflow
+	}
+	if !tag {
+		return 0, 0, errWantRef
+	}
+	if w == 0 {
+		return 0, 0, errNullRef
+	}
+	a := heap.Addr(w)
+	if vm.isStub(a) { // §3.4: remote strings print transparently
+		b, err := vm.remoteBytes(a)
+		if err != nil {
+			return 0, 0, err
+		}
+		vm.writeOutput(append(b, '\n'))
+		return ctrlNext, 0, nil
+	}
+	if vm.h.KindOf(a) != heap.KindByteArr {
+		return 0, 0, fmt.Errorf("prints on non-string")
+	}
+	vm.printBuf = append(vm.printBuf[:0], vm.h.Bytes(a)...)
+	vm.printBuf = append(vm.printBuf, '\n')
+	vm.writeOutput(vm.printBuf)
 	return ctrlNext, 0, nil
 }
 
@@ -1114,17 +1339,17 @@ func fpHalt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 // --- fused superinstruction handlers ---
 //
 // Each handler executes both components with per-component event
-// accounting, runs the pairBoundary checks where the legacy loop had an
-// instruction boundary, and attributes second-component traps to the
-// second component's pc. Stack round-trips that the legacy pair would
+// accounting, runs the pairBoundary checks where the unfused stream has
+// an instruction boundary, and attributes second-component traps to the
+// second component's pc. Stack round-trips that the unfused pair would
 // perform (push by component 1, immediate pop by component 2) are
 // elided; the net stack effect, the tag array, and every trap condition
-// are identical. (Slots above SP may differ — they are garbage in both
-// modes and invisible to FinalState and to the record/replay digests,
-// which see identical flush schedules within one dispatch mode.)
+// are identical. (Slots above SP are garbage under both drivers and
+// invisible to FinalState and to the record/replay digests, which see
+// identical flush schedules between record and replay.)
 
-// pairErr wraps a second-component error exactly as the legacy loop
-// would: trapped at the component's own pc.
+// pairErr wraps a second-component error exactly as Step would: trapped
+// at the component's own pc.
 func (vm *VM) pairErr(t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr, err error) error {
 	return vm.trap(t, m, int(d.PC)+1, err)
 }

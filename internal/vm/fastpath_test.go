@@ -1,12 +1,13 @@
 package vm
 
-// Golden tests for the token-threaded fast path: every fused
+// Golden tests for the token-threaded interpreter: every fused
 // superinstruction gets (a) a decode assertion proving the pair actually
 // fuses (so the behavioral check cannot pass vacuously on the plain
-// handlers), and (b) a cross-dispatch run asserting the fused handler
-// computes exactly what the legacy switch loop computes — same output,
-// same final state. Fusion must also respect jump targets: a pc that any
-// branch lands on stays the head of its own instruction.
+// handlers), and (b) a Run-vs-Step run asserting the fused handler
+// computes exactly what its two components compute when stepped one at
+// a time over the unfused stream — same output, same final state.
+// Fusion must also respect jump targets: a pc that any branch lands on
+// stays the head of its own instruction.
 
 import (
 	"strings"
@@ -34,17 +35,24 @@ func decodeTokens(p *bytecode.Program) map[bytecode.Token]int {
 	return counts
 }
 
-// runBoth runs prog under both dispatchers and asserts identical output
-// and final state, returning the (shared) output.
+// runBoth runs prog through Run (fused stream) and through a Step loop
+// (unfused stream) and asserts identical output and final state,
+// returning the (shared) output.
 func runBoth(t *testing.T, prog *bytecode.Program) string {
 	t.Helper()
 	fast := run(t, prog, Config{})
-	legacy := run(t, prog, Config{Dispatch: DispatchLegacy})
-	fo, lo := string(fast.Output()), string(legacy.Output())
-	if fo != lo {
-		t.Fatalf("output diverged:\nfast:   %q\nlegacy: %q", fo, lo)
+	stepped, err := New(prog, Config{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	ff, lf := fast.FinalState(), legacy.FinalState()
+	if err := stepToEnd(stepped); err != nil {
+		t.Fatalf("step: %v", err)
+	}
+	fo, so := string(fast.Output()), string(stepped.Output())
+	if fo != so {
+		t.Fatalf("output diverged:\nrun:  %q\nstep: %q", fo, so)
+	}
+	ff, lf := fast.FinalState(), stepped.FinalState()
 	if len(ff) != len(lf) {
 		t.Fatalf("final state shape diverged: %d vs %d entries", len(ff), len(lf))
 	}
@@ -310,8 +318,8 @@ entry Main.main
 // TestHaltInNativeCallback pins the callNested fix: a Halt executed
 // inside a native-driven callback cannot unwind the native frame, so the
 // VM must reject it deterministically instead of running past the
-// callback or leaving the stack imbalanced. Both dispatchers reach
-// callNested through the same native entry, and must agree.
+// callback or leaving the stack imbalanced. Run and Step reach
+// callNested through the same native handler, and must agree.
 func TestHaltInNativeCallback(t *testing.T) {
 	src := `
 program haltcb
@@ -340,18 +348,44 @@ class Main {
 }
 entry Main.main
 `
-	for _, mode := range []DispatchMode{DispatchAuto, DispatchLegacy} {
+	for _, drive := range []struct {
+		name string
+		run  func(*VM) error
+	}{{"run", (*VM).Run}, {"step", stepToEnd}} {
 		p := asm(t, src)
-		m, err := New(p, Config{Dispatch: mode})
+		m, err := New(p, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runErr := m.Run()
+		runErr := drive.run(m)
 		if runErr == nil {
-			t.Fatalf("dispatch %v: no callback fired in 20 polls; cannot exercise halt-in-callback", mode)
+			t.Fatalf("%s: no callback fired in 20 polls; cannot exercise halt-in-callback", drive.name)
 		}
 		if !strings.Contains(runErr.Error(), "halt inside a native callback") {
-			t.Fatalf("dispatch %v: got %q, want halt-in-callback rejection", mode, runErr)
+			t.Fatalf("%s: got %q, want halt-in-callback rejection", drive.name, runErr)
 		}
+	}
+}
+
+// TestEveryTokenHasAHandler: every valid opcode and every fused token is
+// dispatched through exactly one fastTab entry, the one table both Run
+// and Step use; init refuses to start with a gap.
+func TestEveryTokenHasAHandler(t *testing.T) {
+	if len(fastTab) != bytecode.NumTokens() {
+		t.Fatalf("fastTab has %d entries, want %d tokens", len(fastTab), bytecode.NumTokens())
+	}
+	for tok := 0; tok < bytecode.NumTokens(); tok++ {
+		if tok < bytecode.NumOpcodes() && !bytecode.Opcode(tok).Valid() {
+			continue
+		}
+		if fastTab[tok] == nil {
+			t.Errorf("token %d (%v) has no handler", tok, bytecode.Opcode(tok))
+		}
+	}
+	gap := append([]fastFn(nil), fastTab...)
+	gap[bytecode.PrintS], gap[bytecode.TokIConstCall] = nil, nil
+	got := missingHandlers(gap)
+	if len(got) != 2 || got[0] != int(bytecode.PrintS) || got[1] != int(bytecode.TokIConstCall) {
+		t.Fatalf("missingHandlers with two gaps = %v, want [%d %d]", got, bytecode.PrintS, bytecode.TokIConstCall)
 	}
 }

@@ -40,32 +40,11 @@ func (vm *VM) trap(t *threads.Thread, m *bytecode.Method, pc int, reason error) 
 	return &VMError{ThreadID: t.ID, Method: m.FullName(), PC: pc, Line: line, Reason: reason}
 }
 
-// Run executes until the program halts or errs. With dispatch left on
-// auto, the token-threaded fast loop runs whole scheduling slices at a
-// time, with or without a journal attached: it polls journal rotation
-// only at the boundaries where the answer can have changed, which are
-// exactly the boundaries where Step would rotate. DispatchLegacy drives
-// the reference Step loop instead. Both produce bit-identical traces,
-// journals, checkpoints, digests and switch schedules.
-func (vm *VM) Run() error {
-	if vm.cfg.Dispatch == DispatchAuto {
-		return vm.runFast()
-	}
-	for {
-		done, err := vm.Step()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
 // Step executes exactly one instruction (dispatching threads and expiring
 // timers as needed first) and returns done=true when the program has
-// terminated. Debuggers drive the VM through Step so every stop lands on
-// an instruction boundary. Step always runs the legacy switch loop.
+// terminated. Debuggers and session travel drive the VM through Step so
+// every stop lands on an instruction boundary. The instruction runs
+// through the same handler Run would use (see execOne).
 func (vm *VM) Step() (done bool, err error) {
 	// Segmented-journal rotation happens here, at the instruction boundary
 	// before any dispatching: the snapshot taken now is exactly the state a
@@ -222,20 +201,23 @@ func (vm *VM) dispatch() *threads.Thread {
 type control int
 
 const (
-	ctrlNext   control = iota // fall through to pc+1
+	ctrlNext   control = iota // fall through to the next instruction
 	ctrlJump                  // pc set explicitly
-	ctrlCall                  // new frame pushed; pc handled
-	ctrlSwitch                // current thread gave up the CPU
+	ctrlCall                  // frame changed (call or return); pc set explicitly
+	ctrlSwitch                // current thread gave up the CPU; pc set explicitly
 )
 
-// execOne interprets a single instruction of t — one "event" in the
-// paper's model.
 // opHeadroom is the operand-stack margin guaranteed before each
 // instruction: no opcode pushes more than this many values net, so the
 // stack never grows (and the collector never runs) in the middle of an
 // instruction while object addresses sit in interpreter locals.
 const opHeadroom = 4
 
+// execOne runs a single instruction of t — one "event" in the paper's
+// model — for Step and for native callbacks (callNested). It takes the
+// instruction from the unfused decoded stream, runs it through the same
+// fastTab handler Run uses, and then writes back what Run defers: the
+// frame's resume pc and the thread mirrors.
 func (vm *VM) execOne(t *threads.Thread) error {
 	if vm.h.Len(t.StackSeg)-t.SP < opHeadroom {
 		// Grow at the instruction boundary, where every live value is in
@@ -246,33 +228,27 @@ func (vm *VM) execOne(t *threads.Thread) error {
 	}
 	m := vm.frameMethod(t)
 	pc := int(int64(vm.h.LoadWord(t.StackSeg, t.FP+FramePC)))
-	in := m.Code[pc]
-	vm.events++
-	t.EventCount++
-	if vm.cfg.Observer != nil {
-		vm.cfg.Observer.OnStep(t.ID, m.ID, pc, in.Op)
-	}
-
-	ctrl, nextPC, err := vm.dispatchOp(t, m, pc, in)
+	d := &vm.plainCode(m.ID)[pc]
+	ctrl, next, err := fastTab[d.Tok](vm, t, m, d)
 	if err != nil {
-		return vm.trap(t, m, pc, err)
-	}
-
-	if ctrl == ctrlNext {
-		nextPC = pc + 1
-		ctrl = ctrlJump
-	}
-	switch ctrl {
-	case ctrlJump, ctrlSwitch:
-		// Save the resume pc — for the running thread, a blocked thread
-		// (it resumes after this instruction), or a preempted one. A
-		// terminated thread has no frame left to update.
-		if t.State != threads.Terminated {
-			vm.h.StoreWord(t.StackSeg, t.FP+FramePC, uint64(int64(nextPC)))
+		// A trap raised inside a native callback already carries its own
+		// context; everything else is trapped here, as runSlice does.
+		var ve *VMError
+		if !errors.As(err, &ve) {
+			err = vm.trap(t, m, pc, err)
 		}
-	case ctrlCall:
-		// pushFrame already set the callee pc to 0; the caller's header
-		// still holds the call site (return resumes at +1).
+		return err
+	}
+	if ctrl == ctrlNext {
+		next = pc + 1
+	}
+	// Save the resume pc in whichever frame is now on top: the running
+	// thread's, a blocked thread's (it resumes after this instruction), a
+	// preempted one's, the callee's after a call (pc 0, already set by
+	// pushFrame), or the caller's after a return. A terminated thread has
+	// no frame left to update.
+	if t.State != threads.Terminated {
+		vm.flushFramePC(t, next)
 	}
 
 	if t.State == threads.Running {
@@ -304,597 +280,6 @@ func (vm *VM) yieldHere(t *threads.Thread) (switched bool) {
 		return true
 	}
 	return false
-}
-
-// dispatchOp executes one opcode. It returns how control continues and,
-// for ctrlJump/ctrlSwitch, the explicit next pc.
-func (vm *VM) dispatchOp(t *threads.Thread, m *bytecode.Method, pc int, in bytecode.Instr) (control, int, error) {
-	h := vm.h
-	switch in.Op {
-	case bytecode.Nop:
-		return ctrlNext, 0, nil
-
-	case bytecode.IConst:
-		return ctrlNext, 0, vm.push(t, uint64(int64(in.A)), false)
-	case bytecode.LConst:
-		return ctrlNext, 0, vm.push(t, uint64(vm.prog.Ints[in.A]), false)
-	case bytecode.SConst:
-		a, err := vm.intern(vm.prog.Strings[in.A]) // pre-interned: no alloc
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(a), true)
-	case bytecode.Null:
-		return ctrlNext, 0, vm.push(t, 0, true)
-
-	case bytecode.Pop:
-		_, _, err := vm.pop(t)
-		return ctrlNext, 0, err
-	case bytecode.Dup:
-		if t.SP <= t.FP+FrameHeader {
-			return 0, 0, fmt.Errorf("operand stack underflow")
-		}
-		v, tag := vm.slot(t, t.SP-1)
-		return ctrlNext, 0, vm.push(t, v, tag)
-	case bytecode.Swap:
-		b, tb, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, ta, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := vm.push(t, b, tb); err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, a, ta)
-
-	case bytecode.Load:
-		v, tag := vm.slot(t, t.FP+FrameHeader+int(in.A))
-		return ctrlNext, 0, vm.push(t, v, tag)
-	case bytecode.Store:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		vm.setSlot(t, t.FP+FrameHeader+int(in.A), v, tag)
-		return ctrlNext, 0, nil
-
-	case bytecode.Add, bytecode.Sub, bytecode.Mul, bytecode.Div, bytecode.Mod,
-		bytecode.And, bytecode.Or, bytecode.Xor, bytecode.Shl, bytecode.Shr:
-		b, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		r, err := arith(in.Op, a, b)
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(r), false)
-
-	case bytecode.Neg:
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(-a), false)
-	case bytecode.Not:
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(^a), false)
-
-	case bytecode.CmpEq, bytecode.CmpNe:
-		b, tb, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, ta, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if ta != tb {
-			return 0, 0, fmt.Errorf("type error: comparing reference with primitive")
-		}
-		r := boolWord(a == b)
-		if in.Op == bytecode.CmpNe {
-			r = boolWord(a != b)
-		}
-		return ctrlNext, 0, vm.push(t, r, false)
-
-	case bytecode.CmpLt, bytecode.CmpLe, bytecode.CmpGt, bytecode.CmpGe:
-		b, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		a, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		var r bool
-		switch in.Op {
-		case bytecode.CmpLt:
-			r = a < b
-		case bytecode.CmpLe:
-			r = a <= b
-		case bytecode.CmpGt:
-			r = a > b
-		case bytecode.CmpGe:
-			r = a >= b
-		}
-		return ctrlNext, 0, vm.push(t, boolWord(r), false)
-
-	case bytecode.Jmp:
-		return vm.branch(t, pc, int(in.A), true)
-	case bytecode.Jz, bytecode.Jnz:
-		v, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		taken := (v == 0) == (in.Op == bytecode.Jz)
-		if !taken {
-			return ctrlNext, 0, nil
-		}
-		return vm.branch(t, pc, int(in.A), true)
-
-	case bytecode.Ret, bytecode.RetV:
-		var rv uint64
-		var rtag bool
-		if in.Op == bytecode.RetV {
-			var err error
-			rv, rtag, err = vm.pop(t)
-			if err != nil {
-				return 0, 0, err
-			}
-		}
-		done, resume, err := vm.popFrame(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if done {
-			vm.sched.Terminate(t)
-			return ctrlSwitch, 0, nil
-		}
-		if in.Op == bytecode.RetV {
-			if err := vm.push(t, rv, rtag); err != nil {
-				return 0, 0, err
-			}
-		}
-		return ctrlJump, resume, nil
-
-	case bytecode.Call:
-		return vm.doCall(t, pc, vm.prog.Methods[in.A], int(in.B))
-	case bytecode.CallV:
-		name := vm.prog.Strings[in.A]
-		nargs := int(in.B)
-		if nargs < 1 {
-			return 0, 0, fmt.Errorf("callv needs a receiver")
-		}
-		if t.SP-nargs < t.FP+FrameHeader {
-			return 0, 0, fmt.Errorf("operand stack underflow")
-		}
-		rv, rtag := vm.slot(t, t.SP-nargs)
-		if !rtag || rv == 0 {
-			return 0, 0, fmt.Errorf("callv %s on null or primitive receiver", name)
-		}
-		if vm.isStub(heap.Addr(rv)) { // §3.4: invokevirtual on a remote object
-			mid, err := vm.remoteCallTarget(heap.Addr(rv), name, nargs)
-			if err != nil {
-				return 0, 0, err
-			}
-			return vm.doCall(t, pc, vm.prog.Methods[mid], nargs)
-		}
-		typeID := h.TypeID(heap.Addr(rv))
-		if h.KindOf(heap.Addr(rv)) != heap.KindObject || typeID >= vm.numClasses {
-			return 0, 0, fmt.Errorf("callv %s receiver is not a program object", name)
-		}
-		target, ok := vm.prog.Classes[typeID].Method(name)
-		if !ok {
-			return 0, 0, fmt.Errorf("class %s has no method %s", vm.prog.Classes[typeID].Name, name)
-		}
-		if target.NArgs != nargs {
-			return 0, 0, fmt.Errorf("callv %s: %d args passed, %d expected", name, nargs, target.NArgs)
-		}
-		return vm.doCall(t, pc, target, nargs)
-
-	case bytecode.Native:
-		return vm.doNative(t, vm.prog.Strings[in.A], int(in.B))
-
-	case bytecode.New:
-		a, err := vm.allocObject(int(in.A), len(vm.prog.Classes[in.A].Fields))
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(a), true)
-
-	case bytecode.GetF:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		slotIdx := int(in.A)
-		if vm.isStub(obj) { // §3.4: getf extended to remote objects
-			v, tag, err := vm.remoteGetF(obj, slotIdx)
-			if err != nil {
-				return 0, 0, err
-			}
-			return ctrlNext, 0, vm.push(t, v, tag)
-		}
-		isRef, err := vm.fieldRefness(obj, slotIdx)
-		if err != nil {
-			return 0, 0, err
-		}
-		v := h.LoadWord(obj, slotIdx)
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, slotIdx, false, v)
-		}
-		return ctrlNext, 0, vm.push(t, v, isRef)
-
-	case bytecode.PutF:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		slotIdx := int(in.A)
-		if vm.isStub(obj) {
-			return 0, 0, fmt.Errorf("remote objects are read-only (putf on stub)")
-		}
-		isRef, err := vm.fieldRefness(obj, slotIdx)
-		if err != nil {
-			return 0, 0, err
-		}
-		if isRef != tag {
-			return 0, 0, fmt.Errorf("type error: storing %s into %s field", valKind(tag), valKind(isRef))
-		}
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, slotIdx, true, v)
-		}
-		h.StoreWord(obj, slotIdx, v)
-		return ctrlNext, 0, nil
-
-	case bytecode.GetS:
-		obj := vm.staticsObj[in.A]
-		isRef := vm.prog.Classes[in.A].Statics[in.B].IsRef
-		v := h.LoadWord(obj, int(in.B))
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, int(in.B), false, v)
-		}
-		return ctrlNext, 0, vm.push(t, v, isRef)
-
-	case bytecode.PutS:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		isRef := vm.prog.Classes[in.A].Statics[in.B].IsRef
-		if isRef != tag {
-			return 0, 0, fmt.Errorf("type error: storing %s into %s static", valKind(tag), valKind(isRef))
-		}
-		obj := vm.staticsObj[in.A]
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, obj, int(in.B), true, v)
-		}
-		h.StoreWord(obj, int(in.B), v)
-		return ctrlNext, 0, nil
-
-	case bytecode.NewArr:
-		n, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if n < 0 || n > 1<<28 {
-			return 0, 0, fmt.Errorf("bad array length %d", n)
-		}
-		var kind heap.Kind
-		switch in.A {
-		case bytecode.KindInt64:
-			kind = heap.KindInt64Arr
-		case bytecode.KindRef:
-			kind = heap.KindRefArr
-		case bytecode.KindByte:
-			kind = heap.KindByteArr
-		}
-		a, err := vm.allocArray(kind, int(n))
-		if err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, vm.push(t, uint64(a), true)
-
-	case bytecode.ALoad:
-		idx, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		arr, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(arr) { // §3.4: aload extended to remote arrays
-			v, tag, err := vm.remoteALoad(arr, int(idx))
-			if err != nil {
-				return 0, 0, err
-			}
-			return ctrlNext, 0, vm.push(t, v, tag)
-		}
-		if err := h.CheckBounds(arr, int(idx)); err != nil {
-			return 0, 0, err
-		}
-		var v uint64
-		var tag bool
-		switch h.KindOf(arr) {
-		case heap.KindInt64Arr:
-			v = h.LoadWord(arr, int(idx))
-		case heap.KindRefArr:
-			v, tag = h.LoadWord(arr, int(idx)), true
-		case heap.KindByteArr:
-			v = uint64(h.LoadByte(arr, int(idx)))
-		default:
-			return 0, 0, fmt.Errorf("aload on non-array")
-		}
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, arr, int(idx), false, v)
-		}
-		return ctrlNext, 0, vm.push(t, v, tag)
-
-	case bytecode.AStore:
-		v, tag, err := vm.pop(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		idx, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		arr, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(arr) {
-			return 0, 0, fmt.Errorf("remote objects are read-only (astore on stub)")
-		}
-		if err := h.CheckBounds(arr, int(idx)); err != nil {
-			return 0, 0, err
-		}
-		switch h.KindOf(arr) {
-		case heap.KindInt64Arr:
-			if tag {
-				return 0, 0, fmt.Errorf("type error: reference into int array")
-			}
-			h.StoreWord(arr, int(idx), v)
-		case heap.KindRefArr:
-			if !tag {
-				return 0, 0, fmt.Errorf("type error: primitive into ref array")
-			}
-			h.StoreWord(arr, int(idx), v)
-		case heap.KindByteArr:
-			if tag {
-				return 0, 0, fmt.Errorf("type error: reference into byte array")
-			}
-			h.StoreByte(arr, int(idx), byte(v))
-		default:
-			return 0, 0, fmt.Errorf("astore on non-array")
-		}
-		if vm.cfg.MemHook != nil {
-			vm.cfg.MemHook.OnHeapAccess(t.ID, arr, int(idx), true, v)
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.ArrLen:
-		arr, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(arr) { // §3.4: arrlen extended to remote arrays
-			_, _, length, kind := vm.stubMeta(arr)
-			if kind == heap.KindObject {
-				return 0, 0, fmt.Errorf("remote arrlen on non-array")
-			}
-			return ctrlNext, 0, vm.push(t, uint64(length), false)
-		}
-		if h.KindOf(arr) == heap.KindObject {
-			return 0, 0, fmt.Errorf("arrlen on non-array")
-		}
-		return ctrlNext, 0, vm.push(t, uint64(h.Len(arr)), false)
-
-	case bytecode.InstOf:
-		a, err := vm.popRef(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(a) { // §3.4: instof consults the remote type
-			_, typeID, _, kind := vm.stubMeta(a)
-			r := kind == heap.KindObject && typeID == int(in.A)
-			return ctrlNext, 0, vm.push(t, boolWord(r), false)
-		}
-		r := a != 0 && h.KindOf(a) == heap.KindObject && h.TypeID(a) == int(in.A)
-		return ctrlNext, 0, vm.push(t, boolWord(r), false)
-
-	case bytecode.MonEnter:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(obj) {
-			return 0, 0, fmt.Errorf("cannot synchronize on a remote object")
-		}
-		if vm.cfg.SyncHook != nil {
-			vm.cfg.SyncHook.OnMonitor(t.ID, obj, true)
-		}
-		if !vm.sched.MonEnter(t, obj) {
-			if vm.nestedDepth > 0 {
-				return 0, 0, fmt.Errorf("blocking monitorenter inside a native callback")
-			}
-			return ctrlNext, 0, nil // blocked; pc+1 saved for resume
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.MonExit:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := vm.sched.MonExit(t, obj); err != nil {
-			return 0, 0, err
-		}
-		if vm.cfg.SyncHook != nil {
-			vm.cfg.SyncHook.OnMonitor(t.ID, obj, false)
-		}
-		vm.flushAllMirrors()
-		return ctrlNext, 0, nil
-
-	case bytecode.Wait, bytecode.TimedWait:
-		if vm.nestedDepth > 0 {
-			return 0, 0, fmt.Errorf("blocking wait inside a native callback")
-		}
-		wakeAt := int64(-1)
-		if in.Op == bytecode.TimedWait {
-			millis, err := vm.popPrim(t)
-			if err != nil {
-				return 0, 0, err
-			}
-			if millis < 0 {
-				millis = 0
-			}
-			wakeAt = vm.readClock() + millis
-		}
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if err := vm.sched.Wait(t, obj, wakeAt); err != nil {
-			return 0, 0, err
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.Notify, bytecode.NotifyAll:
-		obj, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if in.Op == bytecode.Notify {
-			_, err = vm.sched.Notify(t, obj)
-		} else {
-			_, err = vm.sched.NotifyAll(t, obj)
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		vm.flushAllMirrors()
-		return ctrlNext, 0, nil
-
-	case bytecode.Spawn:
-		target := vm.prog.Methods[in.A]
-		nargs := int(in.B)
-		if t.SP-nargs < t.FP+FrameHeader {
-			return 0, 0, fmt.Errorf("operand stack underflow")
-		}
-		nt, err := vm.spawnThread(target.ID, t, t.SP-nargs)
-		if err != nil {
-			return 0, 0, err
-		}
-		// Pop the arguments now that they are copied.
-		for i := 0; i < nargs; i++ {
-			if _, _, err := vm.pop(t); err != nil {
-				return 0, 0, err
-			}
-		}
-		return ctrlNext, 0, vm.push(t, uint64(nt.ID), false)
-
-	case bytecode.ThreadID:
-		return ctrlNext, 0, vm.push(t, uint64(t.ID), false)
-
-	case bytecode.YieldOp:
-		// A voluntary yield is a deterministic thread switch: both modes
-		// take it identically, so nothing is recorded.
-		if vm.nestedDepth > 0 {
-			return ctrlNext, 0, nil
-		}
-		vm.sched.Preempt(t)
-		return ctrlSwitch, pc + 1, nil
-
-	case bytecode.Sleep:
-		if vm.nestedDepth > 0 {
-			return 0, 0, fmt.Errorf("blocking sleep inside a native callback")
-		}
-		millis, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if millis < 0 {
-			millis = 0
-		}
-		vm.sched.Sleep(t, vm.readClock()+millis)
-		return ctrlNext, 0, nil
-
-	case bytecode.Interrupt:
-		tid, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		target, ok := vm.sched.Thread(int(tid))
-		if !ok {
-			return 0, 0, fmt.Errorf("interrupt of unknown thread %d", tid)
-		}
-		vm.sched.Interrupt(target)
-		vm.flushAllMirrors()
-		return ctrlNext, 0, nil
-
-	case bytecode.Print:
-		v, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		vm.printInt(v)
-		return ctrlNext, 0, nil
-
-	case bytecode.PrintS:
-		a, err := vm.popObj(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if vm.isStub(a) { // §3.4: remote strings print transparently
-			b, err := vm.remoteBytes(a)
-			if err != nil {
-				return 0, 0, err
-			}
-			vm.writeOutput(append(b, '\n'))
-			return ctrlNext, 0, nil
-		}
-		if h.KindOf(a) != heap.KindByteArr {
-			return 0, 0, fmt.Errorf("prints on non-string")
-		}
-		vm.printBuf = append(vm.printBuf[:0], h.Bytes(a)...)
-		vm.printBuf = append(vm.printBuf, '\n')
-		vm.writeOutput(vm.printBuf)
-		return ctrlNext, 0, nil
-
-	case bytecode.Assert:
-		v, err := vm.popPrim(t)
-		if err != nil {
-			return 0, 0, err
-		}
-		if v == 0 {
-			return 0, 0, fmt.Errorf("assertion failed")
-		}
-		return ctrlNext, 0, nil
-
-	case bytecode.Halt:
-		vm.halted = true
-		return ctrlNext, 0, nil
-
-	default:
-		return 0, 0, fmt.Errorf("unimplemented opcode %s", in.Op)
-	}
 }
 
 // branch handles a taken jump. A backward jump is a loop backedge and

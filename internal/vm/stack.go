@@ -25,8 +25,8 @@ func (vm *VM) push(t *threads.Thread, val uint64, isRef bool) error {
 	if t.SP >= vm.h.Len(t.StackSeg) {
 		// Growth is not allowed mid-instruction: a collection here could
 		// move objects whose addresses the interpreter holds in Go locals
-		// (popped but untagged slots). execOne guarantees headroom at
-		// every instruction boundary, so reaching this means an opcode
+		// (popped but untagged slots). Both drivers guarantee headroom
+		// at every instruction boundary, so reaching this means an opcode
 		// pushed more than the guaranteed margin — fail loudly.
 		return fmt.Errorf("internal: operand stack overflow mid-instruction (op pushed past the headroom margin)")
 	}

@@ -123,32 +123,14 @@ type Config struct {
 
 	// Journal, when set on a recording VM, drives segmented-journal
 	// rotation: the VM polls RotatePending at instruction boundaries and
-	// answers with Rotate. Step polls at every boundary; Run's fast loop
-	// polls only where the answer can have changed (slice boundaries and
-	// right after an instruction that logged to the trace), which are the
-	// same boundaries where Step rotates. The engine's TraceSink should be
-	// the same object, so the sealed segments and the checkpoints stay in
+	// answers with Rotate. Step polls at every boundary; Run polls only
+	// where the answer can have changed (slice boundaries and right after
+	// an instruction that logged to the trace), which are the same
+	// boundaries where Step rotates. The engine's TraceSink should be the
+	// same object, so the sealed segments and the checkpoints stay in
 	// step.
 	Journal JournalSink
-
-	// Dispatch selects the interpreter loop Run uses. The default
-	// (DispatchAuto) takes the token-threaded fast path, with or without
-	// a journal; DispatchLegacy forces the reference switch loop, which
-	// the cross-dispatch differential harnesses use as their byte-level
-	// oracle. Step always uses the legacy loop — debuggers need its
-	// strict one-instruction-per-call contract.
-	Dispatch DispatchMode
 }
-
-// DispatchMode selects Run's interpreter loop.
-type DispatchMode int
-
-const (
-	// DispatchAuto uses token-threaded dispatch.
-	DispatchAuto DispatchMode = iota
-	// DispatchLegacy forces the reference dispatchOp switch loop.
-	DispatchLegacy
-)
 
 // VM is one virtual machine instance executing one program.
 type VM struct {
@@ -195,14 +177,15 @@ type VM struct {
 	nestedDepth int
 	deferred    bool // a preemption requested inside a nested call
 
-	// decoded is the token-threaded instruction stream, built lazily on
-	// the first fast Run. It is per-VM (inline caches are warmed in
+	// decoded is the fused token-threaded instruction stream, built
+	// lazily on the first Run. It is per-VM (inline caches are warmed in
 	// place) and derived purely from program identity, so it is never
 	// invalidated by replay state.
 	decoded *bytecode.DecodedProgram
-	// plain is the unfused decoded stream, built on first use: the fast
-	// loop runs a slice's first instruction from it when a journal poll
-	// must land between the components of a fused pair.
+	// plain is the unfused decoded stream, built on first use: execOne
+	// (Step, native callbacks) runs every instruction from it, and Run
+	// runs a slice's first instruction from it when a journal poll must
+	// land between the components of a fused pair.
 	plain *bytecode.DecodedProgram
 
 	// checkAt is the event count at which the fast loop's per-instruction
