@@ -2,10 +2,10 @@ package replaycheck
 
 import "dejavu/internal/vm"
 
-// StepLoop runs m to completion one Step at a time: the unfused
+// stepLoop runs m to completion one Step at a time: the unfused
 // instruction stream, the frame pc and thread mirrors flushed after every
 // instruction, and a journal rotation poll at every instruction boundary.
-func StepLoop(m *vm.VM) error {
+func stepLoop(m *vm.VM) error {
 	for {
 		done, err := m.Step()
 		if err != nil {
@@ -18,10 +18,10 @@ func StepLoop(m *vm.VM) error {
 }
 
 // UseStepLoop makes every run this package starts drive its VM through
-// StepLoop instead of Run, until the returned restore func is called.
+// stepLoop instead of Run, until the returned restore func is called.
 // Tests that use it must not run in parallel with other runs.
 func UseStepLoop() (restore func()) {
 	prev := runVM
-	runVM = StepLoop
+	runVM = stepLoop
 	return func() { runVM = prev }
 }
