@@ -1031,7 +1031,7 @@ func runE16(r *report) error {
 		})
 	}
 	r.table([]string{"rotate threshold", "segments", "checkpoints", "trace bytes", "checkpoint bytes", "record wall time"}, rows)
-	r.note("checkpoint bytes scale with boundary count (each is a full VM snapshot at the seal);")
+	r.note("checkpoint bytes scale with boundary count (each is a VM snapshot of the allocated heap at the seal);")
 	r.note("the trace payload itself is unchanged by rotation.")
 
 	// Recovery cost: replay the same journal from zero and seeded from the

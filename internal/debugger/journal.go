@@ -5,6 +5,7 @@
 package debugger
 
 import (
+	"errors"
 	"fmt"
 
 	"dejavu/internal/bytecode"
@@ -71,14 +72,7 @@ func OpenJournalSessionObs(prog *bytecode.Program, fs trace.FS, event uint64, re
 	if org := j.Origin(); org > 0 && event < org {
 		event = org
 	}
-	var ck *trace.Checkpoint
-	if event > 0 {
-		ck = j.BestCheckpoint(event)
-	}
-	if org := j.Origin(); org > 0 && (ck == nil || ck.VMEvents < org) {
-		return nil, fmt.Errorf("debugger: flight journal starts at event %d and has no loadable checkpoint covering it", org)
-	}
-	if s.D, err = s.newDebugger(ck); err != nil {
+	if s.D, err = s.seed(event); err != nil {
 		return nil, err
 	}
 	if event > s.D.VM.Events() {
@@ -92,6 +86,27 @@ func OpenJournalSessionObs(prog *bytecode.Program, fs trace.FS, event uint64, re
 // Journal exposes the opened journal (manifest, checkpoints, salvage
 // report) for inspection.
 func (s *JournalSession) Journal() *trace.Journal { return s.j }
+
+// seed builds a debugger from the best durable checkpoint at or before
+// event. A checkpoint the VM refuses (one in an older format, say) falls
+// back to an earlier one, and finally to zero, which is always available
+// except in a flight window.
+func (s *JournalSession) seed(event uint64) (*Debugger, error) {
+	var ck *trace.Checkpoint
+	if event > 0 {
+		ck = s.j.BestCheckpoint(event)
+	}
+	for {
+		if org := s.j.Origin(); org > 0 && (ck == nil || ck.VMEvents < org) {
+			return nil, fmt.Errorf("debugger: flight journal starts at event %d and has no loadable checkpoint covering it", org)
+		}
+		d, err := s.newDebugger(ck)
+		if ck == nil || !errors.Is(err, vm.ErrCheckpointRefused) {
+			return d, err
+		}
+		ck = s.j.CheckpointBefore(ck)
+	}
+}
 
 // newDebugger builds a fresh replaying VM over the journal suffix the
 // checkpoint covers (the whole journal when ck is nil), restores the
@@ -154,9 +169,7 @@ func (s *JournalSession) TravelTo(event uint64) error {
 	if s.D.Tainted() {
 		return fmt.Errorf("debugger: session is tainted (state was modified); travel to event %d would discard the modification — no durable re-seed", event)
 	}
-	ck := s.j.BestCheckpoint(event)
-	// ck == nil seeds from zero, which is always available.
-	d, err := s.newDebugger(ck)
+	d, err := s.seed(event)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,9 @@
 package heap
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // RootVisitor is called by the VM's root enumeration for every root slot
 // holding a (possibly null) reference. The collector updates the slot in
@@ -27,15 +30,20 @@ type StackRoot struct {
 // the root enumeration order, so record and replay executions produce
 // identical post-collection addresses.
 func (h *Heap) Collect(roots RootSet, stacks []StackRoot) {
-	h.collectInto(roots, stacks, h.semi, otherBase(h.base, h.semi))
+	toBase := otherBase(h.base, h.semi)
+	// Every entity is copied at most once, so the to-space never needs
+	// more than the from-space's Used() bytes.
+	h.commit(toBase + h.Used())
+	h.collectIntoMem(roots, stacks, h.mem, h.semi, toBase)
 }
 
 // Grow collects into a doubled semispace, both compacting and enlarging.
+// The new memory commits twice what the live data can need: room for the
+// allocation that forced the grow.
 func (h *Heap) Grow(roots RootSet, stacks []StackRoot) {
-	newSemi := h.semi * 2
-	newMem := make([]byte, 2*newSemi)
+	newMem := make([]byte, 2*h.Used())
 	// Copy into the first semispace of the new memory.
-	h.collectIntoMem(roots, stacks, newMem, newSemi, 0)
+	h.collectIntoMem(roots, stacks, newMem, 2*h.semi, 0)
 	h.Grows++
 }
 
@@ -46,16 +54,16 @@ func otherBase(base, semi int) int {
 	return 0
 }
 
-func (h *Heap) collectInto(roots RootSet, stacks []StackRoot, newSemi, toBase int) {
-	h.collectIntoMem(roots, stacks, h.mem, newSemi, toBase)
-}
-
 // collectIntoMem copies live data from the current space in h.mem into
 // toMem at toBase. toMem may alias h.mem (normal flip) or be fresh (grow).
 func (h *Heap) collectIntoMem(roots RootSet, stacks []StackRoot, toMem []byte, newSemi, toBase int) {
 	from := h.mem
 	to := toMem
 	allocPtr := toBase + WordSize // keep null reserved
+	// The null word is part of the occupied region peeks and digests read;
+	// zero it, since the to-space may hold stale bytes from before a
+	// Restore.
+	clear(to[toBase:allocPtr])
 
 	load := func(mem []byte, off int) uint64 {
 		return uint64(mem[off]) | uint64(mem[off+1])<<8 | uint64(mem[off+2])<<16 |
@@ -154,21 +162,23 @@ func (h *Heap) collectIntoMem(roots RootSet, stacks []StackRoot, toMem []byte, n
 	h.semi = newSemi
 	h.base = toBase
 	h.alloc = allocPtr
+	h.setLimit()
 	h.Collections++
 }
 
-// Snapshot captures the complete heap state for checkpointing.
+// Snapshot captures the heap state for checkpointing: the geometry and
+// the active semispace's allocated bytes, the only bytes a heap reads.
 type Snapshot struct {
-	Mem   []byte
+	Image []byte // bytes [Base, Alloc)
 	Semi  int
 	Base  int
 	Alloc int
 }
 
-// Snapshot copies the full heap state.
+// Snapshot copies the heap state.
 func (h *Heap) Snapshot() *Snapshot {
 	return &Snapshot{
-		Mem:   append([]byte(nil), h.mem...),
+		Image: append([]byte(nil), h.mem[h.base:h.alloc]...),
 		Semi:  h.semi,
 		Base:  h.base,
 		Alloc: h.alloc,
@@ -176,12 +186,18 @@ func (h *Heap) Snapshot() *Snapshot {
 }
 
 // Restore reinstates a snapshot taken from this or an identically
-// configured heap.
+// configured heap. It copies the image into the existing memory, which it
+// reallocates only when that is too short to hold it.
 func (h *Heap) Restore(s *Snapshot) {
-	h.mem = append(h.mem[:0:0], s.Mem...)
-	h.semi = s.Semi
-	h.base = s.Base
-	h.alloc = s.Alloc
+	h.semi, h.base, h.alloc = s.Semi, s.Base, s.Alloc
+	n := min(max(len(h.mem), s.Alloc), 2*s.Semi)
+	if n > cap(h.mem) {
+		h.mem = make([]byte, n)
+	} else {
+		h.mem = h.mem[:n]
+	}
+	copy(h.mem[s.Base:s.Alloc], s.Image)
+	h.setLimit()
 }
 
 // LiveBytes walks the active semispace and reports allocated bytes,
@@ -200,41 +216,56 @@ func (h *Heap) LiveBytes() (bytes, entities int) {
 	return bytes, entities
 }
 
-// EncodeTo serializes the snapshot (checkpoint files).
+// EncodeTo serializes the snapshot (checkpoint files): semi, base, alloc,
+// the image length, and the image.
 func (s *Snapshot) EncodeTo(buf *[]byte) {
 	*buf = appendUvarint(*buf, uint64(s.Semi))
 	*buf = appendUvarint(*buf, uint64(s.Base))
 	*buf = appendUvarint(*buf, uint64(s.Alloc))
-	*buf = appendUvarint(*buf, uint64(len(s.Mem)))
-	*buf = append(*buf, s.Mem...)
+	*buf = appendUvarint(*buf, uint64(len(s.Image)))
+	*buf = append(*buf, s.Image...)
 }
 
+// ErrSnapshot reports a snapshot encoding that cannot be restored: it is
+// truncated, or describes a geometry no heap can have.
+var ErrSnapshot = errors.New("heap: malformed snapshot")
+
+// maxSemi keeps both semispaces addressable by a 32-bit Addr.
+const maxSemi = 1 << 31
+
 // DecodeSnapshot parses a snapshot encoded by EncodeTo, returning the rest
-// of the input.
+// of the input. It checks the geometry before copying anything: a word-
+// aligned semispace of at least one page whose two halves an Addr can
+// reach, base at the start of one of them, alloc word-aligned in
+// [base+8, base+semi], and an image of exactly alloc−base bytes.
 func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
-	s := &Snapshot{}
-	var v uint64
-	var err error
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, nil, err
+	var f [4]uint64 // semi, base, alloc, image length
+	for i := range f {
+		var err error
+		if f[i], data, err = readUvarint(data); err != nil {
+			return nil, nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
+		}
 	}
-	s.Semi = int(v)
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, nil, err
+	semi, base, alloc, n := f[0], f[1], f[2], f[3]
+	switch {
+	case semi < minSemi || semi > maxSemi || semi%WordSize != 0:
+		return nil, nil, fmt.Errorf("%w: semispace of %d bytes", ErrSnapshot, semi)
+	case base != 0 && base != semi:
+		return nil, nil, fmt.Errorf("%w: base %d is not a semispace start (semispace %d)", ErrSnapshot, base, semi)
+	case alloc < base+WordSize || alloc > base+semi || alloc%WordSize != 0:
+		return nil, nil, fmt.Errorf("%w: alloc %d outside [%d, %d]", ErrSnapshot, alloc, base+WordSize, base+semi)
+	case n != alloc-base:
+		return nil, nil, fmt.Errorf("%w: image of %d bytes, alloc-base is %d", ErrSnapshot, n, alloc-base)
+	case n > uint64(len(data)):
+		return nil, nil, fmt.Errorf("%w: image truncated (%d of %d bytes)", ErrSnapshot, len(data), n)
 	}
-	s.Base = int(v)
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, nil, err
+	s := &Snapshot{
+		Image: append([]byte(nil), data[:n]...),
+		Semi:  int(semi),
+		Base:  int(base),
+		Alloc: int(alloc),
 	}
-	s.Alloc = int(v)
-	if v, data, err = readUvarint(data); err != nil {
-		return nil, nil, err
-	}
-	if v > uint64(len(data)) {
-		return nil, nil, fmt.Errorf("heap: snapshot truncated")
-	}
-	s.Mem = append([]byte(nil), data[:v]...)
-	return s, data[v:], nil
+	return s, data[n:], nil
 }
 
 func appendUvarint(b []byte, v uint64) []byte {

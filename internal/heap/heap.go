@@ -72,11 +72,20 @@ func (t *TypeTable) AddType(name string, refMap []bool) int {
 var ErrOutOfMemory = errors.New("heap: semispace exhausted")
 
 // Heap is the VM object memory.
+//
+// Its address space is two semispaces, 2×semi bytes, but mem backs only a
+// prefix of it, committed geometrically as allocation or a collection's
+// to-space reaches further. Bytes outside the active semispace's
+// allocated range [base, alloc) are unspecified: allocation zeroes every
+// payload it hands out, the collector reads only from-space [base+8,
+// alloc), and every other reader stays inside [base, alloc). That is what
+// lets a snapshot carry only that range.
 type Heap struct {
-	mem   []byte
-	semi  int // semispace size in bytes
-	base  int // start of the active semispace
-	alloc int // next free byte offset (absolute)
+	mem   []byte // committed prefix of the 2×semi address space
+	semi  int    // semispace size in bytes
+	base  int    // start of the active semispace
+	alloc int    // next free byte offset (absolute)
+	limit int    // min(base+semi, len(mem)): the allocation fast path's bound
 
 	types *TypeTable
 
@@ -87,21 +96,45 @@ type Heap struct {
 	AllocBytes  uint64
 }
 
+// minSemi is the smallest semispace, and the memory a new heap commits.
+const minSemi = 4096
+
 // New creates a heap with the given semispace size in bytes (rounded up to
-// a word multiple, minimum one page of 4096).
+// a word multiple, minimum one page of 4096). It commits one page; the
+// rest of the address space is committed as allocation reaches it.
 func New(types *TypeTable, semiBytes int) *Heap {
-	if semiBytes < 4096 {
-		semiBytes = 4096
+	if semiBytes < minSemi {
+		semiBytes = minSemi
 	}
 	semiBytes = (semiBytes + WordSize - 1) &^ (WordSize - 1)
 	h := &Heap{
-		mem:   make([]byte, 2*semiBytes),
+		mem:   make([]byte, minSemi),
 		semi:  semiBytes,
+		alloc: WordSize, // keep address 0 unused so it can mean null
 		types: types,
 	}
-	h.base = 0
-	h.alloc = WordSize // keep address 0 unused so it can mean null
+	h.setLimit()
 	return h
+}
+
+func (h *Heap) setLimit() { h.limit = min(h.base+h.semi, len(h.mem)) }
+
+// commit makes the backing memory at least n bytes long (n ≤ 2×semi). It
+// at least doubles the commitment, so growth costs amortised O(1) per
+// byte, and carries only the allocated range [base, alloc) into a new
+// array.
+func (h *Heap) commit(n int) {
+	if n > len(h.mem) {
+		c := min(max(n, 2*len(h.mem)), 2*h.semi)
+		if c > cap(h.mem) {
+			mem := make([]byte, c)
+			copy(mem[h.base:h.alloc], h.mem[h.base:h.alloc])
+			h.mem = mem
+		} else {
+			h.mem = h.mem[:c]
+		}
+	}
+	h.setLimit()
 }
 
 // Types returns the heap's type table.
@@ -136,8 +169,11 @@ func (h *Heap) allocRaw(typeID, length int, kind Kind) (Addr, error) {
 		return 0, fmt.Errorf("heap: bad allocation length %d", length)
 	}
 	size := WordSize + payloadBytes(kind, length)
-	if h.alloc+size > h.base+h.semi {
-		return 0, ErrOutOfMemory
+	if h.alloc+size > h.limit {
+		if h.alloc+size > h.base+h.semi {
+			return 0, ErrOutOfMemory
+		}
+		h.commit(h.alloc + size)
 	}
 	a := Addr(h.alloc)
 	h.setWord(h.alloc, packHeader(typeID, length, kind))
@@ -232,18 +268,21 @@ func (h *Heap) CheckBounds(a Addr, i int) error {
 
 // ReadBytes copies n bytes at absolute address a into p, for the ptrace
 // peek server. It performs pure reads with bounds checking and never
-// faults.
+// faults. Addresses inside both semispaces that were never committed read
+// as zero.
 func (h *Heap) ReadBytes(a Addr, p []byte) error {
 	off := int(a)
-	if off < 0 || off+len(p) > len(h.mem) {
-		return fmt.Errorf("heap: peek [%d,%d) outside memory of %d bytes", off, off+len(p), len(h.mem))
+	if off < 0 || off+len(p) > h.MemSize() {
+		return fmt.Errorf("heap: peek [%d,%d) outside memory of %d bytes", off, off+len(p), h.MemSize())
 	}
-	copy(p, h.mem[off:off+len(p)])
+	n := copy(p, h.mem[min(off, len(h.mem)):])
+	clear(p[n:])
 	return nil
 }
 
-// MemSize returns the total heap memory size in bytes (both semispaces).
-func (h *Heap) MemSize() int { return len(h.mem) }
+// MemSize returns the total heap address space in bytes (both
+// semispaces), committed or not.
+func (h *Heap) MemSize() int { return 2 * h.semi }
 
 // ActiveBase returns the byte offset of the active semispace, so tools can
 // read the occupied region [ActiveBase, ActiveBase+Used()).

@@ -1,6 +1,7 @@
 package heap
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -270,6 +271,38 @@ func TestReadBytesBounds(t *testing.T) {
 	}
 }
 
+// TestReadBytesUncommitted: peeks cover both semispaces whether or not
+// memory behind them was committed; never-committed bytes read as zero.
+func TestReadBytesUncommitted(t *testing.T) {
+	h := New(testTypes(), 1<<20)
+	a, err := h.AllocArray(KindByteArr, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(h.Bytes(a), "sixteen bytes!!!")
+	if len(h.mem) >= h.MemSize() {
+		t.Fatalf("fresh heap committed %d of %d bytes", len(h.mem), h.MemSize())
+	}
+	for _, off := range []int{len(h.mem), h.semi + 64, h.MemSize() - 16} {
+		buf := bytes.Repeat([]byte{0xff}, 16)
+		if err := h.ReadBytes(Addr(off), buf); err != nil {
+			t.Fatalf("peek at %d: %v", off, err)
+		}
+		if !bytes.Equal(buf, make([]byte, 16)) {
+			t.Fatalf("peek at uncommitted %d = %x, want zeros", off, buf)
+		}
+	}
+	// A peek across the end of committed memory keeps the committed part.
+	h.mem[len(h.mem)-1] = 0xab
+	buf := bytes.Repeat([]byte{0xff}, 16)
+	if err := h.ReadBytes(Addr(len(h.mem)-8), buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf[7] != 0xab || !bytes.Equal(buf[8:], make([]byte, 8)) {
+		t.Fatalf("straddling peek = %x", buf)
+	}
+}
+
 // Property: after a collection with a random live set, every live object
 // retains its payload and dead objects are gone.
 func TestCollectProperty(t *testing.T) {
@@ -392,7 +425,7 @@ func TestHeapSnapshotCodec(t *testing.T) {
 	if dec.Semi != snap.Semi || dec.Base != snap.Base || dec.Alloc != snap.Alloc {
 		t.Fatal("header fields differ")
 	}
-	if string(dec.Mem) != string(snap.Mem) {
+	if string(dec.Image) != string(snap.Image) {
 		t.Fatal("memory differs")
 	}
 	// Truncations error, never panic.

@@ -4,6 +4,7 @@
 package replaycheck
 
 import (
+	"errors"
 	"fmt"
 
 	"dejavu/internal/bytecode"
@@ -58,8 +59,9 @@ func ReplayJournal(prog *bytecode.Program, fs trace.FS, o Options) (*Result, *tr
 
 // ReplayJournalFrom replays a journal seeded from the best loadable
 // checkpoint at or before target instructions — O(segment) instead of
-// O(trace). Torn or corrupt checkpoint files are skipped (earlier ones are
-// tried); with none usable the replay falls back to from-zero.
+// O(trace). Torn or corrupt checkpoint files, and checkpoints the VM
+// refuses, are skipped (earlier ones are tried); with none usable the
+// replay falls back to from-zero.
 func ReplayJournalFrom(prog *bytecode.Program, fs trace.FS, target uint64, o Options) (*Result, *SeedInfo, error) {
 	res, info, _, err := replayJournal(prog, fs, target, true, o)
 	return res, info, err
@@ -73,30 +75,20 @@ func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, seeded bo
 	if h := vm.ProgramHash(prog); j.ProgHash() != h {
 		return nil, nil, j, fmt.Errorf("replaycheck: journal program hash mismatch: journal %x, program %x", j.ProgHash(), h)
 	}
-	info := &SeedInfo{}
 	// A flight-recorder flush (Origin > 0) cannot replay from zero: its
 	// pre-window history was evicted and segment 0 is a synthetic
 	// placeholder, so a from-zero run would silently diverge. Force seeding
 	// and clamp the target to the window start.
-	if org := j.Origin(); org > 0 {
+	org := j.Origin()
+	if org > 0 {
 		seeded = true
 		if target < org {
 			target = org
 		}
 	}
+	var ck *trace.Checkpoint
 	if seeded {
-		if ck := j.BestCheckpoint(target); ck != nil {
-			info.Segment = ck.Index
-			info.VMEvents = ck.VMEvents
-			info.Checkpoint = ck
-		}
-	}
-	if org := j.Origin(); org > 0 && (info.Checkpoint == nil || info.VMEvents < org) {
-		return nil, nil, j, fmt.Errorf("replaycheck: flight journal starts at event %d and has no loadable checkpoint covering it", org)
-	}
-	src, err := j.Source(info.Segment)
-	if err != nil {
-		return nil, nil, j, err
+		ck = j.BestCheckpoint(target)
 	}
 	if !j.Complete() {
 		tweak := o.TweakEngine
@@ -107,6 +99,24 @@ func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, seeded bo
 			}
 		}
 	}
-	res, err := replay(prog, nil, src, o, info.Checkpoint)
-	return res, info, j, err
+	for {
+		if org > 0 && (ck == nil || ck.VMEvents < org) {
+			return nil, nil, j, fmt.Errorf("replaycheck: flight journal starts at event %d and has no loadable checkpoint covering it", org)
+		}
+		info := &SeedInfo{Checkpoint: ck}
+		if ck != nil {
+			info.Segment, info.VMEvents = ck.Index, ck.VMEvents
+		}
+		src, err := j.Source(info.Segment)
+		if err != nil {
+			return nil, nil, j, err
+		}
+		res, err := replay(prog, nil, src, o, ck)
+		if ck == nil || !errors.Is(err, vm.ErrCheckpointRefused) {
+			return res, info, j, err
+		}
+		// The VM refused the checkpoint (one in an older format, say):
+		// seed from an earlier one, or from zero.
+		ck = j.CheckpointBefore(ck)
+	}
 }

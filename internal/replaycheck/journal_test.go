@@ -3,6 +3,7 @@
 package replaycheck_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"testing"
@@ -10,9 +11,12 @@ import (
 
 	"dejavu/internal/bytecode"
 	"dejavu/internal/core"
+	"dejavu/internal/debugger"
 	"dejavu/internal/faults/memfs"
+	"dejavu/internal/heap"
 	"dejavu/internal/replaycheck"
 	"dejavu/internal/trace"
+	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
 
@@ -224,6 +228,87 @@ func TestJournalCorruptCheckpointFallsBack(t *testing.T) {
 	if res.Events != zero.Events || string(res.Output) != string(zero.Output) {
 		t.Fatal("fallback replay diverged from from-zero replay")
 	}
+}
+
+// rewriteFullImage replaces checkpoint file name with one in the older
+// checkpoint format, whose heap section carried both semispaces whole: a
+// file that passes its CRC but that the VM refuses.
+func rewriteFullImage(t *testing.T, fs *memfs.MemFS, name string, progHash uint64) {
+	t.Helper()
+	data, _ := fs.ReadFile(name)
+	ck, err := trace.DecodeCheckpoint(data, progHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vmHeader = 12 // "DVCK" + program hash
+	hs, rest, err := heap.DecodeSnapshot(ck.State[vmHeader:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([]byte, 2*hs.Semi)
+	copy(full[hs.Base:], hs.Image)
+	state := append([]byte(nil), ck.State[:vmHeader]...)
+	for _, v := range []int{hs.Semi, hs.Base, hs.Alloc, len(full)} {
+		state = binary.AppendUvarint(state, uint64(v))
+	}
+	ck.State = append(append(state, full...), rest...)
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(trace.EncodeCheckpoint(progHash, ck)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+}
+
+// TestJournalRefusedCheckpointFallsBack: a checkpoint that loads but that
+// the VM refuses (here one in the older full-image format) is skipped
+// like a corrupt one, by seeded replay and by the debugger.
+func TestJournalRefusedCheckpointFallsBack(t *testing.T) {
+	fs := memfs.New()
+	prog := journalProg()
+	rec, err := replaycheck.RecordJournal(prog, fs, journalOptions())
+	if err != nil || rec.RunErr != nil {
+		t.Fatalf("record journal: %v / %v", err, rec.RunErr)
+	}
+	zero, j, err := replaycheck.ReplayJournal(prog, fs, journalReplayOptions())
+	if err != nil || zero.RunErr != nil {
+		t.Fatalf("from-zero replay: %v / %v", err, zero.RunErr)
+	}
+	last := j.Manifest.Checkpoints[len(j.Manifest.Checkpoints)-1]
+	rewriteFullImage(t, fs, last.Name, vm.ProgramHash(prog))
+	if _, err := trace.DecodeCheckpoint(mustRead(t, fs, last.Name), vm.ProgramHash(prog)); err != nil {
+		t.Fatalf("rewritten checkpoint no longer loads: %v", err)
+	}
+
+	res, info, err := replaycheck.ReplayJournalFrom(prog, fs, last.VMEvents, journalReplayOptions())
+	if err != nil || res.RunErr != nil {
+		t.Fatalf("seeded replay with refused checkpoint: %v / %v", err, res.RunErr)
+	}
+	if info.Checkpoint == nil || info.Checkpoint.Index >= last.Index {
+		t.Fatalf("seeded from %+v, want a checkpoint before %d", info, last.Index)
+	}
+	if res.Events != zero.Events || string(res.Output) != string(zero.Output) {
+		t.Fatal("fallback replay diverged from from-zero replay")
+	}
+
+	s, err := debugger.OpenJournalSessionAt(prog, fs, last.VMEvents)
+	if err != nil {
+		t.Fatalf("debugger at a refused checkpoint: %v", err)
+	}
+	if got := s.D.VM.Events(); got != last.VMEvents {
+		t.Fatalf("debugger opened at event %d, want %d", got, last.VMEvents)
+	}
+}
+
+func mustRead(t *testing.T, fs *memfs.MemFS, name string) []byte {
+	t.Helper()
+	b, ok := fs.ReadFile(name)
+	if !ok {
+		t.Fatalf("%s missing", name)
+	}
+	return b
 }
 
 // TestVerifyPoolJobTimeout: a job that overruns its budget is counted as

@@ -330,3 +330,12 @@ func (j *Journal) BestCheckpoint(target uint64) *Checkpoint {
 	}
 	return nil
 }
+
+// CheckpointBefore returns the latest loadable checkpoint taken before c,
+// or nil (seed from zero), for a caller whose VM refused c.
+func (j *Journal) CheckpointBefore(c *Checkpoint) *Checkpoint {
+	if c.VMEvents == 0 {
+		return nil
+	}
+	return j.BestCheckpoint(c.VMEvents - 1)
+}

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"dejavu/internal/core"
@@ -21,7 +22,7 @@ const checkpointMagic = "DVCK"
 // Encode serializes the snapshot. The header binds it to a program image
 // hash; RestoreBytes refuses checkpoints from other programs.
 func (s *Snapshot) Encode(progHash uint64) []byte {
-	buf := make([]byte, 0, len(s.heap.Mem)+4096)
+	buf := make([]byte, 0, len(s.heap.Image)+4096)
 	buf = append(buf, checkpointMagic...)
 	var h8 [8]byte
 	binary.LittleEndian.PutUint64(h8[:], progHash)
@@ -73,11 +74,26 @@ func (s *Snapshot) Encode(progHash uint64) []byte {
 	return buf
 }
 
+// ErrCheckpointRefused wraps every reason RestoreBytes refuses a
+// checkpoint: bad framing, another program, a shape or heap geometry this
+// VM cannot take, or an encoding from an older checkpoint format. Journal
+// replay then seeds from an earlier checkpoint or from zero.
+var ErrCheckpointRefused = errors.New("vm: checkpoint refused")
+
 // RestoreBytes decodes a checkpoint produced by Encode against this VM's
 // program and reinstates it. The VM must have been constructed the same
 // way as the one that took the checkpoint (same program image; for replay
-// checkpoints, an engine over the same trace).
+// checkpoints, an engine over the same trace). A refusal wraps
+// ErrCheckpointRefused.
 func (vm *VM) RestoreBytes(data []byte) error {
+	if err := vm.restoreBytes(data); err != nil {
+		return fmt.Errorf("%w: %w", ErrCheckpointRefused, err)
+	}
+	vm.restoredBytes = true
+	return nil
+}
+
+func (vm *VM) restoreBytes(data []byte) error {
 	if len(data) < len(checkpointMagic)+8 || string(data[:4]) != checkpointMagic {
 		return fmt.Errorf("vm: bad checkpoint magic")
 	}
@@ -133,6 +149,9 @@ func (vm *VM) RestoreBytes(data []byte) error {
 	if s.heap, data, err = heap.DecodeSnapshot(data); err != nil {
 		return err
 	}
+	if 2*s.heap.Semi > vm.cfg.MaxHeapBytes {
+		return fmt.Errorf("vm: checkpoint heap of %d bytes exceeds MaxHeapBytes %d", 2*s.heap.Semi, vm.cfg.MaxHeapBytes)
+	}
 	if s.sched, data, err = threads.DecodeSnapshot(data); err != nil {
 		return err
 	}
@@ -187,4 +206,22 @@ func (vm *VM) RestoreBytes(data []byte) error {
 		return fmt.Errorf("vm: checkpoint interned-string table mismatch (%d vs %d)", len(s.interned), len(vm.interned))
 	}
 	return vm.Restore(s)
+}
+
+// ErrCorruptCheckpoint stops a VM restored by RestoreBytes whose execution
+// meets state no program can produce. RestoreBytes checks a checkpoint's
+// framing, shape and heap geometry, but not every frame, field and queue
+// of the program state it carries; such an inconsistency surfaces only
+// when execution reaches it, and Run and Step then report it as this
+// error instead of panicking.
+var ErrCorruptCheckpoint = errors.New("vm: corrupt checkpoint state")
+
+// containCorruption is deferred by Run and Step on a VM restored from
+// checkpoint bytes: it turns a panic into a done run that failed with
+// ErrCorruptCheckpoint.
+func (vm *VM) containCorruption(done *bool, err *error) {
+	if r := recover(); r != nil {
+		vm.err = fmt.Errorf("%w at event %d: %v", ErrCorruptCheckpoint, vm.events, r)
+		*done, *err = true, vm.err
+	}
 }

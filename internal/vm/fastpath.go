@@ -293,7 +293,10 @@ func (vm *VM) plainCode(mid int) []bytecode.DInstr {
 // changed, which are exactly the boundaries where Step would rotate, so
 // a Run and a Step loop produce bit-identical traces, journals,
 // checkpoints, digests and switch schedules.
-func (vm *VM) Run() error {
+func (vm *VM) Run() (err error) {
+	if vm.restoredBytes {
+		defer vm.containCorruption(new(bool), &err)
+	}
 	if vm.decoded == nil {
 		vm.decoded = vm.decodeStream(true)
 	}

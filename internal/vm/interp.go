@@ -46,6 +46,9 @@ func (vm *VM) trap(t *threads.Thread, m *bytecode.Method, pc int, reason error) 
 // every stop lands on an instruction boundary. The instruction runs
 // through the same handler Run would use (see execOne).
 func (vm *VM) Step() (done bool, err error) {
+	if vm.restoredBytes {
+		defer vm.containCorruption(&done, &err)
+	}
 	// Segmented-journal rotation happens here, at the instruction boundary
 	// before any dispatching: the snapshot taken now is exactly the state a
 	// seeded replay restores, and every event the coming dispatch or

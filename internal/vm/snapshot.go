@@ -70,10 +70,10 @@ func (vm *VM) Snapshot() (*Snapshot, error) {
 	return s, nil
 }
 
-// SnapshotBytes reports the in-memory footprint of a snapshot (heap image
-// plus scheduler metadata), for the checkpointing experiments.
+// SnapshotBytes reports the in-memory footprint of a snapshot (allocated
+// heap image plus scheduler metadata), for the checkpointing experiments.
 func (s *Snapshot) SnapshotBytes() int {
-	n := len(s.heap.Mem) + len(s.out)
+	n := len(s.heap.Image) + len(s.out)
 	n += 8 * (len(s.interned) + len(s.staticsObj) + len(s.classMir) + len(s.methodMir))
 	for i := range s.sched.Threads {
 		n += 128 + len(s.sched.Tags[i])

@@ -2,11 +2,14 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"strings"
 	"testing"
 
 	"dejavu/internal/bytecode"
 	"dejavu/internal/core"
+	"dejavu/internal/heap"
 )
 
 const snapSrc = `
@@ -376,5 +379,71 @@ entry Main.main
 	}
 	if fresh.Events() != 100 {
 		t.Fatalf("restored to %d", fresh.Events())
+	}
+}
+
+// TestCheckpointHeapGeometryRefusals crafts the heap section of a real
+// checkpoint, one row per geometry RestoreBytes must refuse before it
+// allocates anything for the heap.
+func TestCheckpointHeapGeometryRefusals(t *testing.T) {
+	prog := bytecode.MustAssemble(snapSrc)
+	m, err := New(prog, Config{HeapBytes: 16 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		m.Step()
+	}
+	snap, _ := m.Snapshot()
+	blob := snap.Encode(m.Hash())
+	hs, rest, err := heap.DecodeSnapshot(blob[12:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	semi, base, alloc, image := uint64(hs.Semi), uint64(hs.Base), uint64(hs.Alloc), hs.Image
+	full := make([]byte, 2*semi) // the two-semispace image older checkpoints carried
+	copy(full[base:], image)
+
+	craft := func(semi, base, alloc uint64, image []byte) []byte {
+		b := append([]byte(nil), blob[:12]...)
+		for _, v := range []uint64{semi, base, alloc, uint64(len(image))} {
+			b = binary.AppendUvarint(b, v)
+		}
+		return append(append(b, image...), rest...)
+	}
+	if err := m.RestoreBytes(craft(semi, base, alloc, image)); err != nil {
+		t.Fatalf("crafted copy of a valid checkpoint refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		data   []byte
+		malfmt bool // refused by the heap decoder, not by the VM's limit
+	}{
+		{"base not a semispace start", craft(semi, base+8, alloc+8, image), true},
+		{"alloc below base+8", craft(semi, base, base, nil), true},
+		{"alloc past the semispace", craft(semi, base, base+semi+8, make([]byte, semi+8)), true},
+		{"alloc not word-aligned", craft(semi, base, alloc-1, image[:len(image)-1]), true},
+		{"image shorter than alloc-base", craft(semi, base, alloc, image[:len(image)-8]), true},
+		{"full two-semispace image", craft(semi, base, alloc, full), true},
+		{"semispace below one page", craft(2048, 0, alloc, image), true},
+		{"image truncated", craft(semi, base, alloc, image)[:12+len(image)/2], true},
+		{"heap beyond MaxHeapBytes", craft(1<<28, 0, alloc-base, image), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh, err := New(prog, Config{HeapBytes: 16 * 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fresh.RestoreBytes(tc.data)
+			if !errors.Is(err, ErrCheckpointRefused) {
+				t.Fatalf("RestoreBytes = %v, want ErrCheckpointRefused", err)
+			}
+			if errors.Is(err, heap.ErrSnapshot) != tc.malfmt {
+				t.Fatalf("RestoreBytes = %v; heap.ErrSnapshot expected: %v", err, tc.malfmt)
+			}
+			if fresh.Events() != 0 {
+				t.Fatalf("refused checkpoint moved the VM to event %d", fresh.Events())
+			}
+		})
 	}
 }

@@ -177,6 +177,10 @@ type VM struct {
 	nestedDepth int
 	deferred    bool // a preemption requested inside a nested call
 
+	// restoredBytes marks state restored by RestoreBytes, which Run and
+	// Step execute under containCorruption.
+	restoredBytes bool
+
 	// decoded is the fused token-threaded instruction stream, built
 	// lazily on the first Run. It is per-VM (inline caches are warmed in
 	// place) and derived purely from program identity, so it is never
