@@ -6,6 +6,9 @@ package dejavu
 // architecture of the paper, driven black-box.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"os"
 	"os/exec"
@@ -15,6 +18,8 @@ import (
 	"time"
 
 	"dejavu/internal/dbgproto"
+	"dejavu/internal/heap"
+	"dejavu/internal/trace"
 )
 
 // buildTools compiles the commands once per test run.
@@ -132,6 +137,79 @@ func TestCLIDebugSessionWithCheckpointResume(t *testing.T) {
 	// buffer: the resumed run must end with the bank total.
 	if !strings.Contains(out, "800") {
 		t.Fatalf("resumed run output: %q", out)
+	}
+}
+
+// TestCLIReplayFromEventRefusedCheckpointFallsBack: `dejavu replay
+// -from-event` seeded from a checkpoint the VM refuses (rewritten here in
+// the older full-image heap format, which still loads) must fall back to
+// an earlier checkpoint and finish with the from-zero output.
+func TestCLIReplayFromEventRefusedCheckpointFallsBack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTools(t)
+	dejavu := filepath.Join(bin, "dejavu")
+	dir := filepath.Join(t.TempDir(), "j")
+	if out, err := exec.Command(dejavu, "record", "-seed", "7", "-segment-events", "16", "-o", dir, "workload:events").CombinedOutput(); err != nil {
+		t.Fatalf("record: %v\n%s", err, out)
+	}
+	zero, err := exec.Command(dejavu, "replay", "-t", dir, "workload:events").Output()
+	if err != nil {
+		t.Fatalf("from-zero replay: %v", err)
+	}
+
+	dfs, err := trace.NewDirFS(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := trace.OpenJournal(dfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cks := j.Manifest.Checkpoints
+	if len(cks) < 2 {
+		t.Fatalf("need >= 2 checkpoints, journal has %d", len(cks))
+	}
+	last := cks[len(cks)-1]
+	path := filepath.Join(dir, last.Name)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := trace.DecodeCheckpoint(raw, j.ProgHash())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const vmHeader = 12 // "DVCK" + program hash
+	hs, rest, err := heap.DecodeSnapshot(ck.State[vmHeader:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := make([]byte, 2*hs.Semi)
+	copy(full[hs.Base:], hs.Image)
+	state := append([]byte(nil), ck.State[:vmHeader]...)
+	for _, v := range []int{hs.Semi, hs.Base, hs.Alloc, len(full)} {
+		state = binary.AppendUvarint(state, uint64(v))
+	}
+	ck.State = append(append(state, full...), rest...)
+	if err := os.WriteFile(path, trace.EncodeCheckpoint(j.ProgHash(), ck), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(dejavu, "replay", "-t", dir, "-from-event", fmt.Sprint(last.VMEvents), "workload:events")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("seeded replay with a refused checkpoint: %v\n%s", err, stderr.Bytes())
+	}
+	if !bytes.Equal(out, zero) {
+		t.Fatalf("fallback replay output %q, from-zero %q", out, zero)
+	}
+	prev := cks[len(cks)-2]
+	if want := fmt.Sprintf("seeded from checkpoint %d at %d events", prev.Index, prev.VMEvents); !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr %q lacks %q", stderr.String(), want)
 	}
 }
 

@@ -16,6 +16,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -286,6 +287,7 @@ func cmdReplay(args []string) error {
 	reportOptimize(optRes)
 	flags := cli.EngineFlags{Mode: core.ModeReplay, PartialTrace: *partial, Deadline: *deadline}
 	flags.Obs = reg
+	var j *trace.Journal
 	var seedCk *trace.Checkpoint
 	if fi, err := os.Stat(*traceIn); err == nil && fi.IsDir() {
 		// A directory is a segmented journal: replay its segment chain, and
@@ -294,8 +296,7 @@ func cmdReplay(args []string) error {
 		if err != nil {
 			return err
 		}
-		j, err := trace.OpenJournal(dfs)
-		if err != nil {
+		if j, err = trace.OpenJournal(dfs); err != nil {
 			return err
 		}
 		if h := vm.ProgramHash(prog); j.ProgHash() != h {
@@ -310,20 +311,9 @@ func cmdReplay(args []string) error {
 			}
 			fmt.Fprintf(os.Stderr, "flight journal: %s\n", j)
 		}
-		seg := 0
 		if target > 0 {
-			if seedCk = j.BestCheckpoint(target); seedCk != nil {
-				seg = seedCk.Index
-			}
+			seedCk = j.BestCheckpoint(target)
 		}
-		if org := j.Origin(); org > 0 && (seedCk == nil || seedCk.VMEvents < org) {
-			return fmt.Errorf("flight journal starts at event %d but has no loadable checkpoint covering it", org)
-		}
-		src, err := j.Source(seg)
-		if err != nil {
-			return err
-		}
-		flags.TraceSrc = src
 		if !j.Complete() {
 			flags.PartialTrace = true
 			fmt.Fprintf(os.Stderr, "incomplete journal (crash-cut recording): %s\n", j)
@@ -356,12 +346,7 @@ func cmdReplay(args []string) error {
 			flags.TraceIn = traceBytes
 		}
 	}
-	eng, stop, err := cli.BuildEngine(prog, flags)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	cfg := vm.Config{Engine: eng, Stdout: os.Stdout, HeapBytes: *heapKB * 1024}
+	cfg := vm.Config{Stdout: os.Stdout, HeapBytes: *heapKB * 1024}
 	var rd *tools.RaceDetector
 	var prof *tools.Profiler
 	var cont *tools.Contention
@@ -386,20 +371,44 @@ func cmdReplay(args []string) error {
 		}
 		cfg.SyncHook = multi
 	}
-	m, err := vm.New(prog, cfg)
-	if err != nil {
-		return err
-	}
-	if seedCk != nil {
-		// Restore the durable boundary state and align the engine's switch
-		// countdown; replay then covers only the segment suffix.
-		if err := m.RestoreBytes(seedCk.State); err != nil {
-			return fmt.Errorf("seed checkpoint %d: %w (the replay VM must match the recording geometry; check -heap)", seedCk.Index, err)
+	var eng *core.Engine
+	var m *vm.VM
+	for {
+		if j != nil {
+			if org := j.Origin(); org > 0 && (seedCk == nil || seedCk.VMEvents < org) {
+				return fmt.Errorf("flight journal starts at event %d but has no loadable checkpoint covering it", org)
+			}
+			seg := 0
+			if seedCk != nil {
+				seg = seedCk.Index
+			}
+			src, err := j.Source(seg)
+			if err != nil {
+				return err
+			}
+			flags.TraceSrc = src
 		}
-		if err := eng.SeedReplay(seedCk.BoundaryNYP); err != nil {
-			return fmt.Errorf("seed checkpoint %d: %w", seedCk.Index, err)
+		var stop func()
+		var err error
+		if eng, stop, err = cli.BuildEngine(prog, flags); err != nil {
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "seeded from checkpoint %d at %d events\n", seedCk.Index, seedCk.VMEvents)
+		cfg.Engine = eng
+		if m, err = vm.New(prog, cfg); err == nil {
+			err = seedReplay(m, eng, seedCk)
+		}
+		if seedCk == nil || !errors.Is(err, vm.ErrCheckpointRefused) {
+			defer stop()
+			if err != nil {
+				return err
+			}
+			break
+		}
+		stop()
+		// The VM refused the checkpoint (a different -heap, or an older
+		// format): seed from an earlier one, or from zero.
+		fmt.Fprintf(os.Stderr, "%v (check -heap); falling back to an earlier seed\n", err)
+		seedCk = j.CheckpointBefore(seedCk)
 	}
 	runErr := m.Run()
 	if runErr != nil && errors.Is(runErr, io.ErrUnexpectedEOF) {
@@ -431,15 +440,28 @@ func cmdReplay(args []string) error {
 	return runErr
 }
 
-// reportOptimize surfaces a -optimize outcome on stderr: a certified
-// pipeline notes the shrink; a refused one prints the certifier's
-// findings — the run proceeds on the unoptimized input, which is what
-// res.Program already holds.
+// seedReplay restores a durable journal checkpoint into a fresh replay VM
+// and aligns the engine's switch countdown, so replay covers only the
+// segment suffix. A nil checkpoint means replay from zero.
+func seedReplay(m *vm.VM, eng *core.Engine, ck *trace.Checkpoint) error {
+	if ck == nil {
+		return nil
+	}
+	if err := m.RestoreBytes(ck.State); err != nil {
+		return fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
+	}
+	if err := eng.SeedReplay(ck.BoundaryNYP); err != nil {
+		return fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
+	}
+	fmt.Fprintf(os.Stderr, "seeded from checkpoint %d at %d events\n", ck.Index, ck.VMEvents)
+	return nil
+}
+
 // cmdMinimize delta-debugs a recorded preemption schedule down to a
 // minimal switch set that still reproduces the recording's fault.
 func cmdMinimize(args []string) error {
 	fs := flag.NewFlagSet("minimize", flag.ExitOnError)
-	traceIn := fs.String("t", "trace.dvt", "trace input: flat file or journal directory (must be a from-start recording)")
+	traceIn := fs.String("t", "trace.dvt", "trace input: trace file or journal directory (must be a from-start recording)")
 	heapKB := fs.Int("heap", 1024, "initial semispace KiB (must match the recording)")
 	maxEvents := fs.Uint64("max-events", 0, "event budget the recording ran under (0 = default)")
 	deadline := fs.Duration("deadline", 2*time.Second, "stall watchdog for candidate replays")
@@ -455,7 +477,7 @@ func cmdMinimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	var raw []byte
+	var src trace.Source
 	if fi, err := os.Stat(*traceIn); err == nil && fi.IsDir() {
 		dfs, err := trace.NewDirFS(*traceIn)
 		if err != nil {
@@ -465,18 +487,22 @@ func cmdMinimize(args []string) error {
 		if err != nil {
 			return err
 		}
+		if h := vm.ProgramHash(prog); j.ProgHash() != h {
+			return fmt.Errorf("journal %s was recorded from program %x, not %x", *traceIn, j.ProgHash(), h)
+		}
 		if org := j.Origin(); org > 0 {
 			return fmt.Errorf("%s is a flight window starting at event %d; minimize needs a from-start recording (its switch positions are meaningless without the prefix)", *traceIn, org)
 		}
-		if raw, err = j.Flat(0); err != nil {
+		if src, err = j.Source(0); err != nil {
 			return err
 		}
 	} else {
-		if raw, err = os.ReadFile(*traceIn); err != nil {
+		raw, err := os.ReadFile(*traceIn)
+		if err != nil {
 			return err
 		}
-		if trace.IsStream(raw) {
-			return fmt.Errorf("%s is a streamed trace; re-record with -flat or into a journal, or point -t at a journal directory", *traceIn)
+		if src, err = trace.NewReader(raw, vm.ProgramHash(prog)); err != nil {
+			return err
 		}
 	}
 	o := minimize.Options{
@@ -487,7 +513,7 @@ func cmdMinimize(args []string) error {
 	if *verbose {
 		o.Log = func(format string, a ...any) { fmt.Fprintf(os.Stderr, format+"\n", a...) }
 	}
-	res, err := minimize.Run(prog, raw, o)
+	res, err := minimize.Run(prog, src, o)
 	if err != nil {
 		return err
 	}
@@ -515,6 +541,10 @@ func cmdMinimize(args []string) error {
 	return nil
 }
 
+// reportOptimize surfaces a -optimize outcome on stderr: a certified
+// pipeline notes the shrink; a refused one prints the certifier's
+// findings — the run proceeds on the unoptimized input, which is what
+// res.Program already holds.
 func reportOptimize(res *opt.Result) {
 	if res == nil {
 		return
@@ -565,7 +595,7 @@ func dumpMetrics(reg *obs.Registry, path string, m *vm.VM) error {
 // how far the salvage carries.
 func cmdRecover(args []string) error {
 	fs := flag.NewFlagSet("recover", flag.ExitOnError)
-	out := fs.String("o", "", "write the salvaged trace (flat container) to this file")
+	out := fs.String("o", "", "write the salvaged trace (sealed DVS1 container) to this file")
 	replayProg := fs.String("replay", "", "replay the salvage against this program and report coverage")
 	heapKB := fs.Int("heap", 1024, "initial semispace KiB (with -replay)")
 	fs.Parse(args)
@@ -580,19 +610,20 @@ func cmdRecover(args []string) error {
 		return err
 	}
 	defer f.Close()
-	flat, rep, err := trace.Recover(f)
+	var salvaged bytes.Buffer
+	rep, err := trace.RecoverStream(f, &salvaged)
 	if err != nil {
 		return err
 	}
 	fmt.Println(rep.String())
 	if *out != "" {
-		if err := os.WriteFile(*out, flat, 0o644); err != nil {
+		if err := os.WriteFile(*out, salvaged.Bytes(), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("salvaged trace (%d bytes flat) -> %s\n", len(flat), *out)
+		fmt.Printf("salvaged trace (%d bytes, sealed DVS1) -> %s\n", salvaged.Len(), *out)
 	}
 	if *replayProg != "" {
-		return replaySalvage(*replayProg, flat, rep, *heapKB*1024)
+		return replaySalvage(*replayProg, salvaged.Bytes(), rep, *heapKB*1024)
 	}
 	return nil
 }
@@ -647,12 +678,12 @@ func recoverJournal(dir, replayProg string, heapBytes int) error {
 // is replayed as a partial trace: the run deterministically reproduces the
 // recording up to the salvage point, then reports coverage — that is the
 // expected outcome of recovering a crash, so it exits 0.
-func replaySalvage(progArg string, flat []byte, rep *trace.RecoverReport, heapBytes int) error {
+func replaySalvage(progArg string, salvaged []byte, rep *trace.RecoverReport, heapBytes int) error {
 	prog, err := cli.LoadProgram(progArg)
 	if err != nil {
 		return err
 	}
-	flags := cli.EngineFlags{Mode: core.ModeReplay, TraceIn: flat, PartialTrace: !rep.EndEvent}
+	flags := cli.EngineFlags{Mode: core.ModeReplay, TraceIn: salvaged, PartialTrace: !rep.EndEvent}
 	eng, stop, err := cli.BuildEngine(prog, flags)
 	if err != nil {
 		return err
@@ -803,20 +834,11 @@ func cmdTraceInfo(args []string) error {
 	if err != nil {
 		return err
 	}
-	container := "flat"
-	streamedLen := len(data)
-	if trace.IsStream(data) {
-		container = "streamed"
-		if data, err = cli.ReadTraceFile(args[0]); err != nil {
-			return err
-		}
-	}
 	s, err := trace.Summarize(data)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("trace    %s (%s container, %d bytes on disk, %d flat)\n",
-		args[0], container, streamedLen, s.Stats.TotalBytes)
+	fmt.Printf("trace    %s (%s container, %d bytes)\n", args[0], data[:4], s.Stats.TotalBytes)
 	fmt.Printf("program  %x\n", s.ProgHash)
 	kinds := []trace.Kind{trace.EvSwitch, trace.EvClock, trace.EvNative, trace.EvInput, trace.EvCallback}
 	names := []string{"preemptive switches", "clock reads", "native results", "input reads", "callbacks"}

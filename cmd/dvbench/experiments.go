@@ -941,13 +941,14 @@ func runE15(r *report) error {
 	rows = nil
 	for _, pct := range []int{1, 10, 25, 50, 75, 90, 99, 100} {
 		cut := len(stream) * pct / 100
-		flat, rep, err := trace.Recover(bytes.NewReader(stream[:cut]))
+		var salvaged bytes.Buffer
+		rep, err := trace.RecoverStream(bytes.NewReader(stream[:cut]), &salvaged)
 		if err != nil {
 			rows = append(rows, []string{fmt.Sprintf("%d%%", pct),
 				fmt.Sprintf("%d", cut), "-", "-", "header torn: unsalvageable"})
 			continue
 		}
-		res, err := replaycheck.Replay(prog(), flat, replaycheck.Options{
+		res, err := replaycheck.Replay(prog(), salvaged.Bytes(), replaycheck.Options{
 			KeepEvents:  1 << 20,
 			TweakEngine: func(c *core.Config) { c.PartialTrace = !rep.EndEvent },
 		})
@@ -1439,7 +1440,11 @@ func runE20(r *report) error {
 	if err != nil || rec.RunErr != nil {
 		return fmt.Errorf("minimize record: %v %v", err, rec.RunErr)
 	}
-	res, err := minimize.Run(workloads.Fig1AB(), rec.Trace, minimize.Options{Record: mo})
+	src, err := trace.NewReader(rec.Trace, vm.ProgramHash(workloads.Fig1AB()))
+	if err != nil {
+		return fmt.Errorf("minimize trace: %v", err)
+	}
+	res, err := minimize.Run(workloads.Fig1AB(), src, minimize.Options{Record: mo})
 	if err != nil {
 		return fmt.Errorf("minimize: %v", err)
 	}

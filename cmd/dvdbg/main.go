@@ -80,7 +80,7 @@ func localREPL(progArg, traceIn string) error {
 	if err != nil {
 		return err
 	}
-	traceBytes, err := cli.ReadTraceFile(traceIn)
+	traceBytes, err := os.ReadFile(traceIn)
 	if err != nil {
 		return err
 	}

@@ -116,9 +116,13 @@ func ingestHandler(dataRoot string, reg *obs.Registry, admit func(tenant string)
 			reject(http.StatusUnprocessableEntity, "bundle is not a journal: "+err.Error())
 			return
 		}
-		// CRC-validate every byte the manifest commits to: decode the full
+		// CRC-validate every byte the manifest commits to: drain the full
 		// trace (chunk checksums) and load every named checkpoint.
-		if _, err := j.Flat(0); err != nil {
+		src, err := j.Source(0)
+		if err == nil {
+			_, err = src.Load()
+		}
+		if err != nil {
 			reject(http.StatusUnprocessableEntity, "journal trace is torn or corrupt: "+err.Error())
 			return
 		}

@@ -338,7 +338,7 @@ func run(c serveConfig) error {
 		}
 		fmt.Fprintf(os.Stderr, "journal %s: %s, session at event %d\n", c.traceIn, state, session.D.VM.Events())
 	} else {
-		traceBytes, err := cli.ReadTraceFile(c.traceIn)
+		traceBytes, err := os.ReadFile(c.traceIn)
 		if err != nil {
 			return err
 		}

@@ -90,7 +90,10 @@ func ProgramHash(p *Program) uint64 { return vm.ProgramHash(p) }
 func Record(prog *Program, o Options) (*Result, error) { return replaycheck.Record(prog, o) }
 
 // Replay executes prog against a recorded trace, reproducing the recorded
-// execution exactly.
+// execution exactly. trace may be either container: the flat DVT2 bytes
+// Record returns, or a streamed DVS1 file (a default `dejavu record`, or a
+// `dejavu recover -o` salvage), which is read whole and checksum-verified
+// first.
 func Replay(prog *Program, trace []byte, o Options) (*Result, error) {
 	return replaycheck.Replay(prog, trace, o)
 }

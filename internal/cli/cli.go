@@ -4,7 +4,6 @@
 package cli
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -22,27 +21,6 @@ import (
 	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
-
-// ReadTraceFile loads a trace file in either container format, returning
-// flat DVT2 bytes. Streaming recordings (DVS1) are materialized, so tools
-// that need a seekable trace — checkpointing, the debugger — accept both.
-func ReadTraceFile(path string) ([]byte, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if trace.IsStream(raw) {
-		flat, err := trace.DecodeStream(bytes.NewReader(raw))
-		if err != nil {
-			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, trace.ErrChecksum) {
-				return nil, fmt.Errorf("%s: %w (trace is torn or corrupt; run `dejavu recover` to salvage a replayable prefix)", path, err)
-			}
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return flat, nil
-	}
-	return raw, nil
-}
 
 // LoadProgram resolves a program argument:
 //
@@ -120,7 +98,7 @@ type EngineFlags struct {
 	// Sync selects the record-mode durability policy for sinks opened via
 	// OpenTraceSink (the `dejavu record -sync` flag).
 	Sync trace.SyncPolicy
-	// PartialTrace marks TraceIn as a salvaged prefix (trace.Recover
+	// PartialTrace marks TraceIn as a salvaged prefix (trace.RecoverStream
 	// output without its end event): replay stops at the salvage point
 	// with core.ErrPartialTrace instead of running past it.
 	PartialTrace bool
@@ -143,7 +121,7 @@ func (f *EngineFlags) OpenTraceSink(path string, progHash uint64) (*trace.Stream
 	if err != nil {
 		return nil, nil, err
 	}
-	sink, err := trace.NewStreamWriterOptions(out, progHash, trace.StreamOptions{Sync: f.Sync, Obs: f.Obs})
+	sink, err := trace.NewStreamWriter(out, progHash, trace.StreamOptions{Sync: f.Sync, Obs: f.Obs})
 	if err != nil {
 		out.Close()
 		return nil, nil, err
@@ -283,6 +261,9 @@ func BuildEngine(prog *bytecode.Program, f EngineFlags) (*core.Engine, func(), e
 	eng, err := core.NewEngine(cfg)
 	if err != nil {
 		stop()
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, trace.ErrChecksum) {
+			err = fmt.Errorf("%w (trace is torn or corrupt; `dejavu recover` salvages a replayable prefix of a streamed recording)", err)
+		}
 		return nil, nil, err
 	}
 	return eng, stop, nil

@@ -228,7 +228,7 @@ type Config struct {
 	Mode     Mode
 	Time     TimeSource
 	Preempt  Preemptor
-	TraceIn  []byte    // replay input (required in ModeReplay unless TraceSrc is set)
+	TraceIn  []byte    // replay input, either container (required in ModeReplay unless TraceSrc is set)
 	ProgHash uint64    // program identity check
 	Input    io.Reader // environment input for the readline native
 
@@ -267,7 +267,7 @@ type Config struct {
 	InstrYieldsReplay int
 
 	// PartialTrace marks the replay input as a salvaged prefix of a torn
-	// recording (trace.Recover output). Replay then stops with
+	// recording (trace.RecoverStream output). Replay then stops with
 	// ErrPartialTrace the moment the salvaged switch stream is exhausted:
 	// past the last recorded switch the engine can no longer prove the
 	// schedule matches the recording, so continuing cooperatively could

@@ -111,20 +111,24 @@ func (s *JournalSession) seed(event uint64) (*Debugger, error) {
 // newDebugger builds a fresh replaying VM over the journal suffix the
 // checkpoint covers (the whole journal when ck is nil), restores the
 // durable checkpoint state, and aligns the engine's switch countdown.
-// The suffix is materialized flat so the engine stays seekable and the
+// The suffix is loaded into a Reader so the engine stays seekable and the
 // debugger's own in-memory checkpoints keep working.
 func (s *JournalSession) newDebugger(ck *trace.Checkpoint) (*Debugger, error) {
 	seg := 0
 	if ck != nil {
 		seg = ck.Index
 	}
-	flat, err := s.j.Flat(seg)
+	src, err := s.j.Source(seg)
+	if err != nil {
+		return nil, err
+	}
+	r, err := src.Load()
 	if err != nil {
 		return nil, err
 	}
 	ecfg := core.DefaultConfig(core.ModeReplay)
 	ecfg.ProgHash = vm.ProgramHash(s.Prog)
-	ecfg.TraceIn = flat
+	ecfg.TraceSrc = r
 	ecfg.PartialTrace = !s.j.Complete()
 	ecfg.Obs = s.Obs
 	eng, err := core.NewEngine(ecfg)

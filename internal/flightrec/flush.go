@@ -176,7 +176,7 @@ func writeTemp(fs trace.FS, pf pendingFile) error {
 // immediate end marker.
 func emptySegment(progHash uint64) ([]byte, error) {
 	var buf bytes.Buffer
-	w, err := trace.NewStreamWriterOptions(&buf, progHash, trace.StreamOptions{})
+	w, err := trace.NewStreamWriter(&buf, progHash, trace.StreamOptions{})
 	if err != nil {
 		return nil, err
 	}

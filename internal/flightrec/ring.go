@@ -134,7 +134,7 @@ func (r *Ring) setErr(err error) {
 
 func (r *Ring) openLocked(i int, ck *memCk) error {
 	buf := &bytes.Buffer{}
-	w, err := trace.NewStreamWriterOptions(buf, r.progHash, trace.StreamOptions{ChunkBytes: r.opts.ChunkBytes})
+	w, err := trace.NewStreamWriter(buf, r.progHash, trace.StreamOptions{ChunkBytes: r.opts.ChunkBytes})
 	if err != nil {
 		return err
 	}

@@ -84,22 +84,22 @@ type Result struct {
 	Trace     []byte   // reduced flat trace container (replays the repro)
 }
 
-// SwitchPositions converts a flat trace container's switch stream into
-// global yield positions (prefix sums of the recorded yield deltas).
-func SwitchPositions(traceBytes []byte, progHash uint64) ([]uint64, error) {
-	r, err := trace.NewReader(traceBytes, progHash)
-	if err != nil {
-		return nil, err
-	}
+// SwitchPositions converts a trace's switch stream into global yield
+// positions (prefix sums of the recorded yield deltas). A source that can
+// fail mid-stream (a StreamReader) must end without a framing error.
+func SwitchPositions(src trace.Source) ([]uint64, error) {
 	var out []uint64
 	var at uint64
 	for {
-		nyp, ok := r.NextSwitch()
+		nyp, ok := src.NextSwitch()
 		if !ok {
 			break
 		}
 		at += nyp
 		out = append(out, at)
+	}
+	if e, ok := src.(interface{ Err() error }); ok && e.Err() != nil {
+		return nil, e.Err()
 	}
 	return out, nil
 }
@@ -141,16 +141,18 @@ type minimizer struct {
 	mCand      *obs.Counter
 }
 
-// Run minimizes the schedule of traceBytes (a flat DVT2 container — use
-// trace.Journal.Flat for journals) against prog.
-func Run(prog *bytecode.Program, traceBytes []byte, o Options) (*Result, error) {
+// Run minimizes the schedule recorded in src against prog. Only src's
+// switch stream is read: a trace.Reader over either container kind, or a
+// journal's Journal.Source(0), must come from a from-start recording of
+// prog.
+func Run(prog *bytecode.Program, src trace.Source, o Options) (*Result, error) {
 	if o.Deadline == 0 {
 		o.Deadline = 2 * time.Second
 	}
 	m := &minimizer{prog: prog, o: o, cache: map[string]bool{}}
 	m.mCand = o.Obs.Counter("dv_minimize_candidates_total")
 
-	positions, err := SwitchPositions(traceBytes, vm.ProgramHash(prog))
+	positions, err := SwitchPositions(src)
 	if err != nil {
 		return nil, fmt.Errorf("minimize: read switch stream: %w", err)
 	}

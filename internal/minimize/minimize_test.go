@@ -1,6 +1,7 @@
 package minimize_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"dejavu/internal/obs"
 	"dejavu/internal/replaycheck"
 	"dejavu/internal/tools"
+	"dejavu/internal/trace"
 	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
@@ -77,6 +79,16 @@ func raceRecordOptions() replaycheck.Options {
 	return replaycheck.Options{Seed: 4, PreemptMin: 2, PreemptMax: 10, HeapBytes: 1 << 22}
 }
 
+// source opens a recorded trace of either container kind for prog.
+func source(t *testing.T, prog *bytecode.Program, raw []byte) trace.Source {
+	t.Helper()
+	r, err := trace.NewReader(raw, vm.ProgramHash(prog))
+	if err != nil {
+		t.Fatalf("open trace: %v", err)
+	}
+	return r
+}
+
 // TestSwitchPositionsReproduce pins the keystone the minimizer stands on:
 // a ScriptedPreemptor fired at the positions extracted from a recording
 // re-produces that recording bit for bit.
@@ -86,12 +98,28 @@ func TestSwitchPositionsReproduce(t *testing.T) {
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	positions, err := minimize.SwitchPositions(rec.Trace, vm.ProgramHash(prog))
+	positions, err := minimize.SwitchPositions(source(t, prog, rec.Trace))
 	if err != nil {
 		t.Fatalf("SwitchPositions: %v", err)
 	}
 	if len(positions) == 0 {
 		t.Fatalf("no switches recorded; the race setup is broken")
+	}
+	// A streamed recording of the same run yields the same positions, read
+	// incrementally or loaded whole.
+	var streamed bytes.Buffer
+	if _, err := replaycheck.RecordTo(prog, &streamed, raceRecordOptions()); err != nil {
+		t.Fatalf("record streamed: %v", err)
+	}
+	sr, err := trace.NewStreamReader(bytes.NewReader(streamed.Bytes()), vm.ProgramHash(prog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []trace.Source{sr, source(t, prog, streamed.Bytes())} {
+		got, err := minimize.SwitchPositions(src)
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(positions) {
+			t.Fatalf("streamed positions %v (%v), want %v", got, err, positions)
+		}
 	}
 	o := raceRecordOptions()
 	o.TweakEngine = func(cfg *core.Config) {
@@ -147,7 +175,7 @@ func TestMinimizeRaceSchedule(t *testing.T) {
 		t.Fatalf("record: %v %v", err, rec.RunErr)
 	}
 	reg := obs.NewRegistry()
-	res, err := minimize.Run(prog, rec.Trace, minimize.Options{
+	res, err := minimize.Run(prog, source(t, prog, rec.Trace), minimize.Options{
 		Record: raceRecordOptions(),
 		Obs:    reg,
 		Log:    t.Logf,
@@ -253,7 +281,7 @@ func TestMinimizeTrapSchedule(t *testing.T) {
 	if !errors.As(rec.RunErr, &ve) {
 		t.Fatalf("seed 55 did not trap: %v", rec.RunErr)
 	}
-	res, err := minimize.Run(prog, rec.Trace, minimize.Options{Record: o, Log: t.Logf})
+	res, err := minimize.Run(prog, source(t, prog, rec.Trace), minimize.Options{Record: o, Log: t.Logf})
 	if err != nil {
 		t.Fatalf("minimize: %v", err)
 	}
@@ -309,7 +337,7 @@ func TestMinimizeBudgetToEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("record: %v", err)
 	}
-	res, err := minimize.Run(prog, rec.Trace, minimize.Options{Record: o})
+	res, err := minimize.Run(prog, source(t, prog, rec.Trace), minimize.Options{Record: o})
 	if err != nil {
 		t.Fatalf("minimize: %v", err)
 	}
@@ -334,7 +362,7 @@ func TestMinimizeNoFault(t *testing.T) {
 	if err != nil || rec.RunErr != nil {
 		t.Fatalf("record: %v %v", err, rec.RunErr)
 	}
-	if _, err := minimize.Run(prog, rec.Trace, minimize.Options{Record: o}); err == nil {
+	if _, err := minimize.Run(prog, source(t, prog, rec.Trace), minimize.Options{Record: o}); err == nil {
 		t.Fatalf("want an error for a fault-free recording")
 	}
 }

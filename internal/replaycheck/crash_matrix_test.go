@@ -47,19 +47,20 @@ func matrixReference(t *testing.T) (stream []byte, rec *replaycheck.Result) {
 	return buf.Bytes(), rec
 }
 
-// salvageAndReplay runs damaged container bytes through Recover and
-// replays the salvage, enforcing the matrix acceptance criteria against
-// the reference run.
+// salvageAndReplay runs damaged container bytes through RecoverStream and
+// replays the sealed salvage, enforcing the matrix acceptance criteria
+// against the reference run.
 func salvageAndReplay(t *testing.T, damaged []byte, ref *replaycheck.Result) {
 	t.Helper()
-	flat, rep, err := trace.Recover(bytes.NewReader(damaged))
+	var salvaged bytes.Buffer
+	rep, err := trace.RecoverStream(bytes.NewReader(damaged), &salvaged)
 	if err != nil {
 		if len(damaged) >= 12 {
-			t.Fatalf("Recover refused a container with an intact header: %v", err)
+			t.Fatalf("RecoverStream refused a container with an intact header: %v", err)
 		}
 		return
 	}
-	res, err := replaycheck.Replay(matrixProg(), flat, replaycheck.Options{
+	res, err := replaycheck.Replay(matrixProg(), salvaged.Bytes(), replaycheck.Options{
 		KeepEvents:  1 << 20,
 		TweakEngine: func(c *core.Config) { c.PartialTrace = !rep.EndEvent },
 	})

@@ -211,7 +211,7 @@ func Record(prog *bytecode.Program, o Options) (*Result, error) {
 // trace in memory. The stream is finalized (flushed, end marker written)
 // before RecordTo returns; dst itself is left open for the caller.
 func RecordTo(prog *bytecode.Program, dst io.Writer, o Options) (*Result, error) {
-	sink, err := trace.NewStreamWriterOptions(dst, vm.ProgramHash(prog),
+	sink, err := trace.NewStreamWriter(dst, vm.ProgramHash(prog),
 		trace.StreamOptions{ChunkBytes: o.ChunkBytes, Sync: o.Sync})
 	if err != nil {
 		return nil, err
@@ -282,7 +282,11 @@ func record(prog *bytecode.Program, o Options, sink trace.Sink) (*Result, error)
 	}, nil
 }
 
-// Replay executes prog against a previously recorded trace.
+// Replay executes prog against a previously recorded trace held in memory:
+// the flat DVT2 bytes Record returns, or a streamed DVS1 container (from
+// RecordTo or a trace.RecoverStream salvage), which trace.NewReader loads
+// whole and checksum-verifies before the run. ReplayFrom reads DVS1
+// incrementally instead.
 func Replay(prog *bytecode.Program, traceBytes []byte, o Options) (*Result, error) {
 	return replay(prog, traceBytes, nil, o, nil)
 }

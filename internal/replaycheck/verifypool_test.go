@@ -3,6 +3,7 @@ package replaycheck_test
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -131,9 +132,11 @@ func TestVerifyPoolSurvivesPanickingJobs(t *testing.T) {
 }
 
 // TestStreamGoldenByteIdentical is the format-compatibility golden test:
-// for every workload in the registry, the streamed container decoded back
-// to flat form must be byte-identical to what the in-memory Writer
-// produced for the same run.
+// for every workload in the registry, the streamed container must hold the
+// same streams the in-memory Writer produced for the same run — same
+// program hash, per-kind event counts and byte sizes, and switch
+// distribution. (internal/trace's TestDecodeStreamByteIdentical compares
+// the demultiplexed stream bytes directly.)
 func TestStreamGoldenByteIdentical(t *testing.T) {
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -150,24 +153,29 @@ func TestStreamGoldenByteIdentical(t *testing.T) {
 			if streamed.Trace != nil {
 				t.Fatalf("streaming record should not materialize Result.Trace")
 			}
-			if !trace.IsStream(buf.Bytes()) {
+			want, err := trace.Summarize(flat.Trace)
+			if err != nil {
+				t.Fatalf("summarize flat: %v", err)
+			}
+			got, err := trace.Summarize(buf.Bytes())
+			if err != nil {
+				t.Fatalf("summarize stream: %v", err)
+			}
+			if string(buf.Bytes()[:4]) != "DVS1" {
 				t.Fatalf("RecordTo did not produce a stream container")
 			}
-			decoded, err := trace.DecodeStream(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("DecodeStream: %v", err)
-			}
-			if !bytes.Equal(flat.Trace, decoded) {
-				t.Fatalf("decoded stream differs from flat container: %d vs %d bytes",
-					len(flat.Trace), len(decoded))
+			if got.ProgHash != want.ProgHash || got.SwitchNYP != want.SwitchNYP ||
+				!reflect.DeepEqual(got.Stats.Events, want.Stats.Events) ||
+				!reflect.DeepEqual(got.Stats.BytesByKind, want.Stats.BytesByKind) {
+				t.Fatalf("stream container differs from flat container:\n%+v\n%+v", got, want)
 			}
 		})
 	}
 }
 
 // TestStreamReplayBothPaths replays one streamed recording through both
-// Reader paths — StreamReader directly, and Reader over the decoded flat
-// container — and requires all three executions to be identical.
+// Source paths — StreamReader directly, and the Reader NewReader loads
+// from the same bytes — and requires all three executions to be identical.
 func TestStreamReplayBothPaths(t *testing.T) {
 	for _, name := range []string{"bank", "prodcons", "sumlines"} {
 		t.Run(name, func(t *testing.T) {
@@ -184,16 +192,12 @@ func TestStreamReplayBothPaths(t *testing.T) {
 			if err := replaycheck.CompareRuns(rec, repStream); err != nil {
 				t.Fatalf("streamed replay diverged: %v", err)
 			}
-			flat, err := trace.DecodeStream(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("DecodeStream: %v", err)
+			repLoaded, err := replaycheck.Replay(workloads.Registry[name](), buf.Bytes(), o)
+			if err != nil || repLoaded.RunErr != nil {
+				t.Fatalf("loaded replay: %v / %v", err, repLoaded.RunErr)
 			}
-			repFlat, err := replaycheck.Replay(workloads.Registry[name](), flat, o)
-			if err != nil || repFlat.RunErr != nil {
-				t.Fatalf("flat replay: %v / %v", err, repFlat.RunErr)
-			}
-			if err := replaycheck.CompareRuns(rec, repFlat); err != nil {
-				t.Fatalf("flat replay of decoded stream diverged: %v", err)
+			if err := replaycheck.CompareRuns(rec, repLoaded); err != nil {
+				t.Fatalf("replay of the loaded stream diverged: %v", err)
 			}
 		})
 	}

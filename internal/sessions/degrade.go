@@ -8,8 +8,8 @@
 // durable re-seeds, flight flushes, drain checkpoints — refuses with a
 // structured Refusal{Reason: ReasonDegraded} carrying retry guidance. A
 // per-session supervisor retries repair with capped exponential backoff
-// plus jitter: re-opening the journal reuses the torn-tail salvage from
-// trace.Recover (OpenJournal's bounded scanner), so a recording cut short
+// plus jitter: re-opening the journal reuses the torn-tail salvage scan
+// (OpenJournal's bounded scanner), so a recording cut short
 // by ENOSPC comes back as a replayable partial journal once the store
 // heals, and the session returns to StateActive.
 package sessions

@@ -52,6 +52,30 @@ func seedTraces(f *testing.F) [][]byte {
 	return out
 }
 
+// seedStreams records real workloads as streamed (DVS1) containers with
+// small chunks, and returns each with a prefix and single-bit flips in its
+// first chunk frame and mid-container, so the container-sniffing decoders
+// start from both formats.
+func seedStreams(f *testing.F) [][]byte {
+	f.Helper()
+	var out [][]byte
+	for i, mk := range []func() *bytecode.Program{workloads.Fig1AB, func() *bytecode.Program { return workloads.Bank(2, 4, 3) }} {
+		var buf bytes.Buffer
+		r, err := replaycheck.RecordTo(mk(), &buf, replaycheck.Options{Seed: int64(i + 1), HostRand: int64(i + 1), ChunkBytes: 24})
+		if err != nil || r.RunErr != nil {
+			f.Fatalf("seed stream record: %v / %v", err, r.RunErr)
+		}
+		tr := buf.Bytes()
+		out = append(out, tr, tr[:len(tr)-1], tr[:len(tr)/2])
+		for _, off := range []int{12, 13, len(tr) / 3} {
+			mut := bytes.Clone(tr)
+			mut[off] ^= 0x10
+			out = append(out, mut)
+		}
+	}
+	return out
+}
+
 func traceHash(raw []byte) uint64 {
 	if len(raw) < 12 {
 		return 0
@@ -59,9 +83,10 @@ func traceHash(raw []byte) uint64 {
 	return binary.LittleEndian.Uint64(raw[4:12])
 }
 
-// FuzzTraceReader drives the flat Reader over arbitrary bytes: any input
-// must produce either clean decoding or an error — never a panic, hang, or
-// out-of-range access.
+// FuzzTraceReader drives NewReader and the Reader it returns over
+// arbitrary bytes in either container format: any input must produce
+// either clean decoding or an error — never a panic, hang, or out-of-range
+// access.
 func FuzzTraceReader(f *testing.F) {
 	for _, tr := range seedTraces(f) {
 		f.Add(tr)
@@ -73,6 +98,9 @@ func FuzzTraceReader(f *testing.F) {
 	}
 	f.Add([]byte("DVT2"))
 	f.Add([]byte{})
+	for _, tr := range seedStreams(f) {
+		f.Add(tr)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := trace.NewReader(data, traceHash(data))
 		if err != nil {
@@ -111,14 +139,17 @@ func FuzzTraceReader(f *testing.F) {
 	})
 }
 
-// FuzzSummarize checks Summarize either rejects the input or returns an
-// internally consistent summary.
+// FuzzSummarize checks Summarize either rejects the input (of either
+// container format) or returns an internally consistent summary.
 func FuzzSummarize(f *testing.F) {
 	for _, tr := range seedTraces(f) {
 		f.Add(tr)
 		f.Add(tr[:len(tr)-1])
 	}
 	f.Add([]byte("DVT2\x00\x00\x00\x00\x00\x00\x00\x00\x00\x06"))
+	for _, tr := range seedStreams(f) {
+		f.Add(tr)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := trace.Summarize(data)
 		if err != nil {
@@ -132,30 +163,6 @@ func FuzzSummarize(f *testing.F) {
 		}
 		if s.SwitchNYP.Min > s.SwitchNYP.Max {
 			t.Fatalf("nyp Min %d > Max %d", s.SwitchNYP.Min, s.SwitchNYP.Max)
-		}
-	})
-}
-
-// FuzzDecodeStream checks the stream demultiplexer: any accepted input
-// must decode to a flat container the Reader in turn accepts.
-func FuzzDecodeStream(f *testing.F) {
-	for i, mk := range []func() *bytecode.Program{workloads.Fig1AB, func() *bytecode.Program { return workloads.Bank(2, 4, 3) }} {
-		var buf bytes.Buffer
-		r, err := replaycheck.RecordTo(mk(), &buf, replaycheck.Options{Seed: int64(i + 1), HostRand: int64(i + 1)})
-		if err != nil || r.RunErr != nil {
-			f.Fatalf("seed stream record: %v / %v", err, r.RunErr)
-		}
-		f.Add(append([]byte(nil), buf.Bytes()...))
-		f.Add(append([]byte(nil), buf.Bytes()[:buf.Len()-1]...))
-	}
-	f.Add([]byte("DVS1\x00\x00\x00\x00\x00\x00\x00\x00\x03"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		flat, err := trace.DecodeStream(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if _, err := trace.NewReader(flat, traceHash(flat)); err != nil {
-			t.Fatalf("DecodeStream output rejected by NewReader: %v", err)
 		}
 	})
 }

@@ -5,7 +5,6 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -17,7 +16,8 @@ import (
 // manifest lists) are trusted as written — their frames were fsynced
 // before the manifest named them. The one segment past the manifest is the
 // unsealed tail; unless the manifest is Complete it is salvaged with the
-// bounded scanner and its longest valid prefix replays like a flat salvage.
+// bounded scanner and its longest valid prefix replays like the output of
+// RecoverStream.
 type Journal struct {
 	fs       FS
 	Manifest *Manifest
@@ -174,8 +174,10 @@ func (j *Journal) String() string {
 // each sealed segment's chunks, then the salvaged tail streams. The reader
 // sees one logical container — segment headers are verified and stripped —
 // and reaches a clean end marker, so a journal cut short replays with the
-// same partial-trace semantics as a flat salvage. fromSeg 0 replays from
-// the beginning; fromSeg k is only coherent seeded with checkpoint k.
+// same partial-trace semantics as a RecoverStream salvage. Load on the
+// result yields a seekable Reader and is how callers validate every byte
+// the manifest commits to. fromSeg 0 replays from the beginning; fromSeg k
+// is only coherent seeded with checkpoint k.
 func (j *Journal) Source(fromSeg int) (*StreamReader, error) {
 	if fromSeg < 0 || fromSeg > j.TailIndex || (fromSeg == j.TailIndex && j.TailReport == nil) {
 		return nil, fmt.Errorf("trace: journal has no segment %d", fromSeg)
@@ -200,12 +202,12 @@ func (j *Journal) Source(fromSeg int) (*StreamReader, error) {
 					// synthetic chunks, then a synthetic end marker.
 					synthetic = make([]streamChunk, 0, 3)
 					if len(j.tailSw) > 0 {
-						synthetic = append(synthetic, streamChunk{role: chunkSwitch, payload: j.tailSw})
+						synthetic = append(synthetic, streamChunk{tag: chunkSwitch, payload: j.tailSw})
 					}
 					if len(j.tailData) > 0 {
-						synthetic = append(synthetic, streamChunk{role: chunkData, payload: j.tailData})
+						synthetic = append(synthetic, streamChunk{tag: chunkData, payload: j.tailData})
 					}
-					synthetic = append(synthetic, streamChunk{role: chunkEnd})
+					synthetic = append(synthetic, streamChunk{tag: chunkEnd})
 					continue
 				}
 				var err error
@@ -213,9 +215,8 @@ func (j *Journal) Source(fromSeg int) (*StreamReader, error) {
 					return streamChunk{}, err
 				}
 				s.src = bufio.NewReader(rc)
-				s.mode = frameUnknown // each segment locks its framing mode independently
 			}
-			c, err := readChunk(s.src, &s.mode)
+			c, err := readChunk(s.src)
 			if err == io.EOF {
 				return streamChunk{}, fmt.Errorf("trace: journal segment %d truncated despite manifest seal: %w",
 					cur, io.ErrUnexpectedEOF)
@@ -223,7 +224,7 @@ func (j *Journal) Source(fromSeg int) (*StreamReader, error) {
 			if err != nil {
 				return streamChunk{}, fmt.Errorf("trace: journal segment %d: %w", cur, err)
 			}
-			if c.role == chunkEnd {
+			if c.tag == chunkEnd {
 				rc.Close()
 				rc = nil
 				cur++
@@ -242,56 +243,15 @@ func (j *Journal) openSegment(i int) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: journal segment %d: %w", i, err)
 	}
-	var hdr [streamHeaderLen]byte
-	if _, err := io.ReadFull(rc, hdr[:]); err != nil || string(hdr[:len(streamMagic)]) != streamMagic {
-		rc.Close()
-		return nil, fmt.Errorf("trace: journal segment %d: bad stream magic", i)
+	h, err := readStreamHeader(rc)
+	if err == nil && h != j.Manifest.ProgHash {
+		err = fmt.Errorf("program hash mismatch (segment %x, manifest %x)", h, j.Manifest.ProgHash)
 	}
-	if h := binary.LittleEndian.Uint64(hdr[len(streamMagic):]); h != j.Manifest.ProgHash {
+	if err != nil {
 		rc.Close()
-		return nil, fmt.Errorf("trace: journal segment %d: program hash mismatch (segment %x, manifest %x)", i, h, j.Manifest.ProgHash)
+		return nil, fmt.Errorf("trace: journal segment %d: %w", i, err)
 	}
 	return rc, nil
-}
-
-// Flat materializes segments fromSeg.. as one flat DVT2 container, for
-// callers that need a seekable trace (engine snapshots, the debugger).
-func (j *Journal) Flat(fromSeg int) ([]byte, error) {
-	src, err := j.Source(fromSeg)
-	if err != nil {
-		return nil, err
-	}
-	var sw, data []byte
-	for {
-		c, err := src.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		switch c.role {
-		case chunkSwitch:
-			sw = append(sw, c.payload...)
-		case chunkData:
-			data = append(data, c.payload...)
-		case chunkEnd:
-			return appendContainer(j.Manifest.ProgHash, sw, data), nil
-		}
-	}
-	return appendContainer(j.Manifest.ProgHash, sw, data), nil
-}
-
-// NearestCheckpoint returns the latest manifest checkpoint whose VMEvents
-// does not exceed target, or nil when replay must start from zero.
-func (j *Journal) NearestCheckpoint(target uint64) *CheckpointInfo {
-	cks := j.Manifest.Checkpoints
-	i := sort.Search(len(cks), func(i int) bool { return cks[i].VMEvents > target })
-	if i == 0 {
-		return nil
-	}
-	c := cks[i-1]
-	return &c
 }
 
 // LoadCheckpoint reads and verifies checkpoint file info. The returned

@@ -11,15 +11,13 @@
 // The scan is incremental: each chunk's payload passes through a
 // switchTrim/dataTrim scanner that emits complete units as they close and
 // carries only the unfinished suffix forward, so memory stays bounded by
-// one chunk plus one event regardless of journal size. Recover buffers the
-// salvage into a flat container (convenient for replay-in-process);
-// ScanStream and RecoverStream are the bounded variants for journals too
-// large to hold.
+// one chunk plus one event regardless of journal size. RecoverStream
+// re-frames the salvage as a sealed DVS1 container; OpenJournal runs the
+// same scan over a journal's unsealed tail.
 package trace
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -83,60 +81,35 @@ func (r *RecoverReport) String() string {
 		r.Chunks, r.Switches, r.Events, r.SalvagedBytes, r.TotalBytes, r.TotalBytes-r.SalvagedBytes, r.Reason)
 }
 
-// Recover reads a (possibly truncated or corrupt) streaming container and
-// salvages the longest valid prefix, returning it as a flat DVT2 container
-// plus a report. The salvaged trace replays deterministically up to the
-// salvage point; unless the report says EndEvent, replay then stops with a
-// TruncatedError (errors.Is io.ErrUnexpectedEOF), which callers should
-// present as a partial replay, not corruption.
-//
-// Only the container header must be intact; Recover returns an error when
-// even that is unreadable (nothing salvageable).
-func Recover(r io.Reader) ([]byte, *RecoverReport, error) {
-	var sw, data bytes.Buffer
-	rep, err := salvageStream(r, nil,
-		func(p []byte) { sw.Write(p) },
-		func(p []byte) { data.Write(p) })
-	if err != nil {
-		return nil, nil, err
-	}
-	return appendContainer(rep.ProgHash, sw.Bytes(), data.Bytes()), rep, nil
-}
-
-// ScanStream runs the salvage scan for its report only, holding no stream
-// data. It is how journal recovery sizes a torn tail without loading it.
-func ScanStream(r io.Reader) (*RecoverReport, error) {
-	return salvageStream(r, nil, nil, nil)
-}
-
 // RecoverStream salvages src into dst as a sealed, checksummed DVS1
 // container, holding at most one chunk plus one unfinished event in memory.
 // The output always carries an end marker, so readers see a clean frame
-// boundary; when the report's EndEvent is false, replaying the output still
-// exhausts the data stream at the salvage point exactly like a flat
-// salvage (TruncatedError / partial trace).
+// boundary. It replays deterministically up to the salvage point; unless
+// the report says EndEvent, replay then stops with a TruncatedError
+// (errors.Is io.ErrUnexpectedEOF), which callers should present as a
+// partial replay, not corruption.
+//
+// Only the container header must be intact; RecoverStream returns an
+// error, and writes nothing, when even that is unreadable.
 func RecoverStream(src io.Reader, dst io.Writer) (*RecoverReport, error) {
 	bw := bufio.NewWriter(dst)
 	var werr error
-	write := func(p []byte) {
+	write := func(p []byte) bool {
 		if werr == nil {
 			_, werr = bw.Write(p)
 		}
+		return werr == nil
 	}
 	frame := func(tag byte) func([]byte) {
-		var scratch []byte
-		return func(p []byte) {
-			scratch = appendChunkFrame(scratch[:0], tag, p)
-			write(scratch)
-		}
+		return func(p []byte) { writeFrame(write, tag, p) }
 	}
 	rep, err := salvageStream(src,
-		func(progHash uint64) { write(appendStreamHeader(nil, progHash)) },
-		frame(chunkSwitchC), frame(chunkDataC))
+		func(progHash uint64) { writeStreamHeader(write, progHash) },
+		frame(chunkSwitch), frame(chunkData))
 	if err != nil {
 		return nil, err
 	}
-	write(appendEndFrame(nil))
+	writeFrame(write, chunkEnd, nil)
 	if werr == nil {
 		werr = bw.Flush()
 	}
@@ -153,21 +126,19 @@ func RecoverStream(src io.Reader, dst io.Writer) (*RecoverReport, error) {
 func salvageStream(r io.Reader, onHeader func(progHash uint64), emitSw, emitData func([]byte)) (*RecoverReport, error) {
 	cr := &countingReader{r: r}
 	br := bufio.NewReader(cr)
-	var hdr [streamHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:len(streamMagic)]) != streamMagic {
+	progHash, err := readStreamHeader(br)
+	if err != nil {
 		return nil, fmt.Errorf("trace: recover: not a streaming container (bad or torn header)")
 	}
-	rep := &RecoverReport{ProgHash: binary.LittleEndian.Uint64(hdr[len(streamMagic):])}
-	rep.SalvagedBytes = int64(streamHeaderLen)
+	rep := &RecoverReport{ProgHash: progHash, SalvagedBytes: int64(streamHeaderLen)}
 	if onHeader != nil {
 		onHeader(rep.ProgHash)
 	}
 
 	st := &switchTrim{emit: emitSw}
 	dt := &dataTrim{emit: emitData}
-	mode := frameUnknown
 	for {
-		c, err := readChunk(br, &mode)
+		c, err := readChunk(br)
 		if err == io.EOF {
 			rep.Reason = "torn at a chunk boundary (no end marker)"
 			break
@@ -176,13 +147,13 @@ func salvageStream(r io.Reader, onHeader func(progHash uint64), emitSw, emitData
 			rep.Reason = err.Error()
 			break
 		}
-		if c.role == chunkEnd {
+		if c.tag == chunkEnd {
 			rep.Complete = true
 			rep.SalvagedBytes += c.frameBytes
 			rep.Chunks++
 			break
 		}
-		if c.role == chunkSwitch {
+		if c.tag == chunkSwitch {
 			st.feed(c.payload)
 		} else {
 			dt.feed(c.payload)
@@ -218,11 +189,11 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // switchTrim incrementally trims the switch stream to complete varints.
-// Checksummed chunks only hold whole entries, but legacy chunks (and a
-// salvage ending mid-entry across chunks) can tear the stream; the pending
-// suffix never exceeds one varint (< 10 bytes). An overflowed varint is
-// permanent damage: everything after it is dropped, matching the whole-
-// buffer trim this replaced.
+// StreamWriter chunks only hold whole entries, but the reader does not rely
+// on that, so an entry may span chunks; the pending suffix never exceeds
+// one varint (< 10 bytes). An overflowed varint is permanent damage:
+// everything after it is dropped, matching the whole-buffer trim this
+// replaced.
 type switchTrim struct {
 	pend []byte
 	n    int

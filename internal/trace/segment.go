@@ -454,7 +454,7 @@ func (s *SegmentWriter) openSegment(i int) error {
 	if err != nil {
 		return fmt.Errorf("trace: journal segment %d: %w", i, err)
 	}
-	w, err := NewStreamWriterOptions(f, s.progHash, s.opts.StreamOptions)
+	w, err := NewStreamWriter(f, s.progHash, s.opts.StreamOptions)
 	if err != nil {
 		f.Close()
 		return err

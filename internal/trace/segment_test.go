@@ -160,14 +160,14 @@ func TestSegmentWriterJournalRoundTrip(t *testing.T) {
 		t.Fatalf("suffix clocks %v", clocks2)
 	}
 
-	// Flat materialization agrees with the chunked source.
-	flat, err := j.Flat(0)
+	// The loaded (seekable) Reader agrees with the chunked source.
+	src0, err := j.Source(0)
 	if err != nil {
-		t.Fatalf("Flat: %v", err)
+		t.Fatalf("Source(0): %v", err)
 	}
-	r, err := NewReader(flat, 0xfeed)
+	r, err := src0.Load()
 	if err != nil {
-		t.Fatalf("NewReader(flat): %v", err)
+		t.Fatalf("Load: %v", err)
 	}
 	for _, w := range want {
 		for {
@@ -476,7 +476,11 @@ func TestSegmentWriterQuotaRefusal(t *testing.T) {
 	if j.Segments() == 0 {
 		t.Fatal("no sealed segments salvaged before the refusal")
 	}
-	if _, err := j.Flat(0); err != nil {
+	src, err := j.Source(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.Load(); err != nil {
 		t.Fatalf("sealed prefix is not decodable: %v", err)
 	}
 }

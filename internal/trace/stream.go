@@ -10,17 +10,16 @@
 //	              payload | crc32c (4 bytes LE, over tag+length+payload)
 //	end chunk    (tag 0x13, zero-length payload, checksummed)
 //
-// Tags 0x11/0x12 carry switch-stream and data-stream bytes; demultiplexing
-// chunks in order reconstructs exactly the two streams a Writer would have
-// buffered, so DecodeStream materializes a byte-identical DVT2 container.
-// Chunks always split at event boundaries (the writer flushes whole
-// buffered events), but the reader does not rely on that.
+// Tags 0x11/0x12 carry switch-stream and data-stream bytes; any other tag
+// is refused. Demultiplexing chunks in order reconstructs exactly the two
+// streams a Writer would have buffered, so StreamReader.Load yields the
+// same Reader NewReader builds from the flat container. Chunks always
+// split at event boundaries (the writer flushes whole buffered events),
+// but the reader does not rely on that.
 //
 // The per-chunk CRC32C makes the container a verifiable journal: a torn
-// tail or flipped bit is detected at the first damaged chunk, and Recover
-// salvages the longest valid prefix. Readers also accept the original
-// unchecksummed framing (tags 0x01/0x02/0x03) for traces recorded before
-// checksums existed.
+// tail or flipped bit is detected at the first damaged chunk, and
+// RecoverStream salvages the longest valid prefix.
 package trace
 
 import (
@@ -37,20 +36,19 @@ import (
 
 const streamMagic = "DVS1"
 
+// streamHeaderLen is the container header: magic plus the program hash.
+const streamHeaderLen = len(streamMagic) + 8
+
+// Chunk tags. Every chunk carries a trailing CRC32C over tag, length, and
+// payload.
 const (
-	// Legacy unchecksummed framing, still accepted by all readers.
-	chunkSwitch byte = 0x01
-	chunkData   byte = 0x02
-	chunkEnd    byte = 0x03
-	// Checksummed framing (what StreamWriter emits): same roles, but every
-	// chunk carries a trailing CRC32C over tag, length, and payload.
-	chunkSwitchC byte = 0x11
-	chunkDataC   byte = 0x12
-	chunkEndC    byte = 0x13
+	chunkSwitch byte = 0x11
+	chunkData   byte = 0x12
+	chunkEnd    byte = 0x13
 )
 
 // castagnoli is the CRC32C polynomial table shared by the writer, the
-// readers, and Recover.
+// reader, and RecoverStream.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrChecksum reports a chunk whose stored CRC32C does not match its
@@ -72,7 +70,7 @@ const (
 	// the last kernel writeback.
 	SyncNone SyncPolicy = iota
 	// SyncChunk syncs after every flushed chunk: a crash loses at most the
-	// partially-buffered chunk, which Recover trims away.
+	// partially-buffered chunk, which RecoverStream trims away.
 	SyncChunk
 	// SyncEvent flushes and syncs after every logged event: a crash loses
 	// at most the event being written. Every event becomes its own chunk,
@@ -152,18 +150,7 @@ type streamWriterMetrics struct {
 
 // NewStreamWriter starts a streaming trace for progHash on dst, writing
 // the container header immediately.
-func NewStreamWriter(dst io.Writer, progHash uint64) (*StreamWriter, error) {
-	return NewStreamWriterOptions(dst, progHash, StreamOptions{})
-}
-
-// NewStreamWriterSize is NewStreamWriter with an explicit chunk flush
-// threshold (mainly for tests that need to force chunk boundaries).
-func NewStreamWriterSize(dst io.Writer, progHash uint64, chunkBytes int) (*StreamWriter, error) {
-	return NewStreamWriterOptions(dst, progHash, StreamOptions{ChunkBytes: chunkBytes})
-}
-
-// NewStreamWriterOptions is NewStreamWriter with explicit options.
-func NewStreamWriterOptions(dst io.Writer, progHash uint64, o StreamOptions) (*StreamWriter, error) {
+func NewStreamWriter(dst io.Writer, progHash uint64, o StreamOptions) (*StreamWriter, error) {
 	if o.ChunkBytes < 1 {
 		o.ChunkBytes = DefaultChunkBytes
 	}
@@ -175,16 +162,11 @@ func NewStreamWriterOptions(dst io.Writer, progHash uint64, o StreamOptions) (*S
 		fsyncs: o.Obs.Counter(obs.Label("dv_trace_fsyncs_total", "policy", o.Sync.String())),
 		events: o.Obs.Counter("dv_trace_events_total"),
 	}
-	var hdr [streamHeaderLen]byte
-	copy(hdr[:], streamMagic)
-	binary.LittleEndian.PutUint64(hdr[len(streamMagic):], progHash)
-	if !s.write(hdr[:]) {
+	if !writeStreamHeader(s.write, progHash) {
 		return nil, fmt.Errorf("trace: stream header: %w", s.err)
 	}
 	return s, nil
 }
-
-const streamHeaderLen = len(streamMagic) + 8
 
 // Switch logs a preemptive thread switch after nyp yield points.
 func (s *StreamWriter) Switch(nyp uint64) { s.log.logSwitch(nyp); s.afterEvent() }
@@ -214,8 +196,8 @@ func (s *StreamWriter) End() { s.log.logEnd(); s.afterEvent() }
 func (s *StreamWriter) afterEvent() {
 	s.m.events.Inc()
 	if s.sync == SyncEvent {
-		s.flushChunk(chunkSwitchC, &s.log.sw)
-		s.flushChunk(chunkDataC, &s.log.data)
+		s.flushChunk(chunkSwitch, &s.log.sw)
+		s.flushChunk(chunkData, &s.log.data)
 		s.syncNow()
 		return
 	}
@@ -228,11 +210,11 @@ func (s *StreamWriter) afterEvent() {
 func (s *StreamWriter) maybeFlush() {
 	flushed := false
 	if s.log.data.Len() >= s.chunk {
-		s.flushChunk(chunkSwitchC, &s.log.sw)
-		s.flushChunk(chunkDataC, &s.log.data)
+		s.flushChunk(chunkSwitch, &s.log.sw)
+		s.flushChunk(chunkData, &s.log.data)
 		flushed = true
 	} else if s.log.sw.Len() >= s.chunk {
-		s.flushChunk(chunkSwitchC, &s.log.sw)
+		s.flushChunk(chunkSwitch, &s.log.sw)
 		flushed = true
 	}
 	if flushed && s.sync == SyncChunk {
@@ -278,24 +260,10 @@ func (s *StreamWriter) syncNow() {
 	s.m.fsyncs.Inc()
 }
 
-// flushChunk emits one checksummed chunk: tag, length, payload, CRC32C
-// over all three.
+// flushChunk emits buf as one chunk frame.
 func (s *StreamWriter) flushChunk(tag byte, buf *bytes.Buffer) {
-	if s.err != nil || buf.Len() == 0 {
-		buf.Reset()
-		return
-	}
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = tag
-	n := binary.PutUvarint(hdr[1:], uint64(buf.Len()))
-	sum := crc32.Update(0, castagnoli, hdr[:1+n])
-	sum = crc32.Update(sum, castagnoli, buf.Bytes())
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], sum)
-	if s.write(hdr[:1+n]) && s.write(buf.Bytes()) {
-		if s.write(crc[:]) {
-			s.m.chunks.Inc()
-		}
+	if s.err == nil && buf.Len() > 0 && writeFrame(s.write, tag, buf.Bytes()) {
+		s.m.chunks.Inc()
 	}
 	buf.Reset()
 }
@@ -308,15 +276,10 @@ func (s *StreamWriter) Close() error {
 		return s.err
 	}
 	s.closed = true
-	s.flushChunk(chunkSwitchC, &s.log.sw)
-	s.flushChunk(chunkDataC, &s.log.data)
+	s.flushChunk(chunkSwitch, &s.log.sw)
+	s.flushChunk(chunkData, &s.log.data)
 	if s.err == nil {
-		end := [2]byte{chunkEndC, 0}
-		var crc [4]byte
-		binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(end[:], castagnoli))
-		if s.write(end[:]) {
-			s.write(crc[:])
-		}
+		writeFrame(s.write, chunkEnd, nil)
 	}
 	if s.sync != SyncNone {
 		s.syncNow()
@@ -334,67 +297,56 @@ func (s *StreamWriter) Stats() Stats {
 	return s.log.stats
 }
 
-// chunk is one demultiplexed framing record: its normalized role (the
-// legacy tag values chunkSwitch/chunkData/chunkEnd), payload, and the
-// container bytes the frame occupied.
+// writeStreamHeader writes the DVS1 container header through write.
+func writeStreamHeader(write func([]byte) bool, progHash uint64) bool {
+	var hdr [streamHeaderLen]byte
+	copy(hdr[:], streamMagic)
+	binary.LittleEndian.PutUint64(hdr[len(streamMagic):], progHash)
+	return write(hdr[:])
+}
+
+// writeFrame writes one chunk frame — tag, uvarint length, payload, CRC32C
+// over all three — through write, passing the payload on without copying
+// it. StreamWriter and RecoverStream both frame through it.
+func writeFrame(write func([]byte) bool, tag byte, payload []byte) bool {
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = tag
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(len(payload)))
+	sum := crc32.Update(crc32.Update(0, castagnoli, hdr[:n]), castagnoli, payload)
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], sum)
+	return write(hdr[:n]) && (len(payload) == 0 || write(payload)) && write(crc[:])
+}
+
+// readStreamHeader consumes and validates the DVS1 container header,
+// returning its program hash. Every DVS1 reader opens through it.
+func readStreamHeader(r io.Reader) (uint64, error) {
+	var hdr [streamHeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil || !IsStream(hdr[:]) {
+		return 0, errors.New("trace: bad stream magic")
+	}
+	return binary.LittleEndian.Uint64(hdr[len(streamMagic):]), nil
+}
+
+// streamChunk is one chunk frame: its tag, payload, and the container
+// bytes the frame occupied.
 type streamChunk struct {
-	role       byte
+	tag        byte
 	payload    []byte
 	frameBytes int64
 }
 
-// Framing-mode lock values. A writer emits one framing for the whole
-// container, so the mode the first chunk establishes is binding: a later
-// chunk in the other framing means a corrupt tag byte — in particular, a
-// single bit flip turns a checksummed tag (0x1x) into a legacy one (0x0x),
-// which would otherwise dodge its own CRC.
-const (
-	frameUnknown int8 = iota
-	frameLegacy
-	frameChecked
-)
-
-// readChunk parses one framing record in either format, verifying the
-// CRC32C on checksummed chunks and holding the container to the framing
-// mode recorded in *mode (updated from frameUnknown on the first chunk).
-// It returns io.EOF when the container ends exactly at a frame boundary
-// with no end marker (a torn tail), and wraps io.ErrUnexpectedEOF for
-// mid-frame truncation.
-func readChunk(br *bufio.Reader, mode *int8) (streamChunk, error) {
+// readChunk parses and checksums one chunk frame. It returns io.EOF when
+// the container ends exactly at a frame boundary with no end marker (a
+// torn tail), and wraps io.ErrUnexpectedEOF for mid-frame truncation.
+func readChunk(br *bufio.Reader) (streamChunk, error) {
 	tag, err := br.ReadByte()
 	if err != nil {
 		return streamChunk{}, io.EOF
 	}
-	c := streamChunk{frameBytes: 1}
-	checked := false
-	switch tag {
-	case chunkEnd:
-		c.role = chunkEnd
-	case chunkSwitch, chunkData:
-		c.role = tag
-	case chunkEndC:
-		c.role = chunkEnd
-		checked = true
-	case chunkSwitchC:
-		c.role = chunkSwitch
-		checked = true
-	case chunkDataC:
-		c.role = chunkData
-		checked = true
-	default:
+	c := streamChunk{tag: tag, frameBytes: 1}
+	if tag < chunkSwitch || tag > chunkEnd {
 		return c, fmt.Errorf("trace: unknown stream chunk tag %#x", tag)
-	}
-	want := frameLegacy
-	if checked {
-		want = frameChecked
-	}
-	if *mode == frameUnknown {
-		*mode = want
-	} else if *mode != want {
-		return c, fmt.Errorf("trace: chunk tag %#x switches framing mid-stream (corrupt tag byte?)", tag)
-	}
-	if c.role == chunkEnd && !checked {
-		return c, nil
 	}
 	ln, lnRaw, err := readUvarintRaw(br)
 	if err != nil {
@@ -410,18 +362,16 @@ func readChunk(br *bufio.Reader, mode *int8) (streamChunk, error) {
 	}
 	c.frameBytes += int64(ln)
 	c.payload = buf.Bytes()
-	if checked {
-		var stored [4]byte
-		if _, err := io.ReadFull(br, stored[:]); err != nil {
-			return c, fmt.Errorf("trace: stream chunk checksum truncated: %w", io.ErrUnexpectedEOF)
-		}
-		c.frameBytes += 4
-		sum := crc32.Update(0, castagnoli, []byte{tag})
-		sum = crc32.Update(sum, castagnoli, lnRaw)
-		sum = crc32.Update(sum, castagnoli, c.payload)
-		if sum != binary.LittleEndian.Uint32(stored[:]) {
-			return c, fmt.Errorf("trace: chunk tag %#x (%d bytes): %w", tag, ln, ErrChecksum)
-		}
+	var stored [4]byte
+	if _, err := io.ReadFull(br, stored[:]); err != nil {
+		return c, fmt.Errorf("trace: stream chunk checksum truncated: %w", io.ErrUnexpectedEOF)
+	}
+	c.frameBytes += 4
+	sum := crc32.Update(0, castagnoli, []byte{tag})
+	sum = crc32.Update(sum, castagnoli, lnRaw)
+	sum = crc32.Update(sum, castagnoli, c.payload)
+	if sum != binary.LittleEndian.Uint32(stored[:]) {
+		return c, fmt.Errorf("trace: chunk tag %#x (%d bytes): %w", tag, ln, ErrChecksum)
 	}
 	return c, nil
 }
@@ -454,20 +404,19 @@ func readUvarintRaw(br *bufio.Reader) (uint64, []byte, error) {
 
 // StreamReader replays a streaming container from any io.Reader,
 // demultiplexing chunks on demand and verifying per-chunk checksums. It
-// implements Source; unlike Reader it is not seekable, so engine snapshots
-// (checkpointing) require the flat path. Memory stays bounded by the chunk
-// size plus one preemption interval of buffered data — except when the
-// switch stream ends long before the data stream (e.g. a trace with no
-// preemptions), where discovering the exhausted switch stream buffers the
-// remaining data.
+// implements Source; unlike Reader it is not seekable, so engine
+// snapshots (checkpointing) need the Reader that Load returns. Memory
+// stays bounded by the chunk size plus one preemption interval of
+// buffered data — except when the switch stream ends long before the data
+// stream (e.g. a trace with no preemptions), where discovering the
+// exhausted switch stream buffers the remaining data.
 type StreamReader struct {
 	src   *bufio.Reader
 	inner Reader // demultiplexed, partially filled streams
-	mode  int8   // framing-mode lock (frameUnknown until the first chunk)
 	eof   bool   // end marker (or transport EOF) reached
 	err   error  // sticky transport/framing error
 
-	// next produces the following framing record. The default (set by
+	// next produces the following chunk. The default (set by
 	// NewStreamReader) reads chunks from src; a segmented journal source
 	// (Journal.Source) substitutes one that chains segment files.
 	next func() (streamChunk, error)
@@ -478,8 +427,8 @@ type StreamReader struct {
 // streamReaderMetrics holds the reader's obs series; all nil-safe no-ops
 // until Instrument is called.
 type streamReaderMetrics struct {
-	chunks   *obs.Counter // framing records read
-	verified *obs.Counter // checksummed chunks whose CRC32C matched
+	chunks   *obs.Counter // chunks read
+	verified *obs.Counter // chunks whose CRC32C matched
 	failed   *obs.Counter // chunks rejected for a checksum mismatch
 }
 
@@ -498,18 +447,44 @@ func (s *StreamReader) Instrument(reg *obs.Registry) {
 // NewStreamReader validates the streaming container header against
 // progHash.
 func NewStreamReader(r io.Reader, progHash uint64) (*StreamReader, error) {
-	var hdr [streamHeaderLen]byte
-	br := bufio.NewReader(r)
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:len(streamMagic)]) != streamMagic {
-		return nil, fmt.Errorf("trace: bad stream magic")
+	s, h, err := openStream(r)
+	if err != nil {
+		return nil, err
 	}
-	h := binary.LittleEndian.Uint64(hdr[len(streamMagic):])
 	if h != progHash {
-		return nil, fmt.Errorf("trace: program hash mismatch: trace %x, program %x", h, progHash)
+		return nil, hashMismatch(h, progHash)
+	}
+	return s, nil
+}
+
+// openStream reads the container header and returns a reader over the
+// chunks that follow, plus the header's program hash.
+func openStream(r io.Reader) (*StreamReader, uint64, error) {
+	br := bufio.NewReader(r)
+	h, err := readStreamHeader(br)
+	if err != nil {
+		return nil, 0, err
 	}
 	s := &StreamReader{src: br}
-	s.next = func() (streamChunk, error) { return readChunk(s.src, &s.mode) }
-	return s, nil
+	s.next = func() (streamChunk, error) { return readChunk(s.src) }
+	return s, h, nil
+}
+
+func hashMismatch(trace, prog uint64) error {
+	return fmt.Errorf("trace: program hash mismatch: trace %x, program %x", trace, prog)
+}
+
+// Load drains the rest of the container and returns both streams as a
+// seekable Reader, positioned where s stands. Any damage is an error (use
+// RecoverStream to salvage).
+func (s *StreamReader) Load() (*Reader, error) {
+	for !s.eof {
+		if err := s.fill(); err != nil {
+			return nil, err
+		}
+	}
+	r := s.inner
+	return &r, nil
 }
 
 // fill reads one chunk into the demultiplexed streams; on the end marker
@@ -531,10 +506,8 @@ func (s *StreamReader) fill() error {
 		return s.err
 	}
 	s.m.chunks.Inc()
-	if s.mode == frameChecked {
-		s.m.verified.Inc()
-	}
-	switch c.role {
+	s.m.verified.Inc()
+	switch c.tag {
 	case chunkEnd:
 		s.eof = true
 	case chunkSwitch:
@@ -671,68 +644,3 @@ func (s *StreamReader) SwitchesRemaining() bool {
 
 // Err returns the sticky transport/framing error.
 func (s *StreamReader) Err() error { return s.err }
-
-// appendChunkFrame appends one checksummed chunk frame — tag, uvarint
-// length, payload, CRC32C over all three — to dst. RecoverStream and the
-// segmented-journal tests re-emit salvaged stream bytes through it.
-func appendChunkFrame(dst []byte, tag byte, payload []byte) []byte {
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = tag
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	sum := crc32.Update(0, castagnoli, hdr[:1+n])
-	sum = crc32.Update(sum, castagnoli, payload)
-	dst = append(dst, hdr[:1+n]...)
-	dst = append(dst, payload...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], sum)
-	return append(dst, crc[:]...)
-}
-
-// appendEndFrame appends the checksummed end marker.
-func appendEndFrame(dst []byte) []byte {
-	end := [2]byte{chunkEndC, 0}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(end[:], castagnoli))
-	dst = append(dst, end[:]...)
-	return append(dst, crc[:]...)
-}
-
-// appendStreamHeader appends the DVS1 container header.
-func appendStreamHeader(dst []byte, progHash uint64) []byte {
-	dst = append(dst, streamMagic...)
-	var h8 [8]byte
-	binary.LittleEndian.PutUint64(h8[:], progHash)
-	return append(dst, h8[:]...)
-}
-
-// DecodeStream reads a complete streaming container and returns the
-// equivalent flat DVT2 container — byte-identical to what Writer.Bytes()
-// would have produced for the same event sequence. Checksummed and legacy
-// framing both decode; any damage is an error (use Recover to salvage).
-func DecodeStream(r io.Reader) ([]byte, error) {
-	var hdr [streamHeaderLen]byte
-	br := bufio.NewReader(r)
-	if _, err := io.ReadFull(br, hdr[:]); err != nil || string(hdr[:len(streamMagic)]) != streamMagic {
-		return nil, fmt.Errorf("trace: bad stream magic")
-	}
-	progHash := binary.LittleEndian.Uint64(hdr[len(streamMagic):])
-	var sw, data bytes.Buffer
-	mode := frameUnknown
-	for {
-		c, err := readChunk(br, &mode)
-		if err != nil {
-			if err == io.EOF {
-				err = fmt.Errorf("trace: stream truncated before end marker: %w", io.ErrUnexpectedEOF)
-			}
-			return nil, err
-		}
-		switch c.role {
-		case chunkEnd:
-			return appendContainer(progHash, sw.Bytes(), data.Bytes()), nil
-		case chunkSwitch:
-			sw.Write(c.payload)
-		case chunkData:
-			data.Write(c.payload)
-		}
-	}
-}

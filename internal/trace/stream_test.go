@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -102,8 +101,20 @@ func drainSource(t *testing.T, r Source) []string {
 	}
 }
 
+// loadStreams reads a container of either kind and returns its switch and
+// data streams.
+func loadStreams(t *testing.T, raw []byte, hash uint64) (sw, data []byte) {
+	t.Helper()
+	r, err := NewReader(raw, hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.sw, r.data
+}
+
 // TestDecodeStreamByteIdentical: for many seeds and chunk sizes, streaming
-// the same events and decoding the stream yields exactly Writer.Bytes().
+// the same events and decoding the stream yields exactly the two streams
+// inside Writer.Bytes().
 func TestDecodeStreamByteIdentical(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, chunk := range []int{1, 7, 64, 1 << 15} {
@@ -111,10 +122,10 @@ func TestDecodeStreamByteIdentical(t *testing.T) {
 				const hash = 0xfeedface
 				w := NewWriter(hash)
 				driveSink(w, seed, 200)
-				want := w.Bytes()
+				wantSw, wantData := loadStreams(t, w.Bytes(), hash)
 
 				var buf bytes.Buffer
-				sw, err := NewStreamWriterSize(&buf, hash, chunk)
+				sw, err := NewStreamWriter(&buf, hash, StreamOptions{ChunkBytes: chunk})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,12 +136,10 @@ func TestDecodeStreamByteIdentical(t *testing.T) {
 				if !IsStream(buf.Bytes()) {
 					t.Fatal("missing stream magic")
 				}
-				got, err := DecodeStream(bytes.NewReader(buf.Bytes()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(want, got) {
-					t.Fatalf("decoded stream differs from flat container (%d vs %d bytes)", len(want), len(got))
+				gotSw, gotData := loadStreams(t, buf.Bytes(), hash)
+				if !bytes.Equal(wantSw, gotSw) || !bytes.Equal(wantData, gotData) {
+					t.Fatalf("decoded stream differs from flat container (%d+%d vs %d+%d bytes)",
+						len(wantSw), len(wantData), len(gotSw), len(gotData))
 				}
 				// Close is idempotent.
 				if err := sw.Close(); err != nil {
@@ -156,7 +165,7 @@ func TestStreamReaderMatchesReader(t *testing.T) {
 		want := drainSource(t, flat)
 
 		var buf bytes.Buffer
-		sw, _ := NewStreamWriterSize(&buf, hash, 3)
+		sw, _ := NewStreamWriter(&buf, hash, StreamOptions{ChunkBytes: 3})
 		driveSink(sw, seed, 150)
 		if err := sw.Close(); err != nil {
 			t.Fatal(err)
@@ -203,7 +212,7 @@ func (r *oneByteReader) Read(p []byte) (int, error) {
 func TestStreamInterleavedConsumption(t *testing.T) {
 	const hash = 99
 	var buf bytes.Buffer
-	sw, _ := NewStreamWriterSize(&buf, hash, 16)
+	sw, _ := NewStreamWriter(&buf, hash, StreamOptions{ChunkBytes: 16})
 	for i := 0; i < 50; i++ {
 		sw.Switch(uint64(i))
 		sw.Clock(int64(i) * 1000)
@@ -237,7 +246,7 @@ func TestStreamInterleavedConsumption(t *testing.T) {
 // TestStreamHeaderValidation: magic and program-hash mismatches fail fast.
 func TestStreamHeaderValidation(t *testing.T) {
 	var buf bytes.Buffer
-	sw, _ := NewStreamWriter(&buf, 7)
+	sw, _ := NewStreamWriter(&buf, 7, StreamOptions{})
 	sw.End()
 	sw.Close()
 
@@ -250,8 +259,8 @@ func TestStreamHeaderValidation(t *testing.T) {
 	if _, err := NewStreamReader(bytes.NewReader(nil), 7); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := DecodeStream(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("DecodeStream accepted garbage")
+	if _, err := NewReader([]byte("DVS1nope"), 7); err == nil {
+		t.Fatal("NewReader accepted a torn stream header")
 	}
 }
 
@@ -261,15 +270,15 @@ func TestStreamHeaderValidation(t *testing.T) {
 func TestStreamTruncation(t *testing.T) {
 	const hash = 42
 	var buf bytes.Buffer
-	sw, _ := NewStreamWriterSize(&buf, hash, 8)
+	sw, _ := NewStreamWriter(&buf, hash, StreamOptions{ChunkBytes: 8})
 	driveSink(sw, 1, 40)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	whole := buf.Bytes()
 	for cut := streamHeaderLen; cut < len(whole); cut++ {
-		if _, err := DecodeStream(bytes.NewReader(whole[:cut])); err == nil {
-			t.Fatalf("DecodeStream accepted truncation at %d/%d", cut, len(whole))
+		if _, err := NewReader(whole[:cut], hash); err == nil {
+			t.Fatalf("NewReader accepted truncation at %d/%d", cut, len(whole))
 		}
 	}
 	// The incremental reader also surfaces truncation instead of stalling.
@@ -314,30 +323,65 @@ func TestStreamTruncation(t *testing.T) {
 	}
 }
 
-// TestStreamCorruptChunk: unknown tags and absurd lengths are rejected
-// without large allocations.
+// TestStreamCorruptChunk: unknown tags (including the pre-checksum
+// framing's 0x01-0x03) and absurd lengths are rejected without large
+// allocations, and salvage stops at the first such chunk.
 func TestStreamCorruptChunk(t *testing.T) {
 	hdr := make([]byte, streamHeaderLen)
 	copy(hdr, streamMagic)
 
-	bad := append(append([]byte(nil), hdr...), 0x7f) // unknown tag
-	if _, err := DecodeStream(bytes.NewReader(bad)); err == nil {
-		t.Fatal("unknown tag accepted")
-	}
-	if _, err := NewStreamReader(bytes.NewReader(bad), 0); err != nil {
+	var stream bytes.Buffer
+	w, err := NewStreamWriter(&stream, 0, StreamOptions{ChunkBytes: 1})
+	if err != nil {
 		t.Fatal(err)
-	} else {
-		sr, _ := NewStreamReader(bytes.NewReader(bad), 0)
-		if _, err := sr.Peek(); err == nil {
-			t.Fatal("stream reader accepted unknown tag")
-		}
 	}
+	driveSink(w, 9, 40)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := stream.Bytes()
+	first, err := readChunk(bufio.NewReader(bytes.NewReader(raw[streamHeaderLen:])))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second := streamHeaderLen + int(first.frameBytes)
+	if raw[second] != chunkSwitch && raw[second] != chunkData {
+		t.Fatalf("second chunk tag %#x", raw[second])
+	}
+	legacy := bytes.Clone(raw)
+	legacy[second] ^= 0x10 // e.g. 0x11 -> 0x01: one flipped bit names the old unchecksummed framing
 
-	// Huge claimed length: 2^60 encoded as uvarint after a data tag.
-	huge := append(append([]byte(nil), hdr...), chunkData,
-		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10)
-	if _, err := DecodeStream(bytes.NewReader(huge)); err == nil {
-		t.Fatal("corrupt length accepted")
+	for _, tc := range []struct {
+		name   string
+		in     []byte
+		chunks int // whole chunks RecoverStream keeps
+	}{
+		{"unknown tag", append(bytes.Clone(hdr), 0x7f), 0},
+		{"legacy end marker", append(bytes.Clone(hdr), 0x03), 0},
+		{"legacy tag flip", legacy, 1},
+		// Huge claimed length: 2^60 encoded as uvarint after a data tag.
+		{"huge length", append(bytes.Clone(hdr), chunkData,
+			0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10), 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := NewReader(tc.in, 0); err == nil {
+				t.Fatal("NewReader accepted a corrupt chunk")
+			}
+			sr, err := NewStreamReader(bytes.NewReader(tc.in), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sr.Load(); err == nil {
+				t.Fatal("StreamReader accepted a corrupt chunk")
+			}
+			rep, err := RecoverStream(bytes.NewReader(tc.in), io.Discard)
+			if err != nil {
+				t.Fatalf("RecoverStream refused an intact header: %v", err)
+			}
+			if rep.Complete || rep.Chunks != tc.chunks {
+				t.Fatalf("salvage kept %d chunks (complete %v), want %d: %s", rep.Chunks, rep.Complete, tc.chunks, rep.Reason)
+			}
+		})
 	}
 }
 
@@ -350,7 +394,7 @@ func TestStreamWriterStats(t *testing.T) {
 	flatStats := w.Stats()
 
 	var buf bytes.Buffer
-	sw, _ := NewStreamWriterSize(&buf, hash, 32)
+	sw, _ := NewStreamWriter(&buf, hash, StreamOptions{ChunkBytes: 32})
 	driveSink(sw, 2, 100)
 	if err := sw.Close(); err != nil {
 		t.Fatal(err)
@@ -381,7 +425,7 @@ func TestStreamSyncPolicies(t *testing.T) {
 	run := func(p SyncPolicy, chunk int) *syncCounter {
 		t.Helper()
 		dst := &syncCounter{}
-		w, err := NewStreamWriterOptions(dst, 1, StreamOptions{ChunkBytes: chunk, Sync: p})
+		w, err := NewStreamWriter(dst, 1, StreamOptions{ChunkBytes: chunk, Sync: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,16 +446,10 @@ func TestStreamSyncPolicies(t *testing.T) {
 	}
 	// All three produce equivalent streams: durability must not change what
 	// is recorded.
-	want, err := DecodeStream(bytes.NewReader(run(SyncNone, 64).Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantSw, wantData := loadStreams(t, run(SyncNone, 64).Bytes(), 1)
 	for _, p := range []SyncPolicy{SyncChunk, SyncEvent} {
-		got, err := DecodeStream(bytes.NewReader(run(p, 64).Bytes()))
-		if err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if !bytes.Equal(got, want) {
+		gotSw, gotData := loadStreams(t, run(p, 64).Bytes(), 1)
+		if !bytes.Equal(gotSw, wantSw) || !bytes.Equal(gotData, wantData) {
 			t.Fatalf("%v recorded a different trace", p)
 		}
 	}
@@ -419,7 +457,7 @@ func TestStreamSyncPolicies(t *testing.T) {
 
 func TestStreamWriterStickyWriteError(t *testing.T) {
 	fw := &faults.Writer{W: &bytes.Buffer{}, Limit: 40}
-	w, err := NewStreamWriterSize(fw, 1, 1)
+	w, err := NewStreamWriter(fw, 1, StreamOptions{ChunkBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +479,7 @@ func TestStreamWriterStickyWriteError(t *testing.T) {
 
 func TestStreamWriterDetectsShortWrite(t *testing.T) {
 	fw := &faults.Writer{W: &bytes.Buffer{}, Limit: 30, Mode: faults.ShortWrite}
-	w, err := NewStreamWriterSize(fw, 1, 1)
+	w, err := NewStreamWriter(fw, 1, StreamOptions{ChunkBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +493,7 @@ func TestStreamWriterDetectsShortWrite(t *testing.T) {
 
 func TestStreamWriterSyncFailureSurfaces(t *testing.T) {
 	dst := &failingSyncer{}
-	w, err := NewStreamWriterOptions(dst, 1, StreamOptions{ChunkBytes: 1, Sync: SyncChunk})
+	w, err := NewStreamWriter(dst, 1, StreamOptions{ChunkBytes: 1, Sync: SyncChunk})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,7 +512,7 @@ func (f *failingSyncer) Sync() error { return errSyncFailed }
 
 func TestStreamWriterDoubleClose(t *testing.T) {
 	var buf bytes.Buffer
-	w, err := NewStreamWriter(&buf, 1)
+	w, err := NewStreamWriter(&buf, 1, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,84 +527,7 @@ func TestStreamWriterDoubleClose(t *testing.T) {
 	if buf.Len() != n {
 		t.Fatalf("second Close wrote %d more bytes", buf.Len()-n)
 	}
-	if _, err := DecodeStream(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := NewReader(buf.Bytes(), 1); err != nil {
 		t.Fatalf("double-closed stream corrupt: %v", err)
-	}
-}
-
-// TestStreamLegacyFramingAccepted hand-builds a container in the original
-// unchecksummed framing and checks both readers still take it.
-func TestStreamLegacyFramingAccepted(t *testing.T) {
-	const hash = 0xabcdef
-	w := NewWriter(hash)
-	driveSink(w, 5, 30)
-	flat := w.Bytes()
-	_, sw, data, err := parseContainer(flat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stream bytes.Buffer
-	stream.WriteString(streamMagic)
-	var ph [8]byte
-	binary.LittleEndian.PutUint64(ph[:], hash)
-	stream.Write(ph[:])
-	legacyChunk := func(tag byte, payload []byte) {
-		stream.WriteByte(tag)
-		var ln [binary.MaxVarintLen64]byte
-		stream.Write(ln[:binary.PutUvarint(ln[:], uint64(len(payload)))])
-		stream.Write(payload)
-	}
-	legacyChunk(chunkSwitch, sw)
-	legacyChunk(chunkData, data)
-	stream.WriteByte(chunkEnd)
-
-	got, err := DecodeStream(bytes.NewReader(stream.Bytes()))
-	if err != nil {
-		t.Fatalf("legacy framing rejected: %v", err)
-	}
-	if !bytes.Equal(got, flat) {
-		t.Fatal("legacy stream decoded to different flat bytes")
-	}
-	if _, err := NewStreamReader(bytes.NewReader(stream.Bytes()), hash); err != nil {
-		t.Fatalf("StreamReader rejected legacy header: %v", err)
-	}
-	flat2, rep, err := Recover(bytes.NewReader(stream.Bytes()))
-	if err != nil || !rep.Complete {
-		t.Fatalf("Recover on legacy stream: %v %+v", err, rep)
-	}
-	if !bytes.Equal(flat2, flat) {
-		t.Fatal("Recover of legacy stream lost data")
-	}
-}
-
-// TestStreamRejectsMixedFraming: one writer emits one framing for a whole
-// container, so a framing change mid-stream is corruption (a single bit
-// distinguishes the tag spaces) and every reader must refuse it.
-func TestStreamRejectsMixedFraming(t *testing.T) {
-	var stream bytes.Buffer
-	w, err := NewStreamWriterSize(&stream, 7, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	driveSink(w, 9, 40)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw := stream.Bytes()
-	// Flip the checksummed-framing bit on the second chunk's tag.
-	mode := frameUnknown
-	br := bufio.NewReader(bytes.NewReader(raw[streamHeaderLen:]))
-	c, err := readChunk(br, &mode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := streamHeaderLen + int(c.frameBytes)
-	mut := append([]byte(nil), raw...)
-	mut[off] ^= 0x10
-	if _, err := DecodeStream(bytes.NewReader(mut)); err == nil {
-		t.Fatal("DecodeStream accepted mixed framing")
-	}
-	if _, _, err := Recover(bytes.NewReader(mut)); err != nil {
-		t.Fatalf("Recover must salvage up to the corrupt tag, not refuse: %v", err)
 	}
 }

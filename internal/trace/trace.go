@@ -272,24 +272,32 @@ func (e *TruncatedError) Unwrap() error { return io.ErrUnexpectedEOF }
 // headerLen is the fixed container prefix: magic plus the program hash.
 const headerLen = len(magic) + 8
 
-// parseContainer validates a flat DVT2 container and splits it into its
-// program hash, switch stream, and data stream. It is the single,
-// bounds-checked parser shared by NewReader and Summarize; the returned
-// slices alias raw.
-func parseContainer(raw []byte) (progHash uint64, sw, data []byte, err error) {
-	if len(raw) < headerLen || string(raw[:len(magic)]) != magic {
-		return 0, nil, nil, fmt.Errorf("trace: bad magic")
+// decodeContainer parses either container — flat DVT2 or streamed DVS1 —
+// into its program hash and a Reader over both streams. It is the single,
+// bounds-checked parser shared by NewReader and Summarize; a flat
+// container's streams alias raw.
+func decodeContainer(raw []byte) (uint64, *Reader, error) {
+	if IsStream(raw) {
+		s, h, err := openStream(bytes.NewReader(raw))
+		if err != nil {
+			return 0, nil, err
+		}
+		r, err := s.Load()
+		return h, r, err
 	}
-	progHash = binary.LittleEndian.Uint64(raw[len(magic):headerLen])
+	if len(raw) < headerLen || string(raw[:len(magic)]) != magic {
+		return 0, nil, fmt.Errorf("trace: bad magic")
+	}
+	progHash := binary.LittleEndian.Uint64(raw[len(magic):headerLen])
 	rest := raw[headerLen:]
 	swLen, n := binary.Uvarint(rest)
 	if n <= 0 || swLen > uint64(len(rest)-n) {
 		// The guard also keeps swLen within int range on 32-bit platforms:
 		// it cannot exceed len(rest), which is an int.
-		return 0, nil, nil, fmt.Errorf("trace: container header truncated: %w", io.ErrUnexpectedEOF)
+		return 0, nil, fmt.Errorf("trace: container header truncated: %w", io.ErrUnexpectedEOF)
 	}
 	rest = rest[n:]
-	return progHash, rest[:swLen], rest[swLen:], nil
+	return progHash, &Reader{sw: rest[:swLen], data: rest[swLen:]}, nil
 }
 
 // Reader consumes a trace: the switch stream via NextSwitch, the data
@@ -303,16 +311,18 @@ type Reader struct {
 	decoding Kind // kind whose payload is being decoded, for TruncatedError
 }
 
-// NewReader validates the container against progHash.
+// NewReader validates a trace container of either kind against progHash.
+// A streamed (DVS1) container is read whole and every chunk checksum
+// verified; any damage is an error (use RecoverStream to salvage).
 func NewReader(raw []byte, progHash uint64) (*Reader, error) {
-	h, sw, data, err := parseContainer(raw)
+	h, r, err := decodeContainer(raw)
 	if err != nil {
 		return nil, err
 	}
 	if h != progHash {
-		return nil, fmt.Errorf("trace: program hash mismatch: trace %x, program %x", h, progHash)
+		return nil, hashMismatch(h, progHash)
 	}
-	return &Reader{sw: sw, data: data}, nil
+	return r, nil
 }
 
 // NextSwitch returns the next recorded nyp value, or ok=false when the
@@ -493,17 +503,17 @@ type Summary struct {
 	SwitchNYP struct{ Min, Max, Sum uint64 } // nyp distribution
 }
 
-// Summarize walks both streams of an encoded trace and reports event
-// counts, byte breakdowns, and the preemption-interval distribution. The
+// Summarize walks both streams of an encoded trace of either container
+// kind and reports event counts, byte breakdowns, and the
+// preemption-interval distribution. TotalBytes is the container size. The
 // program hash is not checked (pass what NewReader would).
 func Summarize(raw []byte) (*Summary, error) {
-	h, sw, data, err := parseContainer(raw)
+	h, r, err := decodeContainer(raw)
 	if err != nil {
 		return nil, err
 	}
 	s := &Summary{ProgHash: h}
 	s.Stats = Stats{Events: map[Kind]int{}, BytesByKind: map[Kind]int{}, TotalBytes: len(raw)}
-	r := &Reader{sw: sw, data: data}
 	s.SwitchNYP.Min = ^uint64(0)
 	for {
 		start := r.swPos
