@@ -477,7 +477,7 @@ func cmdMinimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	var src trace.Source
+	var src *trace.Reader
 	if fi, err := os.Stat(*traceIn); err == nil && fi.IsDir() {
 		dfs, err := trace.NewDirFS(*traceIn)
 		if err != nil {
@@ -493,7 +493,11 @@ func cmdMinimize(args []string) error {
 		if org := j.Origin(); org > 0 {
 			return fmt.Errorf("%s is a flight window starting at event %d; minimize needs a from-start recording (its switch positions are meaningless without the prefix)", *traceIn, org)
 		}
-		if src, err = j.Source(0); err != nil {
+		sr, err := j.Source(0)
+		if err != nil {
+			return err
+		}
+		if src, err = sr.Load(); err != nil {
 			return err
 		}
 	} else {

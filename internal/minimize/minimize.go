@@ -85,21 +85,20 @@ type Result struct {
 }
 
 // SwitchPositions converts a trace's switch stream into global yield
-// positions (prefix sums of the recorded yield deltas). A source that can
-// fail mid-stream (a StreamReader) must end without a framing error.
-func SwitchPositions(src trace.Source) ([]uint64, error) {
+// positions (prefix sums of the recorded yield deltas).
+func SwitchPositions(r *trace.Reader) ([]uint64, error) {
 	var out []uint64
 	var at uint64
 	for {
-		nyp, ok := src.NextSwitch()
+		nyp, ok := r.NextSwitch()
 		if !ok {
 			break
 		}
 		at += nyp
 		out = append(out, at)
 	}
-	if e, ok := src.(interface{ Err() error }); ok && e.Err() != nil {
-		return nil, e.Err()
+	if r.SwitchesRemaining() {
+		return nil, fmt.Errorf("undecodable switch entry after %d switches", len(out))
 	}
 	return out, nil
 }
@@ -142,10 +141,10 @@ type minimizer struct {
 }
 
 // Run minimizes the schedule recorded in src against prog. Only src's
-// switch stream is read: a trace.Reader over either container kind, or a
-// journal's Journal.Source(0), must come from a from-start recording of
-// prog.
-func Run(prog *bytecode.Program, src trace.Source, o Options) (*Result, error) {
+// switch stream is read; src (NewReader over either container kind, or a
+// journal's Journal.Source(0) loaded whole) must come from a from-start
+// recording of prog.
+func Run(prog *bytecode.Program, src *trace.Reader, o Options) (*Result, error) {
 	if o.Deadline == 0 {
 		o.Deadline = 2 * time.Second
 	}

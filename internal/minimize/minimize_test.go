@@ -80,7 +80,7 @@ func raceRecordOptions() replaycheck.Options {
 }
 
 // source opens a recorded trace of either container kind for prog.
-func source(t *testing.T, prog *bytecode.Program, raw []byte) trace.Source {
+func source(t *testing.T, prog *bytecode.Program, raw []byte) *trace.Reader {
 	t.Helper()
 	r, err := trace.NewReader(raw, vm.ProgramHash(prog))
 	if err != nil {
@@ -105,21 +105,14 @@ func TestSwitchPositionsReproduce(t *testing.T) {
 	if len(positions) == 0 {
 		t.Fatalf("no switches recorded; the race setup is broken")
 	}
-	// A streamed recording of the same run yields the same positions, read
-	// incrementally or loaded whole.
+	// A streamed recording of the same run yields the same positions.
 	var streamed bytes.Buffer
 	if _, err := replaycheck.RecordTo(prog, &streamed, raceRecordOptions()); err != nil {
 		t.Fatalf("record streamed: %v", err)
 	}
-	sr, err := trace.NewStreamReader(bytes.NewReader(streamed.Bytes()), vm.ProgramHash(prog))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, src := range []trace.Source{sr, source(t, prog, streamed.Bytes())} {
-		got, err := minimize.SwitchPositions(src)
-		if err != nil || fmt.Sprint(got) != fmt.Sprint(positions) {
-			t.Fatalf("streamed positions %v (%v), want %v", got, err, positions)
-		}
+	got, err := minimize.SwitchPositions(source(t, prog, streamed.Bytes()))
+	if err != nil || fmt.Sprint(got) != fmt.Sprint(positions) {
+		t.Fatalf("streamed positions %v (%v), want %v", got, err, positions)
 	}
 	o := raceRecordOptions()
 	o.TweakEngine = func(cfg *core.Config) {

@@ -2,8 +2,8 @@ package replaycheck_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +11,7 @@ import (
 	"dejavu/internal/bytecode"
 	"dejavu/internal/replaycheck"
 	"dejavu/internal/trace"
+	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
 
@@ -132,16 +133,15 @@ func TestVerifyPoolSurvivesPanickingJobs(t *testing.T) {
 }
 
 // TestStreamGoldenByteIdentical is the format-compatibility golden test:
-// for every workload in the registry, the streamed container must hold the
-// same streams the in-memory Writer produced for the same run — same
-// program hash, per-kind event counts and byte sizes, and switch
-// distribution. (internal/trace's TestDecodeStreamByteIdentical compares
-// the demultiplexed stream bytes directly.)
+// for every workload in the registry, the streams loaded from the streamed
+// container must be byte-identical to the ones the in-memory Writer
+// produced for the same run.
 func TestStreamGoldenByteIdentical(t *testing.T) {
 	for _, name := range workloads.Names() {
 		t.Run(name, func(t *testing.T) {
 			o := optsFor(name, 7)
-			flat, err := replaycheck.Record(workloads.Registry[name](), o)
+			prog := workloads.Registry[name]()
+			flat, err := replaycheck.Record(prog, o)
 			if err != nil || flat.RunErr != nil {
 				t.Fatalf("flat record: %v / %v", err, flat.RunErr)
 			}
@@ -153,24 +153,96 @@ func TestStreamGoldenByteIdentical(t *testing.T) {
 			if streamed.Trace != nil {
 				t.Fatalf("streaming record should not materialize Result.Trace")
 			}
-			want, err := trace.Summarize(flat.Trace)
-			if err != nil {
-				t.Fatalf("summarize flat: %v", err)
-			}
-			got, err := trace.Summarize(buf.Bytes())
-			if err != nil {
-				t.Fatalf("summarize stream: %v", err)
-			}
-			if string(buf.Bytes()[:4]) != "DVS1" {
+			if !bytes.HasPrefix(buf.Bytes(), []byte("DVS1")) {
 				t.Fatalf("RecordTo did not produce a stream container")
 			}
-			if got.ProgHash != want.ProgHash || got.SwitchNYP != want.SwitchNYP ||
-				!reflect.DeepEqual(got.Stats.Events, want.Stats.Events) ||
-				!reflect.DeepEqual(got.Stats.BytesByKind, want.Stats.BytesByKind) {
-				t.Fatalf("stream container differs from flat container:\n%+v\n%+v", got, want)
+			want, err := trace.NewReader(flat.Trace, vm.ProgramHash(prog))
+			if err != nil {
+				t.Fatalf("open flat: %v", err)
+			}
+			got, err := trace.NewReader(buf.Bytes(), vm.ProgramHash(prog))
+			if err != nil {
+				t.Fatalf("open stream: %v", err)
+			}
+			if err := sameStreams(want, got); err != nil {
+				t.Fatalf("stream container differs from flat container: %v", err)
 			}
 		})
 	}
+}
+
+// sameStreams reads a and b in lock-step and reports the first switch or
+// data event where they differ. Every decoded value and the byte offset
+// after every entry must match, and both data streams must end right after
+// EvEnd, so the two encoders' bytes are the same.
+func sameStreams(a, b *trace.Reader) error {
+	for i := 0; ; i++ {
+		x, okA := a.NextSwitch()
+		y, okB := b.NextSwitch()
+		if okA != okB || x != y || a.Pos() != b.Pos() {
+			return fmt.Errorf("switch %d: %d %v at %+v vs %d %v at %+v", i, x, okA, a.Pos(), y, okB, b.Pos())
+		}
+		if !okA {
+			break
+		}
+	}
+	if a.SwitchesRemaining() || b.SwitchesRemaining() {
+		return fmt.Errorf("undecodable switch stream tail")
+	}
+	for {
+		ka, errA := a.Peek()
+		kb, errB := b.Peek()
+		if errA != nil || errB != nil || ka != kb {
+			return fmt.Errorf("event %d: %v (%v) vs %v (%v)", a.EventIndex(), ka, errA, kb, errB)
+		}
+		var va, vb any
+		switch ka {
+		case trace.EvClock:
+			va, errA = a.Clock()
+			vb, errB = b.Clock()
+		case trace.EvNative:
+			id := nativeID(a)
+			va, errA = a.Native(id)
+			vb, errB = b.Native(id)
+		case trace.EvInput:
+			va, errA = a.Input()
+			vb, errB = b.Input()
+		case trace.EvCallback:
+			cbA, pA, eA := a.Callback()
+			cbB, pB, eB := b.Callback()
+			va, vb, errA, errB = fmt.Sprint(cbA, pA), fmt.Sprint(cbB, pB), eA, eB
+		case trace.EvEnd:
+			// EvEnd has no payload: step over its tag; nothing may follow.
+			for _, r := range []*trace.Reader{a, b} {
+				p := r.Pos()
+				p.Pos++
+				r.Seek(p)
+				var te *trace.TruncatedError
+				if _, err := r.Peek(); !errors.As(err, &te) {
+					return fmt.Errorf("bytes after EvEnd at %+v", p)
+				}
+			}
+			return nil
+		}
+		if errA != nil || errB != nil || fmt.Sprint(va) != fmt.Sprint(vb) || a.Pos() != b.Pos() {
+			return fmt.Errorf("%v event %d: %v (%v) at %+v vs %v (%v) at %+v",
+				ka, a.EventIndex()-1, va, errA, a.Pos(), vb, errB, b.Pos())
+		}
+	}
+}
+
+// nativeID returns the recorded native id of the event at r's position
+// (Native checks the id rather than returning it), leaving r where it was.
+func nativeID(r *trace.Reader) int {
+	p := r.Pos()
+	defer r.Seek(p)
+	for id := 0; id < 1<<10; id++ {
+		r.Seek(p)
+		if _, err := r.Native(id); err == nil {
+			return id
+		}
+	}
+	return -1
 }
 
 // TestStreamReplayBothPaths replays one streamed recording through both

@@ -427,20 +427,17 @@ type StreamReader struct {
 // streamReaderMetrics holds the reader's obs series; all nil-safe no-ops
 // until Instrument is called.
 type streamReaderMetrics struct {
-	chunks   *obs.Counter // chunks read
-	verified *obs.Counter // chunks whose CRC32C matched
-	failed   *obs.Counter // chunks rejected for a checksum mismatch
+	chunks *obs.Counter // chunks read (every one CRC32C-checked)
+	failed *obs.Counter // chunks rejected for a checksum mismatch
 }
 
-// Instrument attaches replay-side metrics: chunks read, CRC verifications,
-// and CRC failures. Metrics never feed back into decoding, so an
-// instrumented replay consumes byte-for-byte the same stream as a bare
-// one.
+// Instrument attaches replay-side metrics: chunks read and CRC failures.
+// Metrics never feed back into decoding, so an instrumented replay
+// consumes byte-for-byte the same stream as a bare one.
 func (s *StreamReader) Instrument(reg *obs.Registry) {
 	s.m = streamReaderMetrics{
-		chunks:   reg.Counter("dv_trace_read_chunks_total"),
-		verified: reg.Counter("dv_trace_crc_verified_total"),
-		failed:   reg.Counter("dv_trace_crc_failed_total"),
+		chunks: reg.Counter("dv_trace_read_chunks_total"),
+		failed: reg.Counter("dv_trace_crc_failed_total"),
 	}
 }
 
@@ -506,7 +503,6 @@ func (s *StreamReader) fill() error {
 		return s.err
 	}
 	s.m.chunks.Inc()
-	s.m.verified.Inc()
 	switch c.tag {
 	case chunkEnd:
 		s.eof = true
