@@ -105,7 +105,7 @@ func main() {
 	flag.StringVar(&c.listen, "listen", "127.0.0.1:4455", "debug protocol address")
 	flag.StringVar(&c.peek, "peek", "127.0.0.1:4456", "ptrace peek address (empty to disable)")
 	flag.StringVar(&c.metrics, "metrics", "", "HTTP observability address serving /metrics and /healthz (empty to disable)")
-	flag.Uint64Var(&c.checkpoint, "checkpoint", 10000, "instructions per time-travel checkpoint (0 disables)")
+	flag.Uint64Var(&c.checkpoint, "checkpoint", 25000, "instructions per time-travel checkpoint (0 disables)")
 	flag.Uint64Var(&c.fromEvent, "from-event", 0, "initial replay position; journal traces seed from the nearest durable checkpoint")
 	flag.StringVar(&c.restore, "restore", "", "resume from a checkpoint file (written by the debugger's save command)")
 	flag.StringVar(&c.exitSave, "exit-save", "", "on SIGINT/SIGTERM, write a checkpoint before exiting: a file path (single-session), or a file name written into every live session's directory (multi-tenant)")

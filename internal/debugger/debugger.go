@@ -1,17 +1,21 @@
 // Package debugger is the DejaVu-based replay debugger (§3, §4): it drives
-// a replaying VM instruction by instruction, stops at breakpoints, and
-// inspects all program state through remote reflection, never executing
-// code in — or allocating in — the application VM.
+// a replaying VM, stops at breakpoints, and inspects all program state
+// through remote reflection, never executing code in — or allocating in —
+// the application VM. Single-stepping and breakpoint Continue advance one
+// vm.Step at a time; travel and breakpoint-free Continue run at Run speed
+// through vm.RunUntil, which stops on the same instruction boundaries.
 //
 // Time travel comes from pairing deterministic replay with Igor-style
-// checkpoints: the debugger snapshots the VM periodically; traveling to an
-// earlier event restores the nearest checkpoint and re-replays forward,
-// which is exact because replay is deterministic.
+// checkpoints: every forward replay snapshots the VM each CheckpointEvery
+// events; traveling to an earlier event restores the nearest checkpoint
+// and re-replays forward, which is exact because replay is deterministic
+// and costs at most one checkpoint interval.
 package debugger
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -58,7 +62,10 @@ type Debugger struct {
 	nextBPNum   int
 
 	// CheckpointEvery controls time-travel granularity (instructions per
-	// checkpoint); 0 disables checkpointing.
+	// checkpoint); 0 disables checkpointing. The default, 25,000 events,
+	// replays at Run speed in about the time 10,000 Steps took; a denser
+	// cadence costs memory, since forward travel keeps every checkpoint
+	// it takes until MaxCheckpoints thins them.
 	CheckpointEvery uint64
 	MaxCheckpoints  int
 	checkpoints     []*vm.Snapshot
@@ -72,7 +79,7 @@ func New(m *vm.VM) *Debugger {
 		VM:              m,
 		World:           remoteref.NewLocalWorld(m),
 		breakpoints:     map[bpKey]int{},
-		CheckpointEvery: 10_000,
+		CheckpointEvery: 25_000,
 		MaxCheckpoints:  64,
 	}
 }
@@ -204,8 +211,15 @@ func (d *Debugger) StepInstr(n int) (StopReason, error) {
 
 // Continue runs until a breakpoint, the program end, or an error. The
 // first instruction is executed unconditionally so Continue makes progress
-// from a breakpoint it is currently stopped at.
+// from a breakpoint it is currently stopped at. With no breakpoints set it
+// runs at Run speed, dropping checkpoints on the way (see replayTo).
 func (d *Debugger) Continue() (StopReason, error) {
+	if len(d.breakpoints) == 0 {
+		if err := d.replayTo(math.MaxUint64); err != nil {
+			return StopError, err
+		}
+		return StopHalted, nil
+	}
 	first := true
 	for {
 		if !first {
@@ -226,41 +240,44 @@ func (d *Debugger) Continue() (StopReason, error) {
 }
 
 // TravelTo rewinds (or advances) execution to the given event count using
-// the nearest earlier checkpoint plus deterministic re-replay.
+// the nearest earlier checkpoint plus deterministic re-replay. It lands
+// on the first instruction boundary at or after event, where a Step loop
+// would; only the program end stops it earlier.
 func (d *Debugger) TravelTo(event uint64) error {
-	cur := d.VM.Events()
-	if event > cur {
-		// Forward travel: just run.
-		for d.VM.Events() < event {
-			done, err := d.VM.Step()
-			if err != nil {
-				return err
-			}
-			if done {
-				return nil
+	if event <= d.VM.Events() {
+		var best *vm.Snapshot
+		for _, s := range d.checkpoints {
+			if s.Events() <= event && (best == nil || s.Events() > best.Events()) {
+				best = s
 			}
 		}
-		return nil
-	}
-	var best *vm.Snapshot
-	for _, s := range d.checkpoints {
-		if s.Events() <= event && (best == nil || s.Events() > best.Events()) {
-			best = s
+		if best == nil {
+			return fmt.Errorf("debugger: no checkpoint at or before event %d (earliest: %s)", event, d.earliest())
 		}
-	}
-	if best == nil {
-		return fmt.Errorf("debugger: no checkpoint at or before event %d (earliest: %s)", event, d.earliest())
-	}
-	if err := d.VM.Restore(best); err != nil {
-		return err
-	}
-	for d.VM.Events() < event {
-		done, err := d.VM.Step()
-		if err != nil {
+		if err := d.VM.Restore(best); err != nil {
 			return err
 		}
-		if done {
-			break
+	}
+	return d.replayTo(event)
+}
+
+// replayTo runs the VM forward through RunUntil until Events() >= event
+// or the program ends, in legs that end where the next periodic
+// checkpoint is due, and takes that checkpoint as the next leg starts.
+// Forward travel thus leaves checkpoints every CheckpointEvery events,
+// so no later rewind replays more than that from the nearest one.
+func (d *Debugger) replayTo(event uint64) error {
+	for d.VM.Events() < event {
+		d.maybeCheckpoint()
+		stop := event
+		if n := len(d.checkpoints); d.CheckpointEvery > 0 && n > 0 {
+			if due := d.checkpoints[n-1].Events() + d.CheckpointEvery; due < stop {
+				stop = due
+			}
+		}
+		done, err := d.VM.RunUntil(stop)
+		if err != nil || done {
+			return err
 		}
 	}
 	return nil

@@ -64,7 +64,7 @@ func OpenJournalSessionObs(prog *bytecode.Program, fs trace.FS, event uint64, re
 	if h := vm.ProgramHash(prog); j.ProgHash() != h {
 		return nil, fmt.Errorf("debugger: journal program hash mismatch: journal %x, program %x", j.ProgHash(), h)
 	}
-	s := &JournalSession{Prog: prog, fs: fs, j: j, CheckpointEvery: 10_000, Obs: reg}
+	s := &JournalSession{Prog: prog, fs: fs, j: j, CheckpointEvery: 25_000, Obs: reg}
 	// A flight-recorder flush (Origin > 0) has no replayable history before
 	// the window start: clamp the opening position to the origin and refuse
 	// outright if no durable checkpoint covers it — seeding from zero would

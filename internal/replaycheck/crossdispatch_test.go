@@ -15,6 +15,7 @@ import (
 	"sort"
 	"testing"
 
+	"dejavu/internal/bytecode"
 	"dejavu/internal/faults/memfs"
 	"dejavu/internal/flightrec"
 	"dejavu/internal/replaycheck"
@@ -30,11 +31,52 @@ func withStepLoop(f func()) {
 	f()
 }
 
+// crossCorpus is the workload registry plus a small hashy: a recursion
+// whose taken backedges are yield points at which the engine's switch
+// effects grow the thread stack, abandoning a segment whose frame pc Run
+// defers. It stays out of workloads.Registry, which the interpreter
+// goldens iterate.
+var crossCorpus = func() map[string]func() *bytecode.Program {
+	c := map[string]func() *bytecode.Program{
+		"hashy": func() *bytecode.Program { return workloads.Hashy(20, 25) },
+	}
+	for name, prog := range workloads.Registry {
+		c[name] = prog
+	}
+	return c
+}()
+
+func crossNames() []string {
+	out := make([]string, 0, len(crossCorpus))
+	for n := range crossCorpus {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sameSnapshot fails unless both VMs encode to the same checkpoint bytes:
+// heap image (garbage included), scheduler and engine position.
+func sameSnapshot(t *testing.T, what string, fast, stepped *vm.VM) {
+	t.Helper()
+	fs, err := fast.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: run snapshot: %v", what, err)
+	}
+	ls, err := stepped.Snapshot()
+	if err != nil {
+		t.Fatalf("%s: step snapshot: %v", what, err)
+	}
+	if !bytes.Equal(fs.Encode(fast.Hash()), ls.Encode(stepped.Hash())) {
+		t.Fatalf("%s: encoded final snapshots diverged", what)
+	}
+}
+
 func TestCrossDispatchDifferential(t *testing.T) {
-	for _, name := range workloads.Names() {
+	for _, name := range crossNames() {
 		for _, seed := range []int64{1, 4, 9} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				prog := workloads.Registry[name]
+				prog := crossCorpus[name]
 
 				frec, err := replaycheck.Record(prog(), optsFor(name, seed))
 				if err != nil || frec.RunErr != nil {
@@ -73,6 +115,7 @@ func TestCrossDispatchDifferential(t *testing.T) {
 						t.Fatalf("final state diverged: %q vs %q", ffs[i], lfs[i])
 					}
 				}
+				sameSnapshot(t, "record", frec.VM, lrec.VM)
 
 				// The shared trace must replay to the same digest under
 				// both drivers.
@@ -90,6 +133,7 @@ func TestCrossDispatchDifferential(t *testing.T) {
 				if fd, ld := frep.Digest.Sum(), lrep.Digest.Sum(); fd != ld {
 					t.Fatalf("replay digest diverged: run %#x, step %#x", fd, ld)
 				}
+				sameSnapshot(t, "replay", frep.VM, lrep.VM)
 				if fd, rd := frec.Digest.Sum(), frep.Digest.Sum(); fd != rd {
 					t.Fatalf("replay digest %#x differs from record digest %#x", rd, fd)
 				}
@@ -171,11 +215,11 @@ func journalDiffOptions(name string, seed int64, events int, bytes int64) replay
 // position and checkpoint byte must match a Step loop, which polls
 // before every instruction.
 func TestJournalCrossDispatchDifferential(t *testing.T) {
-	for _, name := range workloads.Names() {
+	for _, name := range crossNames() {
 		for _, seed := range []int64{1, 4, 9} {
 			for _, pol := range journalPolicies {
 				t.Run(fmt.Sprintf("%s/seed%d/%s", name, seed, pol.name), func(t *testing.T) {
-					prog := workloads.Registry[name]
+					prog := crossCorpus[name]
 					o := journalDiffOptions(name, seed, pol.events, pol.bytes)
 					ffs, lfs := memfs.New(), memfs.New()
 					frec, err := replaycheck.RecordJournal(prog(), ffs, o)

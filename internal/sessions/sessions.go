@@ -140,7 +140,7 @@ type Config struct {
 	MaxPerTenant    int           // per-tenant session cap (0 = 16, <0 = unlimited)
 	Workers         int           // concurrent command budget (0 = 8)
 	AdmitTimeout    time.Duration // max wait for a worker slot before a busy refusal (0 = 5s)
-	CheckpointEvery uint64        // in-memory checkpoint cadence for session debuggers (0 = 10000)
+	CheckpointEvery uint64        // in-memory checkpoint cadence for session debuggers (0 = 25000)
 	Obs             *obs.Registry // per-pool metrics (nil = none)
 
 	// MaxSessionBytes caps each fresh recording's journal at rotation time
@@ -199,7 +199,7 @@ func (c Config) fill() Config {
 		c.AdmitTimeout = 5 * time.Second
 	}
 	if c.CheckpointEvery == 0 {
-		c.CheckpointEvery = 10_000
+		c.CheckpointEvery = 25_000
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3

@@ -212,13 +212,13 @@ func (vm *VM) restoreBytes(data []byte) error {
 // meets state no program can produce. RestoreBytes checks a checkpoint's
 // framing, shape and heap geometry, but not every frame, field and queue
 // of the program state it carries; such an inconsistency surfaces only
-// when execution reaches it, and Run and Step then report it as this
-// error instead of panicking.
+// when execution reaches it, and Run, RunUntil and Step then report it as
+// this error instead of panicking.
 var ErrCorruptCheckpoint = errors.New("vm: corrupt checkpoint state")
 
-// containCorruption is deferred by Run and Step on a VM restored from
-// checkpoint bytes: it turns a panic into a done run that failed with
-// ErrCorruptCheckpoint.
+// containCorruption is deferred by Run, RunUntil and Step on a VM
+// restored from checkpoint bytes: it turns a panic into a done run that
+// failed with ErrCorruptCheckpoint.
 func (vm *VM) containCorruption(done *bool, err *error) {
 	if r := recover(); r != nil {
 		vm.err = fmt.Errorf("%w at event %d: %v", ErrCorruptCheckpoint, vm.events, r)

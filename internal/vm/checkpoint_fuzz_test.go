@@ -40,7 +40,8 @@ func fuzzVM(t testing.TB, prog *bytecode.Program) *VM {
 // FuzzRestoreBytes feeds mutated checkpoints of the workload corpus to a
 // fresh VM of the same program. RestoreBytes must refuse the input with
 // an error, or restore a heap within MaxHeapBytes and leave a VM that
-// runs to completion or to an error. Nothing may panic.
+// runs to a RunUntil stop, to completion or to an error. Nothing may
+// panic.
 func FuzzRestoreBytes(f *testing.F) {
 	names := workloads.Names()
 	progs := make([]*bytecode.Program, len(names))
@@ -68,7 +69,11 @@ func FuzzRestoreBytes(f *testing.F) {
 		if n := m.Heap().MemSize(); n > fuzzMaxHeap {
 			t.Fatalf("restored a %d-byte heap past MaxHeapBytes %d", n, fuzzMaxHeap)
 		}
-		_ = m.Run()
+		// Half the run stops at a RunUntil target and resumes: RunUntil
+		// and Run both run under the corrupt-checkpoint containment.
+		if done, _ := m.RunUntil(m.Events() + fuzzMaxEvents/2); !done {
+			_ = m.Run()
+		}
 		if n := m.Heap().MemSize(); n > fuzzMaxHeap {
 			t.Fatalf("ran to a %d-byte heap past MaxHeapBytes %d", n, fuzzMaxHeap)
 		}

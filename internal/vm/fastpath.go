@@ -19,6 +19,11 @@ import (
 //     into superinstructions — with the current method, code and pc
 //     cached in Go locals instead of re-read from the heap frame every
 //     instruction.
+//   - RunUntil is Run with a resumable stop at the first outer
+//     instruction boundary where Events() >= event, the boundary a Step
+//     loop stops at. The stop shares the budget compare (checkAt), and
+//     one event before it the slice drops to the unfused stream, so it
+//     never falls between a fused pair's components.
 //   - Step (execOne) executes exactly one instruction of the unfused
 //     stream, re-reading the frame and flushing the resume pc and thread
 //     mirrors after it, and polls journal rotation at every boundary.
@@ -38,9 +43,13 @@ import (
 //     observed — at calls (the call site pc must sit in the caller
 //     header before pushFrame), at Native instructions (nested callback
 //     interpretation re-enters execOne through the heap-resident pc,
-//     and remote tool VMs read the mirrors), on every thread-state
-//     change, before a journal checkpoint snapshot, and when the slice
-//     exits. In between, nothing replay-visible reads them: FinalState
+//     and remote tool VMs read the mirrors), before every stack growth
+//     (an abandoned segment keeps its header; a taken backedge flushes
+//     before its yield point, whose switch effects can grow the stack),
+//     on every thread-state change, before a journal checkpoint
+//     snapshot, and when the slice exits or stops at a RunUntil target,
+//     so a snapshot at any stop is Step's byte for byte. In between,
+//     nothing replay-visible reads them: FinalState
 //     renders statics-reachable heap only, and the flush schedule is
 //     identical between record and replay, so heap digests match
 //     bit-for-bit.
@@ -297,29 +306,57 @@ func (vm *VM) Run() (err error) {
 	if vm.restoredBytes {
 		defer vm.containCorruption(new(bool), &err)
 	}
+	_, err = vm.run()
+	return err
+}
+
+// RunUntil runs like Run but returns at the first outer instruction
+// boundary where Events() >= event: exactly where a loop of Steps guarded
+// by Events() < event stops, also when a native callback carries the
+// count past event. done reports that the program has terminated (halted
+// or failed, err says which). A stop is not an error: the VM stays
+// resumable by Run, RunUntil or Step, and its state at the stop is
+// bit-identical to the Step loop's.
+func (vm *VM) RunUntil(event uint64) (done bool, err error) {
+	if vm.events >= event {
+		return vm.halted || vm.err != nil, vm.err
+	}
+	if vm.restoredBytes {
+		defer vm.containCorruption(&done, &err)
+	}
+	vm.stopAt = event
+	defer func() { vm.stopAt = 0 }()
+	return vm.run()
+}
+
+// run is the dispatch-and-slice loop Run and RunUntil share.
+func (vm *VM) run() (done bool, err error) {
 	if vm.decoded == nil {
 		vm.decoded = vm.decodeStream(true)
 	}
 	for {
+		// A RunUntil target reached by a slice's last instruction: stop
+		// before the poll and the dispatch, which the Step loop would only
+		// perform in its next Step.
+		if vm.stopAt > 0 && vm.events >= vm.stopAt {
+			return false, nil
+		}
 		// The slice boundary: Step would poll here, before dispatching.
 		// rotationDue also re-arms checkAt for the coming slice.
 		if vm.rotationDue() {
 			if err := vm.rotateJournal(); err != nil {
-				return err
+				return true, err
 			}
 		}
 		done, err := vm.EnsureDispatched()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
+		if done || err != nil {
+			return true, err
 		}
 		if err := vm.runSlice(vm.sched.Current()); err != nil {
-			return err
+			return true, err
 		}
 		if vm.halted {
-			return nil
+			return true, nil
 		}
 	}
 }
@@ -355,6 +392,10 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 		// (checkAt is 0 while pollDue is set); journal-less runs only
 		// ever see the budget here.
 		if vm.events >= vm.checkAt {
+			if vm.stopAt > 0 && vm.events >= vm.stopAt {
+				stop(pc) // RunUntil's target: resumable, so no vm.err
+				return nil
+			}
 			if head {
 				head = false // the slice's entry boundary: Step polled before dispatch
 			} else if vm.pollDue {
@@ -370,6 +411,13 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 				stop(pc)
 				vm.err = ErrEventBudget
 				return vm.err
+			}
+			if vm.stopAt > 0 && vm.events >= vm.stopAt-1 {
+				// One event before a RunUntil stop: run the next
+				// instruction unfused, so the stop lands on a boundary the
+				// Step loop has too, never between a fused pair's
+				// components.
+				code = vm.plainCode(m.ID)
 			}
 		}
 		if vm.stackLen(t)-t.SP < opHeadroom {

@@ -42,9 +42,10 @@ func (vm *VM) trap(t *threads.Thread, m *bytecode.Method, pc int, reason error) 
 
 // Step executes exactly one instruction (dispatching threads and expiring
 // timers as needed first) and returns done=true when the program has
-// terminated. Debuggers and session travel drive the VM through Step so
-// every stop lands on an instruction boundary. The instruction runs
-// through the same handler Run would use (see execOne).
+// terminated. Debugger single-stepping and breakpoint checks drive the VM
+// through Step; travel stops on the same boundaries through RunUntil.
+// The instruction runs through the same handler Run would use (see
+// execOne).
 func (vm *VM) Step() (done bool, err error) {
 	if vm.restoredBytes {
 		defer vm.containCorruption(&done, &err)
@@ -93,12 +94,18 @@ func (vm *VM) rotationDue() bool {
 		vm.nestedDepth == 0 && vm.cfg.Journal.RotatePending()
 }
 
-// budgetAt is the event count at which the MaxEvents budget runs out.
+// budgetAt is the event count at which runSlice's boundary compare must
+// leave the hot path: where the MaxEvents budget runs out, or one event
+// before a RunUntil stop, whichever comes first.
 func (vm *VM) budgetAt() uint64 {
+	at := uint64(math.MaxUint64)
 	if vm.cfg.MaxEvents > 0 {
-		return vm.cfg.MaxEvents
+		at = vm.cfg.MaxEvents
 	}
-	return math.MaxUint64
+	if vm.stopAt > 0 && vm.stopAt-1 < at {
+		at = vm.stopAt - 1
+	}
+	return at
 }
 
 // journalLogged notes that the engine may just have written to the
@@ -292,6 +299,9 @@ func (vm *VM) branch(t *threads.Thread, pc, target int, taken bool) (control, in
 		return ctrlNext, 0, nil
 	}
 	if target <= pc { // loop backedge: yield point
+		// The engine's switch effects can grow the stack and abandon this
+		// segment; its header must hold the pc Step would have flushed.
+		vm.flushFramePC(t, pc)
 		if vm.yieldHere(t) {
 			return ctrlSwitch, target, nil
 		}

@@ -177,8 +177,8 @@ type VM struct {
 	nestedDepth int
 	deferred    bool // a preemption requested inside a nested call
 
-	// restoredBytes marks state restored by RestoreBytes, which Run and
-	// Step execute under containCorruption.
+	// restoredBytes marks state restored by RestoreBytes, which Run,
+	// RunUntil and Step execute under containCorruption.
 	restoredBytes bool
 
 	// decoded is the fused token-threaded instruction stream, built
@@ -189,14 +189,18 @@ type VM struct {
 	// plain is the unfused decoded stream, built on first use: execOne
 	// (Step, native callbacks) runs every instruction from it, and Run
 	// runs a slice's first instruction from it when a journal poll must
-	// land between the components of a fused pair.
+	// land between the components of a fused pair, as RunUntil does the
+	// instruction before its stop.
 	plain *bytecode.DecodedProgram
 
 	// checkAt is the event count at which the fast loop's per-instruction
-	// boundary compare leaves the hot path: the MaxEvents budget, or 0
-	// while pollDue asks for a journal rotation poll (see journalLogged).
+	// boundary compare leaves the hot path: the MaxEvents budget or one
+	// event before stopAt (see budgetAt), or 0 while pollDue asks for a
+	// journal rotation poll (see journalLogged).
 	checkAt uint64
 	pollDue bool
+	// stopAt is the pending RunUntil target; 0 while none is.
+	stopAt uint64
 
 	// Reusable scratch buffers that keep the record hot path
 	// allocation-free: single-result native calls, pollevents callback
