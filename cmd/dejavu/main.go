@@ -288,7 +288,6 @@ func cmdReplay(args []string) error {
 	flags := cli.EngineFlags{Mode: core.ModeReplay, PartialTrace: *partial, Deadline: *deadline}
 	flags.Obs = reg
 	var j *trace.Journal
-	var seedCk *trace.Checkpoint
 	if fi, err := os.Stat(*traceIn); err == nil && fi.IsDir() {
 		// A directory is a segmented journal: replay its segment chain, and
 		// with -from-event seed from the best durable checkpoint.
@@ -302,17 +301,10 @@ func cmdReplay(args []string) error {
 		if h := vm.ProgramHash(prog); j.ProgHash() != h {
 			return fmt.Errorf("journal %s was recorded from program %x, not %x", *traceIn, j.ProgHash(), h)
 		}
-		target := *fromEvent
-		if org := j.Origin(); org > 0 {
-			// A flight window starts mid-run: seeding from its origin
-			// checkpoint is mandatory, and earlier seeds do not exist.
-			if target < org {
-				target = org
-			}
+		if j.Origin() > 0 {
+			// A flight window starts mid-run: replay seeds from its origin
+			// checkpoint (replaycheck.SeedJournal), never from zero.
 			fmt.Fprintf(os.Stderr, "flight journal: %s\n", j)
-		}
-		if target > 0 {
-			seedCk = j.BestCheckpoint(target)
 		}
 		if !j.Complete() {
 			flags.PartialTrace = true
@@ -371,45 +363,40 @@ func cmdReplay(args []string) error {
 		}
 		cfg.SyncHook = multi
 	}
-	var eng *core.Engine
-	var m *vm.VM
-	for {
-		if j != nil {
-			if org := j.Origin(); org > 0 && (seedCk == nil || seedCk.VMEvents < org) {
-				return fmt.Errorf("flight journal starts at event %d but has no loadable checkpoint covering it", org)
-			}
-			seg := 0
-			if seedCk != nil {
-				seg = seedCk.Index
-			}
-			src, err := j.Source(seg)
-			if err != nil {
-				return err
-			}
-			flags.TraceSrc = src
+	stop := func() {}
+	open := func() (*vm.VM, error) {
+		eng, s, err := cli.BuildEngine(prog, flags)
+		if err != nil {
+			return nil, err
 		}
-		var stop func()
-		var err error
-		if eng, stop, err = cli.BuildEngine(prog, flags); err != nil {
-			return err
-		}
+		stop = s
 		cfg.Engine = eng
-		if m, err = vm.New(prog, cfg); err == nil {
-			err = seedReplay(m, eng, seedCk)
-		}
-		if seedCk == nil || !errors.Is(err, vm.ErrCheckpointRefused) {
-			defer stop()
-			if err != nil {
-				return err
-			}
-			break
-		}
-		stop()
-		// The VM refused the checkpoint (a different -heap, or an older
-		// format): seed from an earlier one, or from zero.
-		fmt.Fprintf(os.Stderr, "%v (check -heap); falling back to an earlier seed\n", err)
-		seedCk = j.CheckpointBefore(seedCk)
+		return vm.New(prog, cfg)
 	}
+	var m *vm.VM
+	if j == nil {
+		m, err = open()
+	} else {
+		var info *replaycheck.SeedInfo
+		m, info, err = replaycheck.SeedJournal(j, *fromEvent, func(src *trace.StreamReader) (*vm.VM, error) {
+			flags.TraceSrc = src
+			return open()
+		}, func(err error) {
+			// The VM refused the checkpoint (a different -heap, or an older
+			// format): SeedJournal tries an earlier one, or zero.
+			stop()
+			stop = func() {}
+			fmt.Fprintf(os.Stderr, "%v (check -heap); falling back to an earlier seed\n", err)
+		})
+		if err == nil && info.Checkpoint != nil {
+			fmt.Fprintf(os.Stderr, "seeded from checkpoint %d at %d events\n", info.Segment, info.VMEvents)
+		}
+	}
+	defer stop()
+	if err != nil {
+		return err
+	}
+	eng := m.Engine()
 	runErr := m.Run()
 	if runErr != nil && errors.Is(runErr, io.ErrUnexpectedEOF) {
 		if *partial {
@@ -438,23 +425,6 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	return runErr
-}
-
-// seedReplay restores a durable journal checkpoint into a fresh replay VM
-// and aligns the engine's switch countdown, so replay covers only the
-// segment suffix. A nil checkpoint means replay from zero.
-func seedReplay(m *vm.VM, eng *core.Engine, ck *trace.Checkpoint) error {
-	if ck == nil {
-		return nil
-	}
-	if err := m.RestoreBytes(ck.State); err != nil {
-		return fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
-	}
-	if err := eng.SeedReplay(ck.BoundaryNYP); err != nil {
-		return fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
-	}
-	fmt.Fprintf(os.Stderr, "seeded from checkpoint %d at %d events\n", ck.Index, ck.VMEvents)
-	return nil
 }
 
 // cmdMinimize delta-debugs a recorded preemption schedule down to a

@@ -314,9 +314,8 @@ func run(c serveConfig) error {
 	reg := obs.NewRegistry()
 
 	// The trace argument selects the session shape: a directory is a
-	// segmented journal (travel re-seeds across segments, replacing the VM
-	// wholesale), a file is a flat single-debugger session.
-	var session *debugger.JournalSession
+	// segmented journal (travel re-seeds the debugger's VM across
+	// segments), a file is a flat trace.
 	var d *debugger.Debugger
 	if st, serr := os.Stat(c.traceIn); serr == nil && st.IsDir() {
 		if c.restore != "" {
@@ -326,17 +325,14 @@ func run(c serveConfig) error {
 		if err != nil {
 			return err
 		}
-		if session, err = debugger.OpenJournalSessionObs(prog, fs, c.fromEvent, reg); err != nil {
+		if d, err = debugger.OpenJournal(prog, fs, c.fromEvent, reg); err != nil {
 			return err
 		}
-		session.CheckpointEvery = c.checkpoint
-		session.D.CheckpointEvery = c.checkpoint
-		j := session.Journal()
 		state := "complete"
-		if !j.Complete() {
+		if !d.Journal().Complete() {
 			state = "crash-cut (partial-trace mode)"
 		}
-		fmt.Fprintf(os.Stderr, "journal %s: %s, session at event %d\n", c.traceIn, state, session.D.VM.Events())
+		fmt.Fprintf(os.Stderr, "journal %s: %s, session at event %d\n", c.traceIn, state, d.VM.Events())
 	} else {
 		traceBytes, err := os.ReadFile(c.traceIn)
 		if err != nil {
@@ -361,30 +357,20 @@ func run(c serveConfig) error {
 			fmt.Fprintf(os.Stderr, "resumed from %s at event %d\n", c.restore, m.Events())
 		}
 		d = debugger.New(m)
-		d.CheckpointEvery = c.checkpoint
-		if c.fromEvent > 0 {
-			if err := d.TravelTo(c.fromEvent); err != nil {
-				return err
-			}
+	}
+	d.CheckpointEvery = c.checkpoint
+	if d.Journal() == nil && c.fromEvent > 0 {
+		// A journal-backed debugger opened at -from-event already.
+		if err := d.TravelTo(c.fromEvent); err != nil {
+			return err
 		}
 	}
 
-	srv := &dbgproto.Server{D: d, Session: session, Obs: reg}
-	// Every endpoint resolves the CURRENT VM: a journal session replaces
-	// its VM wholesale when travel re-seeds from a durable checkpoint, so
-	// caching the heap or debugger at startup would serve freed state.
-	curVM := func() *vm.VM {
-		if session != nil {
-			return session.D.VM
-		}
-		return d.VM
-	}
-	curDebugger := func() *debugger.Debugger {
-		if session != nil {
-			return session.D
-		}
-		return d
-	}
+	// Every endpoint reads d.VM under the command lock: a journal-backed
+	// debugger replaces its VM when travel re-seeds from a durable
+	// checkpoint, so caching the heap or VM at startup would serve freed
+	// state.
+	srv := &dbgproto.Server{D: d, Obs: reg}
 
 	// Bind every listener before any of them starts serving. Binding and
 	// serving used to interleave, so a late bind failure (debug port taken)
@@ -422,26 +408,19 @@ func run(c serveConfig) error {
 
 	if pl != nil {
 		ps := &ptrace.Server{Obs: reg}
-		if session != nil {
-			// Resolve the live heap under the command lock: the session VM
-			// must not be mid-command (or mid-re-seed) when captured.
-			ps.Live = func() (*heap.Heap, ptrace.RootSource) {
-				var h *heap.Heap
-				var r ptrace.RootSource
-				srv.Locked(func() {
-					cur := curVM()
-					h, r = cur.Heap(), cur
-				})
-				return h, r
-			}
-		} else {
-			ps.H, ps.Roots = d.VM.Heap(), d.VM
+		// Resolve the live heap under the command lock: the VM must not be
+		// mid-command (or mid-re-seed) when captured.
+		ps.Live = func() (*heap.Heap, ptrace.RootSource) {
+			var h *heap.Heap
+			var r ptrace.RootSource
+			srv.Locked(func() { h, r = d.VM.Heap(), d.VM })
+			return h, r
 		}
 		go ps.Serve(pl)
 		fmt.Fprintf(os.Stderr, "peek endpoint on %s\n", pl.Addr())
 	}
 	if ml != nil {
-		go (&http.Server{Handler: obsMux(srv, reg, curVM, curDebugger, session != nil)}).Serve(ml)
+		go (&http.Server{Handler: obsMux(srv, reg, d)}).Serve(ml)
 		fmt.Fprintf(os.Stderr, "observability endpoint on http://%s/metrics\n", ml.Addr())
 	}
 	fmt.Fprintf(os.Stderr, "debug endpoint on %s — connect with: dvdbg -connect %s\n", dl.Addr(), dl.Addr())
@@ -460,7 +439,7 @@ func run(c serveConfig) error {
 		}
 		fmt.Fprintf(os.Stderr, "dvserve: %v: shutting down\n", sig)
 		if c.exitSave != "" {
-			srv.Locked(func() { saveCheckpoint(curVM(), c.exitSave) })
+			srv.Locked(func() { saveCheckpoint(d.VM, c.exitSave) })
 		}
 		closeAll()
 	}()
@@ -485,21 +464,20 @@ type healthReport struct {
 // debug server's command lock — between commands, at an instruction
 // boundary — and neither executes interpreted code nor touches the logical
 // clock, so scraping cannot perturb the replay.
-func obsMux(srv *dbgproto.Server, reg *obs.Registry, curVM func() *vm.VM, curDebugger func() *debugger.Debugger, journal bool) *http.ServeMux {
+func obsMux(srv *dbgproto.Server, reg *obs.Registry, d *debugger.Debugger) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		srv.Locked(func() { curVM().ObserveInto(reg) })
+		srv.Locked(func() { d.VM.ObserveInto(reg) })
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		obs.WritePrometheus(w, reg.Snapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		h := healthReport{Alive: true, Journal: journal}
+		h := healthReport{Alive: true, Journal: d.Journal() != nil}
 		srv.Locked(func() {
-			cur := curVM()
-			h.Events = cur.Events()
-			h.Halted = cur.Halted()
-			h.Tainted = curDebugger().Tainted()
-			if nyp, pending, err := cur.Engine().PendingSwitch(); err == nil {
+			h.Events = d.VM.Events()
+			h.Halted = d.VM.Halted()
+			h.Tainted = d.Tainted()
+			if nyp, pending, err := d.VM.Engine().PendingSwitch(); err == nil {
 				h.PendingSwitch = pending
 				h.NextSwitchNYP = nyp
 			}

@@ -37,22 +37,18 @@ const (
 // executing a command is returned as an ERR response instead of killing
 // the process.
 type Server struct {
+	// D is the debugger served, flat or journal-backed. A journal-backed
+	// one re-seeds from durable checkpoints inside D itself, so D stays
+	// valid across travel; its VM is read under the command lock (see
+	// Locked), never cached across commands.
 	D *debugger.Debugger
-
-	// Session, when set, serves a journal-backed debugging session whose
-	// embedded Debugger is replaced wholesale on durable re-seeds: every
-	// command then resolves the CURRENT debugger through Session.D, and
-	// travel routes through Session.TravelTo so targets before the
-	// in-memory checkpoint window re-seed from durable checkpoints instead
-	// of failing. D is ignored when Session is set.
-	Session *debugger.JournalSession
 
 	// Resolver, when set, switches the server into multi-session mode: a
 	// connection's first useful command is `attach <session-id>`, and every
 	// later command executes against that session under ITS lock (and the
 	// pool's worker budget) rather than the server-wide command mutex, so
-	// commands on different sessions proceed concurrently. D and Session
-	// are ignored when Resolver is set.
+	// commands on different sessions proceed concurrently. D is ignored
+	// when Resolver is set.
 	Resolver SessionResolver
 
 	// Obs, when set, receives service metrics: connections (accepted,
@@ -99,15 +95,6 @@ func (s *Server) metrics() *serverMetrics {
 	return &s.m
 }
 
-// debugger resolves the current debugger. Must be called under s.mu: a
-// journal session's embedded Debugger is swapped during durable re-seeds.
-func (s *Server) debugger() *debugger.Debugger {
-	if s.Session != nil {
-		return s.Session.D
-	}
-	return s.D
-}
-
 // SessionResolver maps session IDs to attachable debugging sessions. The
 // multi-tenant session manager implements it; the interface lives here so
 // the protocol layer needs no dependency on session storage.
@@ -120,13 +107,11 @@ type SessionResolver interface {
 
 // SessionHandle executes commands against one attached session.
 type SessionHandle interface {
-	// Exec runs f under the session's command lock and the pool's worker
-	// budget. cur resolves the session's CURRENT debugger — travel through
-	// a journal re-seed replaces it wholesale, so f must re-resolve after
-	// traveling rather than hold a *Debugger across the call. Exec may
-	// refuse with a structured error when the session is killed or the
-	// budget is exhausted.
-	Exec(f func(cur func() *debugger.Debugger, travel func(uint64) error) error) error
+	// Exec runs f against the session's debugger under the session's
+	// command lock and the pool's worker budget. f must not keep d (or its
+	// VM) past the call. Exec may refuse with a structured error when the
+	// session is killed or the budget is exhausted.
+	Exec(f func(d *debugger.Debugger) error) error
 	// Detach releases the attachment (connection closed or re-attached).
 	Detach()
 }
@@ -270,14 +255,7 @@ func (s *Server) execute(line string, h *SessionHandle) (body string, err error)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	travel := s.debugger().TravelTo
-	if s.Session != nil {
-		// A journal session owns travel: targets before the in-memory
-		// checkpoint window re-seed from a durable checkpoint, which
-		// replaces the embedded Debugger wholesale.
-		travel = s.Session.TravelTo
-	}
-	return runCommand(s.debugger, travel, fields)
+	return runCommand(s.D, fields)
 }
 
 // executeSession dispatches one command in multi-session mode: `attach`
@@ -306,21 +284,17 @@ func (s *Server) executeSession(fields []string, h *SessionHandle) (string, erro
 		return "", fmt.Errorf("no session attached (use: attach <session-id>)")
 	}
 	var body string
-	err := (*h).Exec(func(cur func() *debugger.Debugger, travel func(uint64) error) error {
+	err := (*h).Exec(func(d *debugger.Debugger) error {
 		var cerr error
-		body, cerr = runCommand(cur, travel, fields)
+		body, cerr = runCommand(d, fields)
 		return cerr
 	})
 	return body, err
 }
 
 // runCommand executes one already-tokenized command against a debugger.
-// The caller holds whatever lock serializes commands for that debugger and
-// supplies cur (resolving the CURRENT debugger — journal re-seeds replace
-// it wholesale) plus the travel routing (a journal session's TravelTo
-// re-seeds from durable checkpoints; a flat session travels in-memory).
-func runCommand(cur func() *debugger.Debugger, travel func(uint64) error, fields []string) (string, error) {
-	d := cur()
+// The caller holds whatever lock serializes commands for that debugger.
+func runCommand(d *debugger.Debugger, fields []string) (string, error) {
 	switch fields[0] {
 	case "break":
 		if len(fields) != 3 {
@@ -423,11 +397,10 @@ func runCommand(cur func() *debugger.Debugger, travel func(uint64) error, fields
 		if err != nil {
 			return "", err
 		}
-		if err := travel(ev); err != nil {
+		if err := d.TravelTo(ev); err != nil {
 			return "", err
 		}
-		// Re-resolve: a journal travel may have replaced the debugger.
-		return cur().Status(), nil
+		return d.Status(), nil
 	case "save":
 		if len(fields) != 2 {
 			return "", fmt.Errorf("usage: save <file>")

@@ -43,12 +43,10 @@ type fakeHandle struct {
 	d *debugger.Debugger
 }
 
-func (h *fakeHandle) Exec(f func(cur func() *debugger.Debugger, travel func(uint64) error) error) error {
+func (h *fakeHandle) Exec(f func(d *debugger.Debugger) error) error {
 	h.r.mu.Lock()
 	defer h.r.mu.Unlock()
-	return f(func() *debugger.Debugger { return h.d }, func(uint64) error {
-		return fmt.Errorf("travel unsupported")
-	})
+	return f(h.d)
 }
 
 func (h *fakeHandle) Detach() {

@@ -20,8 +20,10 @@ import (
 	"strings"
 
 	"dejavu/internal/heap"
+	"dejavu/internal/obs"
 	"dejavu/internal/remoteref"
 	"dejavu/internal/threads"
+	"dejavu/internal/trace"
 	"dejavu/internal/vm"
 )
 
@@ -54,6 +56,10 @@ type bpKey struct {
 }
 
 // Debugger wraps one VM (normally replaying) with control and inspection.
+// It is the one stable handle for a debugging session: a durable re-seed
+// (journal-backed debuggers only) replaces VM and World in place and keeps
+// everything else. Callers keep the *Debugger but read VM afresh under the
+// lock that serializes commands, never caching it across commands.
 type Debugger struct {
 	VM    *vm.VM
 	World *remoteref.World
@@ -71,6 +77,15 @@ type Debugger struct {
 	checkpoints     []*vm.Snapshot
 
 	tainted bool // the user intentionally altered application state
+
+	// journal is the segmented recording a journal-backed debugger replays
+	// (nil for a flat trace); travel past the in-memory checkpoints
+	// re-seeds VM from its durable checkpoints. obs is attached to every
+	// engine a re-seed builds.
+	journal *trace.Journal
+	obs     *obs.Registry
+	reseeds uint64
+	travels uint64
 }
 
 // New builds a debugger over m.
@@ -240,10 +255,18 @@ func (d *Debugger) Continue() (StopReason, error) {
 }
 
 // TravelTo rewinds (or advances) execution to the given event count using
-// the nearest earlier checkpoint plus deterministic re-replay. It lands
-// on the first instruction boundary at or after event, where a Step loop
-// would; only the program end stops it earlier.
+// the nearest earlier in-memory checkpoint plus deterministic re-replay;
+// a journal-backed debugger with no such checkpoint re-seeds from the
+// best durable one instead (see reseed). It lands on the first
+// instruction boundary at or after event, where a Step loop would; only
+// the program end stops it earlier.
 func (d *Debugger) TravelTo(event uint64) error {
+	d.travels++
+	if d.journal != nil && event < d.journal.Origin() {
+		// A flight window's events before its origin were evicted and
+		// cannot be reconstructed.
+		event = d.journal.Origin()
+	}
 	if event <= d.VM.Events() {
 		var best *vm.Snapshot
 		for _, s := range d.checkpoints {
@@ -251,15 +274,22 @@ func (d *Debugger) TravelTo(event uint64) error {
 				best = s
 			}
 		}
-		if best == nil {
+		switch {
+		case best != nil:
+			if err := d.VM.Restore(best); err != nil {
+				return err
+			}
+		case d.journal != nil:
+			return d.reseed(event)
+		default:
 			return fmt.Errorf("debugger: no checkpoint at or before event %d (earliest: %s)", event, d.earliest())
-		}
-		if err := d.VM.Restore(best); err != nil {
-			return err
 		}
 	}
 	return d.replayTo(event)
 }
+
+// Travels reports how many TravelTo calls the debugger has served.
+func (d *Debugger) Travels() uint64 { return d.travels }
 
 // replayTo runs the VM forward through RunUntil until Events() >= event
 // or the program ends, in legs that end where the next periodic

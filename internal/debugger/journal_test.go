@@ -12,8 +12,8 @@ import (
 )
 
 // journalFixture records the events workload into a multi-segment journal
-// on an in-memory filesystem and opens a debugging session over it.
-func journalFixture(t *testing.T) (*bytecode.Program, trace.FS, *JournalSession) {
+// on an in-memory filesystem and opens a debugger over it at event zero.
+func journalFixture(t *testing.T) (*bytecode.Program, trace.FS, *Debugger) {
 	t.Helper()
 	prog := workloads.Events(12)
 	fs := memfs.New()
@@ -25,7 +25,7 @@ func journalFixture(t *testing.T) (*bytecode.Program, trace.FS, *JournalSession)
 	if err != nil || rec.RunErr != nil {
 		t.Fatalf("record journal: %v / %v", err, rec.RunErr)
 	}
-	s, err := OpenJournalSession(prog, fs)
+	s, err := OpenJournal(prog, fs, 0, nil)
 	if err != nil {
 		t.Fatalf("open session: %v", err)
 	}
@@ -40,25 +40,25 @@ func journalFixture(t *testing.T) (*bytecode.Program, trace.FS, *JournalSession)
 // must present exactly the same stacks, threads, and heap summary at a
 // target event as one that traveled there through in-memory checkpoints.
 func TestJournalSessionDurableCheckpointMatchesInMemory(t *testing.T) {
-	_, _, s := journalFixture(t)
+	prog, fs, s := journalFixture(t)
 	cks := s.Journal().Manifest.Checkpoints
 	mid := cks[len(cks)/2]
 	target := mid.VMEvents + 7
 
 	// Reference path: in-session travel from the zero anchor (in-memory
 	// checkpoint restore + forward run).
-	if err := s.D.TravelTo(target); err != nil {
+	if err := s.TravelTo(target); err != nil {
 		t.Fatalf("in-memory travel: %v", err)
 	}
-	refStack, err := s.D.StackTrace(0)
+	refStack, err := s.StackTrace(0)
 	if err != nil {
 		t.Fatalf("stack: %v", err)
 	}
-	refHeap, err := s.D.HeapSummary()
+	refHeap, err := s.HeapSummary()
 	if err != nil {
 		t.Fatalf("heap: %v", err)
 	}
-	refThreads, err := s.D.ThreadList()
+	refThreads, err := s.ThreadList()
 	if err != nil {
 		t.Fatalf("threads: %v", err)
 	}
@@ -69,7 +69,7 @@ func TestJournalSessionDurableCheckpointMatchesInMemory(t *testing.T) {
 	if ck == nil || ck.Index == 0 {
 		t.Fatalf("no durable checkpoint covers target %d", target)
 	}
-	d, err := s.newDebugger(ck)
+	d, err := OpenJournal(prog, fs, ck.VMEvents, nil)
 	if err != nil {
 		t.Fatalf("seed from checkpoint %d: %v", ck.Index, err)
 	}
@@ -82,8 +82,8 @@ func TestJournalSessionDurableCheckpointMatchesInMemory(t *testing.T) {
 	// A single VM step can log several events (native brackets), so travel
 	// can overshoot the target by a step — but both paths replay the same
 	// deterministic instruction stream, so they overshoot identically.
-	if d.VM.Events() != s.D.VM.Events() {
-		t.Fatalf("seeded debugger at %d, in-memory path at %d", d.VM.Events(), s.D.VM.Events())
+	if d.VM.Events() != s.VM.Events() {
+		t.Fatalf("seeded debugger at %d, in-memory path at %d", d.VM.Events(), s.VM.Events())
 	}
 	if got, _ := d.StackTrace(0); got != refStack {
 		t.Fatalf("stacks differ:\nseeded:\n%s\nin-memory:\n%s", got, refStack)
@@ -99,57 +99,59 @@ func TestJournalSessionDurableCheckpointMatchesInMemory(t *testing.T) {
 // TestJournalSessionReSeedsPastInMemoryHorizon drives the public TravelTo:
 // a session attached deep into the recording (its in-memory anchor is a
 // durable checkpoint, not event zero) asked to rewind before that anchor
-// must re-seed from an earlier durable checkpoint — the session swaps in a
-// fresh debugger and still lands on the right state.
+// must re-seed from an earlier durable checkpoint — the debugger swaps in a
+// fresh VM and still lands on the right state.
 func TestJournalSessionReSeedsPastInMemoryHorizon(t *testing.T) {
 	prog, fs, ref := journalFixture(t)
 	cks := ref.Journal().Manifest.Checkpoints
 	last := cks[len(cks)-1]
 
-	s, err := OpenJournalSessionAt(prog, fs, last.VMEvents+5)
+	s, err := OpenJournal(prog, fs, last.VMEvents+5, nil)
 	if err != nil {
 		t.Fatalf("open at %d: %v", last.VMEvents+5, err)
 	}
-	if got := s.D.VM.Events(); got < last.VMEvents+5 {
+	if got := s.VM.Events(); got < last.VMEvents+5 {
 		t.Fatalf("session at %d, want at least %d", got, last.VMEvents+5)
 	}
 	early := uint64(10)
-	if s.D.canTravelTo(early) {
-		t.Fatal("deep-attached session claims an in-memory path to event 10; test is vacuous")
+	for _, ck := range s.checkpoints {
+		if ck.Events() <= early {
+			t.Fatal("deep-attached session claims an in-memory path to event 10; test is vacuous")
+		}
 	}
 
-	before := s.D
+	before := s.VM
 	if err := s.TravelTo(early); err != nil {
 		t.Fatalf("re-seeding travel: %v", err)
 	}
-	if s.D == before {
+	if s.VM == before || s.Reseeds() != 1 {
 		t.Fatal("travel past the horizon did not re-seed the session")
 	}
 	// One step can log many events (a native executes its callbacks
 	// nested), so travel lands at the first step boundary at or after the
 	// target — but it must have rewound below the first durable checkpoint.
-	if got := s.D.VM.Events(); got < early || got >= cks[0].VMEvents {
+	if got := s.VM.Events(); got < early || got >= cks[0].VMEvents {
 		t.Fatalf("session at %d, want >= %d and before checkpoint 1 at %d", got, early, cks[0].VMEvents)
 	}
-	if stack, err := s.D.StackTrace(0); err != nil || !strings.Contains(stack, "Main.") {
+	if stack, err := s.StackTrace(0); err != nil || !strings.Contains(stack, "Main.") {
 		t.Fatalf("stack after re-seed: %v\n%s", err, stack)
 	}
 
 	// The re-seeded session must match a from-zero debugger advanced to
 	// the same point, and stays a full debugger: forward travel works.
-	if err := ref.D.TravelTo(s.D.VM.Events()); err != nil {
+	if err := ref.TravelTo(s.VM.Events()); err != nil {
 		t.Fatalf("reference travel: %v", err)
 	}
-	a, _ := s.D.StackTrace(0)
-	b, _ := ref.D.StackTrace(0)
+	a, _ := s.StackTrace(0)
+	b, _ := ref.StackTrace(0)
 	if a != b {
 		t.Fatalf("re-seeded stack differs from reference:\n%s\nvs\n%s", a, b)
 	}
-	cur := s.D.VM.Events()
+	cur := s.VM.Events()
 	if err := s.TravelTo(cur + 40); err != nil {
 		t.Fatalf("forward travel after re-seed: %v", err)
 	}
-	if got := s.D.VM.Events(); got < cur+40 {
+	if got := s.VM.Events(); got < cur+40 {
 		t.Fatalf("session at %d, want at least %d", got, cur+40)
 	}
 }
@@ -165,10 +167,10 @@ func TestJournalSessionTaintedRefusesDurableReSeed(t *testing.T) {
 	if err := s.TravelTo(first.VMEvents + 5); err != nil {
 		t.Fatalf("forward travel: %v", err)
 	}
-	if err := s.D.SetStatic("Main.count", 999); err != nil {
+	if err := s.SetStatic("Main.count", 999); err != nil {
 		t.Fatalf("set static: %v", err)
 	}
-	if !s.D.Tainted() {
+	if !s.Tainted() {
 		t.Fatal("SetStatic did not taint the session")
 	}
 	// SetStatic drops the in-memory checkpoints, so this backward target
@@ -181,11 +183,51 @@ func TestJournalSessionTaintedRefusesDurableReSeed(t *testing.T) {
 		t.Fatalf("refusal does not explain the taint: %v", err)
 	}
 	// Forward travel never needs a re-seed and stays available.
-	cur := s.D.VM.Events()
+	cur := s.VM.Events()
 	if err := s.TravelTo(cur + 20); err != nil {
 		t.Fatalf("forward travel on tainted session: %v", err)
 	}
-	if got := s.D.VM.Events(); got < cur+20 {
+	if got := s.VM.Events(); got < cur+20 {
 		t.Fatalf("session at %d, want at least %d", got, cur+20)
+	}
+}
+
+// TestBreakpointsSurviveDurableReseed: a durable re-seed replaces the VM,
+// not the debugger, so a breakpoint set before it still lists afterwards,
+// and a Continue from the re-seeded position stops at it.
+func TestBreakpointsSurviveDurableReseed(t *testing.T) {
+	prog, fs, ref := journalFixture(t)
+	cks := ref.Journal().Manifest.Checkpoints
+	last := cks[len(cks)-1]
+
+	d, err := OpenJournal(prog, fs, last.VMEvents+5, nil)
+	if err != nil {
+		t.Fatalf("open at %d: %v", last.VMEvents+5, err)
+	}
+	d.MaxCheckpoints = 7
+	// The loop head of main: pollevents runs onEvent nested inside one
+	// step, so only main's own instructions are step boundaries.
+	if _, err := d.BreakAt("Main.main", 2); err != nil {
+		t.Fatal(err)
+	}
+	want := d.Breakpoints()
+	if err := d.TravelTo(10); err != nil {
+		t.Fatalf("re-seeding travel: %v", err)
+	}
+	if d.Reseeds() != 1 {
+		t.Fatalf("reseeds = %d, want 1; test is vacuous", d.Reseeds())
+	}
+	if got := d.Breakpoints(); strings.Join(got, ";") != strings.Join(want, ";") {
+		t.Fatalf("breakpoints after re-seed = %q, want %q", got, want)
+	}
+	if d.MaxCheckpoints != 7 {
+		t.Fatalf("MaxCheckpoints after re-seed = %d, want 7", d.MaxCheckpoints)
+	}
+	reason, err := d.Continue()
+	if err != nil || reason != StopBreakpoint {
+		t.Fatalf("continue after re-seed = %v, %v; want a breakpoint stop", reason, err)
+	}
+	if _, mid, pc, _ := d.VM.CurrentSite(); prog.Methods[mid].FullName() != "Main.main" || pc != 2 {
+		t.Fatalf("stopped at %s pc=%d, want Main.main pc=2", prog.Methods[mid].FullName(), pc)
 	}
 }

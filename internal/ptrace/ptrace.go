@@ -83,11 +83,12 @@ type Server struct {
 	Roots RootSource
 
 	// Live, when set, resolves the heap and root source per request instead
-	// of the static H/Roots fields. A journal-backed debugging session
-	// replaces its VM wholesale when time travel re-seeds from a durable
-	// checkpoint; a server built over the original VM's heap would then
-	// peek freed memory. The callback must be safe to call from the serve
-	// goroutine — dvserve wraps it in the debug server's command lock.
+	// of the static H/Roots fields. A journal-backed debugger replaces its
+	// VM when time travel re-seeds from a durable checkpoint, so the live
+	// heap is d.VM's, read afresh; a server built over the original VM's
+	// heap would peek freed memory. The callback must be safe to call from
+	// the serve goroutine — dvserve reads d.VM under the debug server's
+	// command lock.
 	Live func() (*heap.Heap, RootSource)
 
 	// Sessions, when set, switches the server into multi-session mode: a
@@ -144,10 +145,11 @@ func (s *Server) metrics() *peekMetrics {
 // serving. The session manager implements it; the interface lives here so
 // the protocol layer needs no dependency on session storage.
 type SessionSource interface {
-	// WithSession runs f with the session's live heap and root source
-	// under the session's command lock and the pool's worker budget. All
-	// heap reads must happen inside f — the pointers are dead the moment
-	// it returns (a travel re-seed or kill may replace or drop the VM).
+	// WithSession runs f with the heap and root source of the session
+	// debugger's current VM, under the session's command lock and the
+	// pool's worker budget. All heap reads must happen inside f — the
+	// pointers are dead the moment it returns (a travel re-seed replaces
+	// the debugger's VM; a kill drops it).
 	WithSession(num uint64, f func(h *heap.Heap, roots RootSource) error) error
 }
 

@@ -53,7 +53,7 @@ type SeedInfo struct {
 // incomplete (crash-cut recording), replay runs in partial-trace mode and
 // stops at the salvage point with core.ErrPartialTrace.
 func ReplayJournal(prog *bytecode.Program, fs trace.FS, o Options) (*Result, *trace.Journal, error) {
-	res, _, j, err := replayJournal(prog, fs, 0, false, o)
+	res, _, j, err := replayJournal(prog, fs, 0, o)
 	return res, j, err
 }
 
@@ -63,32 +63,17 @@ func ReplayJournal(prog *bytecode.Program, fs trace.FS, o Options) (*Result, *tr
 // refuses, are skipped (earlier ones are tried); with none usable the
 // replay falls back to from-zero.
 func ReplayJournalFrom(prog *bytecode.Program, fs trace.FS, target uint64, o Options) (*Result, *SeedInfo, error) {
-	res, info, _, err := replayJournal(prog, fs, target, true, o)
+	res, info, _, err := replayJournal(prog, fs, target, o)
 	return res, info, err
 }
 
-func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, seeded bool, o Options) (*Result, *SeedInfo, *trace.Journal, error) {
+func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, o Options) (*Result, *SeedInfo, *trace.Journal, error) {
 	j, err := trace.OpenJournal(fs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	if h := vm.ProgramHash(prog); j.ProgHash() != h {
 		return nil, nil, j, fmt.Errorf("replaycheck: journal program hash mismatch: journal %x, program %x", j.ProgHash(), h)
-	}
-	// A flight-recorder flush (Origin > 0) cannot replay from zero: its
-	// pre-window history was evicted and segment 0 is a synthetic
-	// placeholder, so a from-zero run would silently diverge. Force seeding
-	// and clamp the target to the window start.
-	org := j.Origin()
-	if org > 0 {
-		seeded = true
-		if target < org {
-			target = org
-		}
-	}
-	var ck *trace.Checkpoint
-	if seeded {
-		ck = j.BestCheckpoint(target)
 	}
 	if !j.Complete() {
 		tweak := o.TweakEngine
@@ -99,24 +84,72 @@ func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, seeded bo
 			}
 		}
 	}
+	var d *Digest
+	m, info, err := SeedJournal(j, target, func(src *trace.StreamReader) (m *vm.VM, err error) {
+		m, d, err = newReplay(prog, nil, src, o)
+		return m, err
+	}, nil)
+	if err != nil {
+		return nil, nil, j, err
+	}
+	return runReplay(m, d), info, j, nil
+}
+
+// SeedJournal is the one seeding rule for replay over a journal: it opens
+// a replay VM at the best loadable durable checkpoint at or before target
+// (target 0 replays from zero). A flight window (Origin > 0) has no
+// history before its origin, so target is clamped to the origin and the
+// seed refused when no checkpoint covers it: a from-zero replay would
+// silently diverge. open builds a fresh replay VM over the trace suffix
+// src; SeedJournal restores the checkpoint into it and aligns its engine's
+// switch countdown. When the VM refuses a checkpoint (an older format, a
+// different heap size), refused (if set) hears why, and the next earlier
+// checkpoint is tried, down to zero.
+func SeedJournal(j *trace.Journal, target uint64, open func(src *trace.StreamReader) (*vm.VM, error), refused func(error)) (*vm.VM, *SeedInfo, error) {
+	org := j.Origin()
+	if target < org {
+		target = org
+	}
+	var ck *trace.Checkpoint
+	if target > 0 {
+		ck = j.BestCheckpoint(target)
+	}
 	for {
 		if org > 0 && (ck == nil || ck.VMEvents < org) {
-			return nil, nil, j, fmt.Errorf("replaycheck: flight journal starts at event %d and has no loadable checkpoint covering it", org)
+			return nil, nil, fmt.Errorf("flight journal starts at event %d and has no loadable checkpoint covering it", org)
 		}
 		info := &SeedInfo{Checkpoint: ck}
 		if ck != nil {
 			info.Segment, info.VMEvents = ck.Index, ck.VMEvents
 		}
-		src, err := j.Source(info.Segment)
-		if err != nil {
-			return nil, nil, j, err
-		}
-		res, err := replay(prog, nil, src, o, ck)
+		m, err := seedAt(j, info, open)
 		if ck == nil || !errors.Is(err, vm.ErrCheckpointRefused) {
-			return res, info, j, err
+			return m, info, err
 		}
-		// The VM refused the checkpoint (one in an older format, say):
-		// seed from an earlier one, or from zero.
+		if refused != nil {
+			refused(err)
+		}
 		ck = j.CheckpointBefore(ck)
 	}
+}
+
+// seedAt opens a replay VM over the journal suffix info names and
+// restores its checkpoint, if any.
+func seedAt(j *trace.Journal, info *SeedInfo, open func(*trace.StreamReader) (*vm.VM, error)) (*vm.VM, error) {
+	src, err := j.Source(info.Segment)
+	if err != nil {
+		return nil, err
+	}
+	m, err := open(src)
+	if err != nil || info.Checkpoint == nil {
+		return m, err
+	}
+	ck := info.Checkpoint
+	if err := m.RestoreBytes(ck.State); err != nil {
+		return nil, fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
+	}
+	if err := m.Engine().SeedReplay(ck.BoundaryNYP); err != nil {
+		return nil, fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
+	}
+	return m, nil
 }

@@ -293,11 +293,11 @@ func TestJournalRefusedCheckpointFallsBack(t *testing.T) {
 		t.Fatal("fallback replay diverged from from-zero replay")
 	}
 
-	s, err := debugger.OpenJournalSessionAt(prog, fs, last.VMEvents)
+	d, err := debugger.OpenJournal(prog, fs, last.VMEvents, nil)
 	if err != nil {
 		t.Fatalf("debugger at a refused checkpoint: %v", err)
 	}
-	if got := s.D.VM.Events(); got != last.VMEvents {
+	if got := d.VM.Events(); got != last.VMEvents {
 		t.Fatalf("debugger opened at event %d, want %d", got, last.VMEvents)
 	}
 }

@@ -1,4 +1,4 @@
-package replaycheck
+package replaycheck_test
 
 import (
 	"bytes"
@@ -14,6 +14,7 @@ import (
 	"dejavu/internal/debugger"
 	"dejavu/internal/faults/memfs"
 	"dejavu/internal/obs"
+	"dejavu/internal/replaycheck"
 	"dejavu/internal/workloads"
 )
 
@@ -23,13 +24,13 @@ import (
 // replay digest to a run without one. Metrics live outside the logical
 // clock, so turning them on may not move a single event.
 func TestMetricsPreserveReplayDeterminism(t *testing.T) {
-	o := Options{Seed: 11, HostRand: 11}
+	o := replaycheck.Options{Seed: 11, HostRand: 11}
 
-	recPlain, err := Record(workloads.Events(400), o)
+	recPlain, err := replaycheck.Record(workloads.Events(400), o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repPlain, err := Replay(workloads.Events(400), recPlain.Trace, o)
+	repPlain, err := replaycheck.Replay(workloads.Events(400), recPlain.Trace, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +38,11 @@ func TestMetricsPreserveReplayDeterminism(t *testing.T) {
 	reg := obs.NewRegistry()
 	oObs := o
 	oObs.TweakEngine = func(cfg *core.Config) { cfg.Obs = reg }
-	recObs, err := Record(workloads.Events(400), oObs)
+	recObs, err := replaycheck.Record(workloads.Events(400), oObs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	repObs, err := Replay(workloads.Events(400), recObs.Trace, oObs)
+	repObs, err := replaycheck.Replay(workloads.Events(400), recObs.Trace, oObs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +80,14 @@ func TestObsRegistrySharedAcrossServices(t *testing.T) {
 
 	// A journal-backed debug session whose engines all feed reg.
 	fs := memfs.New()
-	if _, err := RecordJournal(workloads.Events(200), fs, Options{Seed: 5, HostRand: 5, RotateEvents: 50}); err != nil {
+	if _, err := replaycheck.RecordJournal(workloads.Events(200), fs, replaycheck.Options{Seed: 5, HostRand: 5, RotateEvents: 50}); err != nil {
 		t.Fatal(err)
 	}
-	session, err := debugger.OpenJournalSessionObs(workloads.Events(200), fs, 0, reg)
+	d, err := debugger.OpenJournal(workloads.Events(200), fs, 0, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &dbgproto.Server{Session: session, Obs: reg}
+	srv := &dbgproto.Server{D: d, Obs: reg}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -120,17 +121,17 @@ func TestObsRegistrySharedAcrossServices(t *testing.T) {
 	}()
 	go func() {
 		defer wg.Done()
-		jobs := make([]VerifyJob, 8)
+		jobs := make([]replaycheck.VerifyJob, 8)
 		for i := range jobs {
 			seed := int64(i + 1)
-			jobs[i] = VerifyJob{
+			jobs[i] = replaycheck.VerifyJob{
 				Name:    "events",
 				Prog:    func() *bytecode.Program { return workloads.Events(100) },
-				Options: Options{Seed: seed, HostRand: seed, TweakEngine: func(cfg *core.Config) { cfg.Obs = reg }},
+				Options: replaycheck.Options{Seed: seed, HostRand: seed, TweakEngine: func(cfg *core.Config) { cfg.Obs = reg }},
 				Stream:  true,
 			}
 		}
-		sum := VerifyPoolObs(jobs, 4, reg)
+		sum := replaycheck.VerifyPoolObs(jobs, 4, reg)
 		if sum.Failed != 0 {
 			t.Errorf("verify pool failures under shared registry:\n%s", sum.Report())
 		}

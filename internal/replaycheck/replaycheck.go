@@ -288,7 +288,7 @@ func record(prog *bytecode.Program, o Options, sink trace.Sink) (*Result, error)
 // whole and checksum-verifies before the run. ReplayFrom reads DVS1
 // incrementally instead.
 func Replay(prog *bytecode.Program, traceBytes []byte, o Options) (*Result, error) {
-	return replay(prog, traceBytes, nil, o, nil)
+	return replay(prog, traceBytes, nil, o)
 }
 
 // ReplayFrom is Replay over a streaming trace container read incrementally
@@ -299,14 +299,20 @@ func ReplayFrom(prog *bytecode.Program, src io.Reader, o Options) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	return replay(prog, nil, sr, o, nil)
+	return replay(prog, nil, sr, o)
 }
 
-// replay runs prog against a trace; seed, when non-nil, restores a durable
-// segment checkpoint into the fresh VM and aligns the engine's switch
-// countdown before running, so execution resumes at the checkpoint rather
-// than event zero (src must then start at the checkpoint's segment).
-func replay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Options, seed *trace.Checkpoint) (*Result, error) {
+// replay runs prog against a trace from event zero.
+func replay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Options) (*Result, error) {
+	m, d, err := newReplay(prog, traceBytes, src, o)
+	if err != nil {
+		return nil, err
+	}
+	return runReplay(m, d), nil
+}
+
+// newReplay builds a replay VM over a trace, with a digest observing it.
+func newReplay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Options) (*vm.VM, *Digest, error) {
 	o = o.fill()
 	ecfg := core.DefaultConfig(core.ModeReplay)
 	ecfg.ProgHash = vm.ProgramHash(prog)
@@ -321,22 +327,20 @@ func replay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Optio
 	}
 	eng, err := core.NewEngine(ecfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	d := NewDigest()
 	d.KeepEvents = o.KeepEvents
 	m, err := o.newVM(prog, eng, d)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if seed != nil {
-		if err := m.RestoreBytes(seed.State); err != nil {
-			return nil, fmt.Errorf("seed checkpoint: %w", err)
-		}
-		if err := eng.SeedReplay(seed.BoundaryNYP); err != nil {
-			return nil, fmt.Errorf("seed checkpoint: %w", err)
-		}
-	}
+	return m, d, nil
+}
+
+// runReplay runs a replay VM built by newReplay (and possibly seeded) to
+// completion.
+func runReplay(m *vm.VM, d *Digest) *Result {
 	start := time.Now()
 	runErr := runVM(m)
 	runTime := time.Since(start)
@@ -345,10 +349,10 @@ func replay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Optio
 		Output:   append([]byte(nil), m.Output()...),
 		Events:   m.Events(),
 		VM:       m,
-		EngStats: eng.Stats(),
+		EngStats: m.Engine().Stats(),
 		RunErr:   runErr,
 		RunTime:  runTime,
-	}, nil
+	}
 }
 
 // CheckReplay records prog, replays the trace, and verifies the replayed

@@ -183,13 +183,13 @@ func TestBreakerShedsExecPathAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stall := func(func() *debugger.Debugger, func(uint64) error) error { return core.ErrStalled }
+	stall := func(*debugger.Debugger) error { return core.ErrStalled }
 	for i := 0; i < 2; i++ {
 		if err := s.Exec(stall); !errors.Is(err, core.ErrStalled) {
 			t.Fatalf("stalling exec %d = %v", i, err)
 		}
 	}
-	err = s.Exec(func(func() *debugger.Debugger, func(uint64) error) error {
+	err = s.Exec(func(*debugger.Debugger) error {
 		t.Fatal("command ran through an open breaker")
 		return nil
 	})
@@ -203,7 +203,7 @@ func TestBreakerShedsExecPathAndRecovers(t *testing.T) {
 
 	// Past the cooldown a clean trial closes the breaker and service is back.
 	time.Sleep(30 * time.Millisecond)
-	if err := s.Exec(func(func() *debugger.Debugger, func(uint64) error) error { return nil }); err != nil {
+	if err := s.Exec(func(*debugger.Debugger) error { return nil }); err != nil {
 		t.Fatalf("half-open trial: %v", err)
 	}
 	if m.countOpenBreakers() != 0 {

@@ -8,11 +8,18 @@
 package sessions
 
 import (
+	"fmt"
+	"net"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"dejavu/internal/dbgproto"
+	"dejavu/internal/debugger"
 	"dejavu/internal/faults/chaosfs"
+	"dejavu/internal/obs"
 	"dejavu/internal/trace"
 )
 
@@ -259,6 +266,138 @@ func TestChaosTravelReseedDegradesKeepsMemoryServiceAndRecovers(t *testing.T) {
 		t.Fatalf("durable travel after recovery: %v", err)
 	} else if ti.Position > pInfo.Events {
 		t.Fatalf("position after recovered travel = %d, want within the journal", ti.Position)
+	}
+	if _, dig, err := m.VerifyReplay(info.ID); err != nil || dig != pInfo.Digest {
+		t.Fatalf("recovered replay = %q, %v; want fault-free digest %s", dig, err, pInfo.Digest)
+	}
+}
+
+// recordingResolver serves a Manager's sessions to a dbgproto server and
+// keeps the error of the last command each handle executed, so a test
+// driving travel over the wire still sees the structured refusal.
+type recordingResolver struct {
+	m    *Manager
+	mu   sync.Mutex
+	last error
+}
+
+func (r *recordingResolver) AttachSession(id string) (dbgproto.SessionHandle, error) {
+	h, err := r.m.AttachSession(id)
+	if err != nil {
+		return nil, err
+	}
+	return &recordingHandle{SessionHandle: h, r: r}, nil
+}
+
+func (r *recordingResolver) lastErr() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.last
+}
+
+type recordingHandle struct {
+	dbgproto.SessionHandle
+	r *recordingResolver
+}
+
+func (h *recordingHandle) Exec(f func(*debugger.Debugger) error) error {
+	err := h.SessionHandle.Exec(f)
+	h.r.mu.Lock()
+	h.r.last = err
+	h.r.mu.Unlock()
+	return err
+}
+
+// TestChaosDbgprotoTravelReseedDegradesAndRecovers is the durable travel
+// re-seed cell with the travel sent as a dbgproto command through
+// AttachSession instead of the control plane: it is counted the same way,
+// a storage fault during the re-seed still quarantines the session with a
+// degraded refusal, and in-memory travel keeps working until repair.
+func TestChaosDbgprotoTravelReseedDegradesAndRecovers(t *testing.T) {
+	probe := newTestManager(t, Config{})
+	pInfo, err := probe.Create(CreateRequest{Program: "workload:fig1ab", Seed: 7, RotateEvents: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := chaosfs.New(chaosfs.Fault{Kind: chaosfs.EIO})
+	st.Disarm()
+	cfg := chaosConfig(st, "s1")
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	m := newTestManager(t, cfg)
+	// Both sessions open at the journal's end, seeded from a mid-journal
+	// durable checkpoint: travel to event 1 must re-seed from the store.
+	deep := CreateRequest{Program: "workload:fig1ab", Seed: 7, RotateEvents: 2, FromEvent: pInfo.Events - 1}
+	info, err := m.Create(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sibling, err := m.Create(deep)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := &recordingResolver{m: m}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go (&dbgproto.Server{Resolver: r}).Serve(l)
+	c, err := dbgproto.Dial(l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	travels := reg.Counter("dv_sessions_travels_total")
+	reseeds := reg.Counter("dv_journal_reseeds_total")
+	travels0, reseeds0 := travels.Value(), reseeds.Value()
+
+	// A healthy re-seed over the wire counts as a travel and a re-seed.
+	if _, err := c.Send("attach " + sibling.ID); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Send("travel 1"); err != nil {
+		t.Fatalf("dbgproto re-seeding travel: %v", err)
+	}
+	if got, _ := m.Info(sibling.ID); got.Travels != 1 || got.Reseeds != 1 {
+		t.Fatalf("sibling travels/reseeds = %d/%d, want 1/1", got.Travels, got.Reseeds)
+	}
+	if d := reseeds.Value() - reseeds0; d != 1 {
+		t.Fatalf("dv_journal_reseeds_total moved by %d, want 1", d)
+	}
+
+	if _, err := c.Send("attach " + info.ID); err != nil {
+		t.Fatal(err)
+	}
+	st.Arm()
+	if _, err := c.Send("travel 1"); err == nil || !strings.Contains(err.Error(), "degraded") {
+		t.Fatalf("faulted dbgproto travel = %v, want a degraded refusal", err)
+	}
+	wantRefusal(t, r.lastErr(), ReasonDegraded)
+	if got, _ := m.Info(info.ID); got.State != "degraded" || got.Travels != 1 {
+		t.Fatalf("after faulted travel: state %s, travels %d; want degraded, 1", got.State, got.Travels)
+	}
+
+	// Read-only service survives quarantine: in-memory travel still works.
+	if _, err := c.Send(fmt.Sprintf("travel %d", pInfo.Events-1)); err != nil {
+		t.Fatalf("in-memory dbgproto travel on a degraded session: %v", err)
+	}
+	if got, _ := m.Info(info.ID); got.State != "degraded" || got.Travels != 2 {
+		t.Fatalf("after in-memory travel: state %s, travels %d; want degraded, 2", got.State, got.Travels)
+	}
+
+	st.Disarm()
+	waitState(t, m, info.ID, "active", 10*time.Second)
+	if _, err := c.Send("travel 1"); err != nil {
+		t.Fatalf("dbgproto travel after recovery: %v", err)
+	}
+	if got, _ := m.Info(info.ID); got.Travels != 3 || got.Position > pInfo.Events {
+		t.Fatalf("after recovery: travels %d, position %d; want 3, within the journal", got.Travels, got.Position)
+	}
+	if d := travels.Value() - travels0; d != 4 {
+		t.Fatalf("dv_sessions_travels_total moved by %d, want 4", d)
 	}
 	if _, dig, err := m.VerifyReplay(info.ID); err != nil || dig != pInfo.Digest {
 		t.Fatalf("recovered replay = %q, %v; want fault-free digest %s", dig, err, pInfo.Digest)

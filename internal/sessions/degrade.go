@@ -156,7 +156,7 @@ func jitterDuration(d time.Duration, rnd *rand.Rand) time.Duration {
 // degraded. Repair re-derives the program if needed, re-flushes a resident
 // flight window whose first flush tore, re-opens the journal (salvaging a
 // torn tail via the bounded recover scanner), and completes any meta.json
-// write the fault interrupted. Success leaves s.js serving again.
+// write the fault interrupted. Success leaves s.d serving again.
 func (s *Session) repairLocked() error {
 	var err error
 	if s.prog == nil {
@@ -184,15 +184,15 @@ func (s *Session) repairLocked() error {
 	if s.fs == nil {
 		return fmt.Errorf("sessions: %s: no journal storage to repair", s.id)
 	}
-	js, err := s.openLocked(0)
+	d, err := s.openLocked(0)
 	if err != nil {
 		return err
 	}
-	s.js = js
+	s.d = d
 	if s.meta.Events == 0 {
 		// The recording died before its stats were known; report what the
 		// salvaged journal actually holds.
-		s.meta.Events = uint64(js.Journal().Events())
+		s.meta.Events = uint64(d.Journal().Events())
 	}
 	if !s.metaWritten {
 		if err := s.writeMetaLocked(); err != nil {

@@ -83,8 +83,8 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Exec(func(cur func() *debugger.Debugger, _ func(uint64) error) error {
-		if cur().Status() == "" {
+	if err := h.Exec(func(d *debugger.Debugger) error {
+		if d.Status() == "" {
 			return fmt.Errorf("empty status")
 		}
 		return nil

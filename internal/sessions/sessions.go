@@ -484,7 +484,7 @@ type Session struct {
 
 	mu          sync.Mutex // command lock: serializes open/exec/kill/drain
 	prog        *bytecode.Program
-	js          *debugger.JournalSession
+	d           *debugger.Debugger
 	retrying    bool // a repair supervisor goroutine is live; guarded by mu
 	metaWritten bool // meta.json is durable; guarded by mu
 
@@ -652,7 +652,7 @@ func (m *Manager) Create(req CreateRequest) (*Info, error) {
 		// create doesn't resurrect as a cold session on restart.
 		s.mu.Lock()
 		s.state.Store(int32(StateKilled))
-		s.js = nil
+		s.d = nil
 		s.mu.Unlock()
 		close(s.stop)
 		m.mu.Lock()
@@ -735,14 +735,14 @@ func (m *Manager) build(s *Session, req CreateRequest) (*Info, error) {
 		s.meta.Switches = rec.Switches
 		s.meta.Digest = fmt.Sprintf("%016x", rec.Digest)
 	}
-	if s.js, err = s.openLocked(req.FromEvent); err != nil {
+	if s.d, err = s.openLocked(req.FromEvent); err != nil {
 		if req.Source != "" {
 			return nil, err
 		}
 		return nil, asStorageFault(err)
 	}
 	if req.Source != "" {
-		s.meta.Events = uint64(s.js.Journal().Events())
+		s.meta.Events = uint64(s.d.Journal().Events())
 	}
 	if err := s.writeMetaLocked(); err != nil {
 		return nil, err
@@ -852,16 +852,15 @@ func (s *Session) resolveProgram() (*bytecode.Program, string, error) {
 	return prog, verdict, nil
 }
 
-// openLocked builds the journal debugging session. Caller holds s.mu and
-// has s.prog and s.fs set.
-func (s *Session) openLocked(fromEvent uint64) (*debugger.JournalSession, error) {
-	js, err := debugger.OpenJournalSessionObs(s.prog, s.fs, fromEvent, s.mgr.cfg.Obs)
+// openLocked builds the session's journal-backed debugger. Caller holds
+// s.mu and has s.prog and s.fs set.
+func (s *Session) openLocked(fromEvent uint64) (*debugger.Debugger, error) {
+	d, err := debugger.OpenJournal(s.prog, s.fs, fromEvent, s.mgr.cfg.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("sessions: %s: open journal: %w", s.id, err)
 	}
-	js.CheckpointEvery = s.mgr.cfg.CheckpointEvery
-	js.D.CheckpointEvery = s.mgr.cfg.CheckpointEvery
-	return js, nil
+	d.CheckpointEvery = s.mgr.cfg.CheckpointEvery
+	return d, nil
 }
 
 // ensureOpenLocked resolves the session to an executable state. Caller
@@ -876,7 +875,7 @@ func (s *Session) ensureOpenLocked() error {
 	case StateCreating:
 		return &Refusal{Reason: ReasonBusy, Msg: fmt.Sprintf("session %s is still being created; retry", s.id)}
 	case StateDegraded:
-		if s.js != nil {
+		if s.d != nil {
 			// The in-memory VM survived the storage fault: serve attaches,
 			// peeks, and in-memory travel read-only while repair retries.
 			return nil
@@ -893,7 +892,7 @@ func (s *Session) ensureOpenLocked() error {
 			return fmt.Errorf("sessions: %s: reopen program %q: %w", s.id, s.meta.Program, err)
 		}
 	}
-	if s.js, err = s.openLocked(0); err != nil {
+	if s.d, err = s.openLocked(0); err != nil {
 		if isStorageErr(err) {
 			// The cold journal is on a failing store: quarantine and let
 			// the supervisor retry instead of failing every attach anew.
@@ -907,11 +906,17 @@ func (s *Session) ensureOpenLocked() error {
 	return nil
 }
 
-// Exec runs f against the session's current debugger under the session's
-// command lock and a shared worker slot. This is the single choke point
-// for all session work: dbgproto commands, ptrace peeks, control-plane
-// travel. Implements dbgproto.SessionHandle's execution contract.
-func (s *Session) Exec(f func(cur func() *debugger.Debugger, travel func(uint64) error) error) error {
+// Exec runs f against the session's debugger under the session's command
+// lock and a shared worker slot. This is the single choke point for all
+// session work: dbgproto commands, ptrace peeks, control-plane travel.
+// Implements dbgproto.SessionHandle's execution contract.
+func (s *Session) Exec(f func(d *debugger.Debugger) error) error {
+	return s.exec(f, nil)
+}
+
+// exec is Exec with then, when set, run under the same lock after f
+// succeeds and its travels are counted.
+func (s *Session) exec(f func(d *debugger.Debugger) error, then func()) error {
 	if ra, ok := s.brk.admit(); !ok {
 		s.mgr.met.shedBreaker.Inc()
 		return &Refusal{Reason: ReasonBreaker, RetryAfter: ra, Msg: fmt.Sprintf(
@@ -931,26 +936,27 @@ func (s *Session) Exec(f func(cur func() *debugger.Debugger, travel func(uint64)
 	}
 	start := time.Now()
 	defer s.mgr.met.execLatency.ObserveSince(start)
-	execErr := f(func() *debugger.Debugger { return s.js.D }, s.travelLocked)
+	d := s.d
+	travels := d.Travels()
+	execErr := f(d)
+	if n := d.Travels() - travels; n > 0 {
+		// Count travel however it was issued (control plane or dbgproto).
+		// A storage fault during a durable re-seed quarantines the session;
+		// in-memory travel keeps working while it is degraded.
+		s.travels.Add(n)
+		s.mgr.met.travels.Add(n)
+		if execErr != nil && isStorageErr(execErr) {
+			s.degradeLocked(execErr)
+			execErr = s.degradedRefusal()
+		}
+	}
 	if s.brk.record(errors.Is(execErr, core.ErrStalled)) {
 		s.mgr.met.breakerTrips.Inc()
 	}
-	return execErr
-}
-
-// travelLocked routes travel through the journal session (durable
-// re-seeds included) and counts it. A storage fault during a durable
-// re-seed quarantines the session; in-memory travel keeps working while
-// it is degraded. Caller holds s.mu via Exec.
-func (s *Session) travelLocked(event uint64) error {
-	s.travels.Add(1)
-	s.mgr.met.travels.Inc()
-	err := s.js.TravelTo(event)
-	if err != nil && isStorageErr(err) {
-		s.degradeLocked(err)
-		return s.degradedRefusal()
+	if execErr == nil && then != nil {
+		then()
 	}
-	return err
+	return execErr
 }
 
 // infoLocked snapshots the session's state. Caller holds s.mu.
@@ -964,10 +970,10 @@ func (s *Session) infoLocked() *Info {
 		Attaches: s.attaches.Load(), Travels: s.travels.Load(),
 		Created: s.meta.Created, Recoveries: s.recoveries.Load(),
 	}
-	if s.js != nil && s.State() == StateActive {
-		in.Position = s.js.D.VM.Events()
-		in.Tainted = s.js.D.Tainted()
-		in.Reseeds = s.js.Reseeds()
+	if s.d != nil && s.State() == StateActive {
+		in.Position = s.d.VM.Events()
+		in.Tainted = s.d.Tainted()
+		in.Reseeds = s.d.Reseeds()
 	}
 	if s.State() == StateDegraded {
 		s.degradedMu.Lock()
@@ -1041,13 +1047,8 @@ func (m *Manager) Travel(id string, event uint64) (*Info, error) {
 		return nil, err
 	}
 	var info *Info
-	err = s.Exec(func(_ func() *debugger.Debugger, travel func(uint64) error) error {
-		if terr := travel(event); terr != nil {
-			return terr
-		}
-		info = s.infoLocked()
-		return nil
-	})
+	err = s.exec(func(d *debugger.Debugger) error { return d.TravelTo(event) },
+		func() { info = s.infoLocked() })
 	return info, err
 }
 
@@ -1067,7 +1068,7 @@ func (m *Manager) Kill(id string, purge bool) error {
 	s.mu.Lock()
 	already := s.State() == StateKilled
 	s.state.Store(int32(StateKilled))
-	s.js = nil
+	s.d = nil
 	s.prog = nil
 	s.ring = nil
 	if !already && s.stop != nil {
@@ -1111,7 +1112,7 @@ func (m *Manager) FlushFlight(id, reason string) (*flightrec.FlushInfo, string, 
 	}
 	var info *flightrec.FlushInfo
 	var name string
-	err = s.Exec(func(func() *debugger.Debugger, func(uint64) error) error {
+	err = s.Exec(func(*debugger.Debugger) error {
 		if s.State() == StateDegraded {
 			// Flush needs the backing store the session just lost: refuse
 			// while quarantined (the resident window is not discarded).
@@ -1283,7 +1284,7 @@ func (m *Manager) Drain(exitSave string) []string {
 	var saved []string
 	for _, s := range list {
 		s.mu.Lock()
-		if exitSave != "" && s.State() == StateActive && s.js != nil {
+		if exitSave != "" && s.State() == StateActive && s.d != nil {
 			if err := s.saveCheckpointLocked(exitSave); err == nil {
 				saved = append(saved, s.id)
 			} else {
@@ -1314,11 +1315,11 @@ func (m *Manager) Draining() bool {
 // into the session directory. Caller holds s.mu, so the VM is between
 // commands at an instruction boundary.
 func (s *Session) saveCheckpointLocked(name string) error {
-	snap, err := s.js.D.VM.Snapshot()
+	snap, err := s.d.VM.Snapshot()
 	if err != nil {
 		return err
 	}
-	blob := snap.Encode(s.js.D.VM.Hash())
+	blob := snap.Encode(s.d.VM.Hash())
 	return os.WriteFile(filepath.Join(s.dir, name), blob, 0o644)
 }
 
@@ -1331,7 +1332,7 @@ func (m *Manager) AttachSession(id string) (dbgproto.SessionHandle, error) {
 		return nil, err
 	}
 	// Open eagerly so attach errors surface at attach time.
-	if err := s.Exec(func(func() *debugger.Debugger, func(uint64) error) error { return nil }); err != nil {
+	if err := s.Exec(func(*debugger.Debugger) error { return nil }); err != nil {
 		return nil, err
 	}
 	s.attaches.Add(1)
@@ -1342,7 +1343,7 @@ func (m *Manager) AttachSession(id string) (dbgproto.SessionHandle, error) {
 // attachment binds one dbgproto connection to a session.
 type attachment struct{ s *Session }
 
-func (a *attachment) Exec(f func(cur func() *debugger.Debugger, travel func(uint64) error) error) error {
+func (a *attachment) Exec(f func(d *debugger.Debugger) error) error {
 	return a.s.Exec(f)
 }
 
@@ -1358,8 +1359,7 @@ func (m *Manager) WithSession(num uint64, f func(h *heap.Heap, roots ptrace.Root
 	if s == nil {
 		return &Refusal{Reason: ReasonNotFound, Msg: fmt.Sprintf("no session #%d", num)}
 	}
-	return s.Exec(func(cur func() *debugger.Debugger, _ func(uint64) error) error {
-		vm := cur().VM
-		return f(vm.Heap(), vm)
+	return s.Exec(func(d *debugger.Debugger) error {
+		return f(d.VM.Heap(), d.VM)
 	})
 }

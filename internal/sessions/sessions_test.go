@@ -159,7 +159,7 @@ func TestBusyRefusalWhenWorkersExhausted(t *testing.T) {
 	// structured busy refusal after AdmitTimeout, not an unbounded queue.
 	hold := make(chan struct{})
 	holding := make(chan struct{})
-	go s.Exec(func(func() *debugger.Debugger, func(uint64) error) error {
+	go s.Exec(func(*debugger.Debugger) error {
 		close(holding)
 		<-hold
 		return nil
@@ -221,11 +221,11 @@ func TestColdReloadAcrossRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Detach()
-	err = h.Exec(func(cur func() *debugger.Debugger, travel func(uint64) error) error {
-		if err := travel(info.Events / 2); err != nil {
+	err = h.Exec(func(d *debugger.Debugger) error {
+		if err := d.TravelTo(info.Events / 2); err != nil {
 			return err
 		}
-		if got := cur().VM.Events(); got < info.Events/2 {
+		if got := d.VM.Events(); got < info.Events/2 {
 			return fmt.Errorf("position %d after travel", got)
 		}
 		return nil
@@ -307,8 +307,8 @@ func TestKillUnderConcurrentAccess(t *testing.T) {
 				if !ok(err) || err != nil {
 					continue
 				}
-				ok(h.Exec(func(cur func() *debugger.Debugger, _ func(uint64) error) error {
-					cur().Status()
+				ok(h.Exec(func(d *debugger.Debugger) error {
+					d.Status()
 					return nil
 				}))
 				h.Detach()
