@@ -25,76 +25,12 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// Digest is a vm.Observer folding every execution event into an FNV-1a
-// style accumulator at word granularity (one xor and one multiply per
-// event — the digest runs on every step of every measured execution, so
-// the byte-at-a-time fold was the single hottest record-path cost). Two
-// executions with equal digests executed the same events in the same
-// order with the same output. The digest is a per-process comparison
-// value, never persisted as a golden constant, so the fold width is
-// free to change.
-type Digest struct {
-	sum      uint64
-	events   uint64
-	switches uint64
-	output   []byte
-
-	// KeepEvents > 0 retains the most recent events for divergence
-	// diagnosis.
-	KeepEvents int
-	recent     []string
-}
+// Digest is the execution fingerprint: the VM folds it in place while
+// it runs (see vm.Digest).
+type Digest = vm.Digest
 
 // NewDigest creates an empty digest.
-func NewDigest() *Digest { return &Digest{sum: fnvOffset} }
-
-func (d *Digest) fold(v uint64) {
-	// Word-granularity FNV-1a: xor-then-multiply is bijective in v for a
-	// fixed sum (the prime is odd), so any single-event difference
-	// changes the digest.
-	d.sum = (d.sum ^ v) * fnvPrime
-}
-
-// OnStep implements vm.Observer.
-func (d *Digest) OnStep(threadID, methodID, pc int, op bytecode.Opcode) {
-	d.events++
-	d.fold(uint64(threadID)<<40 | uint64(methodID)<<24 | uint64(pc)<<8 | uint64(op))
-	if d.KeepEvents > 0 {
-		d.recent = append(d.recent, fmt.Sprintf("t%d m%d pc%d %v", threadID, methodID, pc, op))
-		if len(d.recent) > d.KeepEvents {
-			d.recent = d.recent[1:]
-		}
-	}
-}
-
-// OnOutput implements vm.Observer.
-func (d *Digest) OnOutput(b []byte) {
-	for _, c := range b {
-		d.fold(uint64(c) | 1<<63)
-	}
-	d.output = append(d.output, b...)
-}
-
-// OnSwitch implements vm.Observer.
-func (d *Digest) OnSwitch(to int) {
-	d.switches++
-	d.fold(uint64(to) | 1<<62)
-}
-
-// Sum returns the digest value.
-func (d *Digest) Sum() uint64 { return d.sum }
-
-// Events returns the instruction count observed.
-func (d *Digest) Events() uint64 { return d.events }
-
-// Switches returns the dispatch count observed.
-func (d *Digest) Switches() uint64 { return d.switches }
-
-// Output returns the accumulated program output.
-func (d *Digest) Output() []byte { return d.output }
-
-// Recent returns the retained event tail.
-func (d *Digest) Recent() []string { return d.recent }
+func NewDigest() *Digest { return vm.NewDigest() }
 
 // Options configures one record or replay run.
 type Options struct {
@@ -181,7 +117,12 @@ type Result struct {
 	RunTime time.Duration
 }
 
-func (o Options) newVM(prog *bytecode.Program, eng *core.Engine, d *Digest) (*vm.VM, error) {
+// newVM builds a VM for one run, with a digest observing it. The digest
+// keeps o.KeepEvents events; it is set before vm.New, which decides from
+// it whether the VM folds the digest in place.
+func (o Options) newVM(prog *bytecode.Program, eng *core.Engine) (*vm.VM, *Digest, error) {
+	d := NewDigest()
+	d.KeepEvents = o.KeepEvents
 	cfg := vm.Config{
 		HeapBytes:  o.HeapBytes,
 		StackSlots: o.StackSlots,
@@ -194,7 +135,8 @@ func (o Options) newVM(prog *bytecode.Program, eng *core.Engine, d *Digest) (*vm
 	if o.TweakVM != nil {
 		o.TweakVM(&cfg)
 	}
-	return vm.New(prog, cfg)
+	m, err := vm.New(prog, cfg)
+	return m, d, err
 }
 
 // runVM drives a constructed VM to completion. Tests swap in a Step loop
@@ -261,9 +203,7 @@ func record(prog *bytecode.Program, o Options, sink trace.Sink) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	d := NewDigest()
-	d.KeepEvents = o.KeepEvents
-	m, err := o.newVM(prog, eng, d)
+	m, d, err := o.newVM(prog, eng)
 	if err != nil {
 		return nil, err
 	}
@@ -329,13 +269,7 @@ func newReplay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Op
 	if err != nil {
 		return nil, nil, err
 	}
-	d := NewDigest()
-	d.KeepEvents = o.KeepEvents
-	m, err := o.newVM(prog, eng, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return m, d, nil
+	return o.newVM(prog, eng)
 }
 
 // runReplay runs a replay VM built by newReplay (and possibly seeded) to
@@ -451,8 +385,7 @@ func RunOff(prog *bytecode.Program, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := NewDigest()
-	m, err := o.newVM(prog, eng, d)
+	m, d, err := o.newVM(prog, eng)
 	if err != nil {
 		return nil, err
 	}

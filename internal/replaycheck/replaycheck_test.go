@@ -1,10 +1,12 @@
 package replaycheck
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"dejavu/internal/bytecode"
+	"dejavu/internal/workloads"
 )
 
 func tinyProg(out string) *bytecode.Program {
@@ -45,12 +47,16 @@ func TestDigestDistinguishesExecutions(t *testing.T) {
 func TestDigestKeepsRecentEvents(t *testing.T) {
 	d := NewDigest()
 	d.KeepEvents = 3
+	if recent := d.Recent(); recent != nil {
+		t.Fatalf("empty digest: recent = %v", recent)
+	}
 	for i := 0; i < 10; i++ {
 		d.OnStep(0, 0, i, bytecode.Nop)
 	}
 	recent := d.Recent()
-	if len(recent) != 3 || !strings.Contains(recent[2], "pc9") {
-		t.Fatalf("recent = %v", recent)
+	want := []string{"t0 m0 pc7 nop", "t0 m0 pc8 nop", "t0 m0 pc9 nop"}
+	if !reflect.DeepEqual(recent, want) {
+		t.Fatalf("recent = %v, want %v", recent, want)
 	}
 }
 
@@ -169,6 +175,27 @@ entry Main.main
 	// Same seed, same preemption schedule: identical executions.
 	if off.Digest.Sum() != rec.Digest.Sum() {
 		t.Fatal("off-mode schedule differs from record-mode schedule")
+	}
+}
+
+// TestRunOffKeepsEvents: RunOff honours Options.KeepEvents like Record
+// and Replay, so a failed off-vs-record digest check has an event tail
+// on both sides to diagnose.
+func TestRunOffKeepsEvents(t *testing.T) {
+	o := Options{Seed: 5, KeepEvents: 8}
+	off, err := RunOff(workloads.Registry["fig1ab"](), o)
+	if err != nil || off.RunErr != nil {
+		t.Fatal(err, off.RunErr)
+	}
+	rec, err := Record(workloads.Registry["fig1ab"](), o)
+	if err != nil || rec.RunErr != nil {
+		t.Fatal(err, rec.RunErr)
+	}
+	if got := off.Digest.Recent(); len(got) != 8 {
+		t.Fatalf("RunOff kept %d events, want 8: %q", len(got), got)
+	}
+	if got, want := off.Digest.Recent(), rec.Digest.Recent(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("RunOff tail %q, Record tail %q", got, want)
 	}
 }
 

@@ -32,12 +32,20 @@ import (
 // Everything replay-observable is identical between the two drivers:
 //
 //   - Event accounting: every component of a fused pair counts its own
-//     event and reports its own original (pc, opcode) to the Observer,
-//     and the MaxEvents budget plus the stack-headroom growth check run
-//     at every component boundary, exactly like Step's per-instruction
-//     checks. Yield points (method prologues, taken backward branches)
-//     fire from the same helpers (doCall, branch), so the logical
-//     clock, trace bytes and switch schedule cannot shift.
+//     event in note, which also folds its own original (pc, opcode)
+//     into the replay digest when the VM carries one in place (vm.dig:
+//     a *Digest observer with KeepEvents == 0, decided by New). Every
+//     other Observer gets OnStep at the two dispatch sites, right
+//     before the handler runs and after the headroom growth: execOne,
+//     and runSlice's boundary block, which budgetAt sends every
+//     instruction through while such an observer is set, on the
+//     unfused stream, so each component still reports itself, in
+//     order. The MaxEvents budget plus the stack-headroom growth check
+//     run at every component boundary, exactly like Step's
+//     per-instruction checks. Yield points (method prologues, taken
+//     backward branches) fire from the same helpers (doCall, branch),
+//     so the logical clock, trace bytes and switch schedule cannot
+//     shift.
 //   - Deferred state: Run defers the frame's resume pc and the
 //     per-thread heap mirrors, and flushes them whenever they can be
 //     observed — at calls (the call site pc must sit in the caller
@@ -165,23 +173,17 @@ func missingHandlers(tab []fastFn) []int {
 }
 
 // note performs the per-event accounting: the global and per-thread
-// event counters plus the Observer step callback, always with the
-// component's original pc and opcode.
+// event counters, plus the in-place digest fold, always with the
+// component's original pc and opcode. It must stay inlinable into every
+// handler (CI checks it): a call left in here, even a cold one, costs
+// more than the inliner's budget has left. Other observers see the
+// event at dispatch instead (see execOne and runSlice).
 func (vm *VM) note(t *threads.Thread, mid, pc int, op bytecode.Opcode) {
 	vm.events++
 	t.EventCount++
-	if vm.cfg.Observer != nil {
-		vm.noteObs(t, mid, pc, op)
+	if d := vm.dig; d != nil {
+		d.fold(stepWord(t.ID, mid, pc, op))
 	}
-}
-
-// noteObs is note's cold half: hoisting the interface call out keeps
-// note itself inlinable into every handler (the noinline stops the
-// compiler folding it back in and blowing note's inline budget).
-//
-//go:noinline
-func (vm *VM) noteObs(t *threads.Thread, mid, pc int, op bytecode.Opcode) {
-	vm.cfg.Observer.OnStep(t.ID, mid, pc, op)
 }
 
 // --- inlinable stack primitives ---
@@ -419,13 +421,24 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 				// components.
 				code = vm.plainCode(m.ID)
 			}
+			if vm.stepObs != nil {
+				// A per-event observer (budgetAt pins checkAt to 0, so
+				// every boundary lands here) sees each instruction of the
+				// unfused stream, after the headroom growth as in execOne:
+				// a failed growth reports no step.
+				code = vm.plainCode(m.ID)
+				if vm.stackLen(t)-t.SP < opHeadroom {
+					if err := vm.growAt(t, pc); err != nil {
+						stop(pc)
+						vm.err = err
+						return vm.err
+					}
+				}
+				vm.stepObs.OnStep(t.ID, m.ID, pc, code[pc].Op)
+			}
 		}
 		if vm.stackLen(t)-t.SP < opHeadroom {
-			// The abandoned segment stays in the heap image until a
-			// collection reclaims it; its header must hold the same pc
-			// Step would have flushed.
-			vm.flushFramePC(t, pc)
-			if err := vm.growStack(t, opHeadroom+12); err != nil {
+			if err := vm.growAt(t, pc); err != nil {
 				stop(pc)
 				vm.err = err
 				return vm.err
@@ -480,6 +493,15 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 			return nil
 		}
 	}
+}
+
+// growAt grows t's stack at the instruction boundary before pc in a
+// slice. The abandoned segment stays in the heap image until a
+// collection reclaims it; its header must hold the same pc Step would
+// have flushed.
+func (vm *VM) growAt(t *threads.Thread, pc int) error {
+	vm.flushFramePC(t, pc)
+	return vm.growStack(t, opHeadroom+12)
 }
 
 // --- plain handlers ---

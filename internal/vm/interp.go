@@ -96,8 +96,13 @@ func (vm *VM) rotationDue() bool {
 
 // budgetAt is the event count at which runSlice's boundary compare must
 // leave the hot path: where the MaxEvents budget runs out, or one event
-// before a RunUntil stop, whichever comes first.
+// before a RunUntil stop, whichever comes first. A per-event observer
+// pins it at 0, so every boundary takes the slow block that reports the
+// step.
 func (vm *VM) budgetAt() uint64 {
+	if vm.stepObs != nil {
+		return 0
+	}
 	at := uint64(math.MaxUint64)
 	if vm.cfg.MaxEvents > 0 {
 		at = vm.cfg.MaxEvents
@@ -239,6 +244,9 @@ func (vm *VM) execOne(t *threads.Thread) error {
 	m := vm.frameMethod(t)
 	pc := int(int64(vm.h.LoadWord(t.StackSeg, t.FP+FramePC)))
 	d := &vm.plainCode(m.ID)[pc]
+	if vm.stepObs != nil {
+		vm.stepObs.OnStep(t.ID, m.ID, pc, d.Op)
+	}
 	ctrl, next, err := fastTab[d.Tok](vm, t, m, d)
 	if err != nil {
 		// A trap raised inside a native callback already carries its own

@@ -421,20 +421,18 @@ func innermostTrap(err error) *VMError {
 	return found
 }
 
-// TestTrapParity pins every error arm of newarr, astore, instof, spawn,
-// sleep, interrupt and prints: the trap's reason text, method, pc and
-// source line (the line marked "# trap") must be the same whether the VM
-// runs through Run or is stepped one instruction at a time.
-func TestTrapParity(t *testing.T) {
-	cases := []struct {
-		name   string
-		src    string
-		tool   bool // run Main.tool on a tool VM attached to Main.main's VM
-		method string
-		pc     int
-		reason string
-	}{
-		{"newarr negative length", `
+// trapParityCases are programs that trap in newarr, astore, instof,
+// spawn, sleep, interrupt or prints; the line marked "# trap" is the
+// trap's source line.
+var trapParityCases = []struct {
+	name   string
+	src    string
+	tool   bool // run Main.tool on a tool VM attached to Main.main's VM
+	method string
+	pc     int
+	reason string
+}{
+	{"newarr negative length", `
 program p
 class Main {
   method main 0 0 {
@@ -444,7 +442,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "bad array length -1"},
-		{"newarr huge length", `
+	{"newarr huge length", `
 program p
 class Main {
   method main 0 0 {
@@ -454,7 +452,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "bad array length 268435457"},
-		{"newarr reference length", `
+	{"newarr reference length", `
 program p
 class Main {
   method main 0 0 {
@@ -464,7 +462,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
-		{"astore reference into int array", `
+	{"astore reference into int array", `
 program p
 class Main {
   method main 0 0 {
@@ -477,7 +475,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 4, "type error: reference into int array"},
-		{"astore reference into byte array", `
+	{"astore reference into byte array", `
 program p
 class Main {
   method main 0 0 {
@@ -490,7 +488,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 4, "type error: reference into byte array"},
-		{"astore primitive into ref array", `
+	{"astore primitive into ref array", `
 program p
 class Main {
   method main 0 0 {
@@ -503,7 +501,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 4, "type error: primitive into ref array"},
-		{"astore on non-array", `
+	{"astore on non-array", `
 program p
 class A { field x }
 class Main {
@@ -516,7 +514,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 3, "astore on non-array"},
-		{"astore out of bounds", `
+	{"astore out of bounds", `
 program p
 class Main {
   method main 0 0 {
@@ -529,7 +527,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 4, "heap: index 5 out of bounds (length 2)"},
-		{"astore reference index", `
+	{"astore reference index", `
 program p
 class Main {
   method main 0 0 {
@@ -542,7 +540,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 4, "type error: expected primitive, found reference"},
-		{"astore on null", `
+	{"astore on null", `
 program p
 class Main {
   method main 0 0 {
@@ -554,7 +552,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 3, "null reference"},
-		{"astore underflow", `
+	{"astore underflow", `
 program p
 class Main {
   method main 0 0 {
@@ -563,7 +561,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 0, "operand stack underflow"},
-		{"astore on stub", `
+	{"astore on stub", `
 program p
 class Main {
   method main 0 0 {
@@ -578,7 +576,7 @@ class Main {
   }
 }
 entry Main.main`, true, "Main.tool", 3, "remote objects are read-only (astore on stub)"},
-		{"instof on primitive", `
+	{"instof on primitive", `
 program p
 class A { field x }
 class Main {
@@ -589,7 +587,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "type error: expected reference, found primitive"},
-		{"spawn underflow", `
+	{"spawn underflow", `
 program p
 class Main {
   method w 1 1 {
@@ -601,7 +599,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 0, "operand stack underflow"},
-		{"sleep on reference", `
+	{"sleep on reference", `
 program p
 class Main {
   method main 0 0 {
@@ -611,7 +609,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
-		{"blocking sleep inside a callback", `
+	{"blocking sleep inside a callback", `
 program p
 class Main {
   method handler 2 2 {
@@ -629,7 +627,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.handler", 1, "blocking sleep inside a native callback"},
-		{"interrupt of unknown thread", `
+	{"interrupt of unknown thread", `
 program p
 class Main {
   method main 0 0 {
@@ -639,7 +637,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "interrupt of unknown thread 99"},
-		{"interrupt reference", `
+	{"interrupt reference", `
 program p
 class Main {
   method main 0 0 {
@@ -649,7 +647,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
-		{"prints on non-string", `
+	{"prints on non-string", `
 program p
 class Main {
   method main 0 0 {
@@ -660,7 +658,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 2, "prints on non-string"},
-		{"prints null", `
+	{"prints null", `
 program p
 class Main {
   method main 0 0 {
@@ -670,7 +668,7 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "null reference"},
-		{"prints primitive", `
+	{"prints primitive", `
 program p
 class Main {
   method main 0 0 {
@@ -680,8 +678,49 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "type error: expected reference, found primitive"},
+}
+
+// trapParityVM builds the VM a trap case drives, with obs observing it:
+// Main.main's VM, or for a tool case a tool VM running Main.tool,
+// attached to Main.main's VM after that one ran to completion.
+func trapParityVM(t *testing.T, src string, tool bool, obs Observer) *VM {
+	t.Helper()
+	cfg := Config{MaxEvents: 100_000, HostRand: 3}
+	if !tool {
+		cfg.Observer = obs
 	}
-	for _, tc := range cases {
+	m, err := New(asm(t, src), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tool {
+		return m
+	}
+	if err := m.Run(); err != nil {
+		t.Fatalf("app run: %v", err)
+	}
+	p := asm(t, src)
+	tm, ok := p.MethodByName("Main.tool")
+	if !ok {
+		t.Fatal("no Main.tool")
+	}
+	p.Entry = tm.ID
+	toolVM, err := New(p, Config{Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := toolVM.AttachLocalPeer(m); err != nil {
+		t.Fatal(err)
+	}
+	return toolVM
+}
+
+// TestTrapParity pins every error arm of newarr, astore, instof, spawn,
+// sleep, interrupt and prints: the trap's reason text, method, pc and
+// source line (the line marked "# trap") must be the same whether the VM
+// runs through Run or is stepped one instruction at a time.
+func TestTrapParity(t *testing.T) {
+	for _, tc := range trapParityCases {
 		line := 0
 		for i, l := range strings.Split(tc.src, "\n") {
 			if strings.Contains(l, "# trap") {
@@ -693,30 +732,7 @@ entry Main.main`, false, "Main.main", 1, "type error: expected reference, found 
 			run  func(*VM) error
 		}{{"run", (*VM).Run}, {"step", stepToEnd}} {
 			t.Run(tc.name+"/"+drive.name, func(t *testing.T) {
-				m, err := New(asm(t, tc.src), Config{MaxEvents: 100_000, HostRand: 3})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tc.tool {
-					if err := m.Run(); err != nil {
-						t.Fatalf("app run: %v", err)
-					}
-					tool := asm(t, tc.src)
-					tm, ok := tool.MethodByName("Main.tool")
-					if !ok {
-						t.Fatal("no Main.tool")
-					}
-					tool.Entry = tm.ID
-					toolVM, err := New(tool, Config{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := toolVM.AttachLocalPeer(m); err != nil {
-						t.Fatal(err)
-					}
-					m = toolVM
-				}
-				err = drive.run(m)
+				err := drive.run(trapParityVM(t, tc.src, tc.tool, nil))
 				ve := innermostTrap(err)
 				if ve == nil {
 					t.Fatalf("err = %v, want a trap", err)

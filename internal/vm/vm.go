@@ -100,7 +100,11 @@ type Config struct {
 	MaxHeapBytes int // total memory cap (default 1<<28)
 	StackSlots   int // initial stack segment slots per thread (default 128)
 
-	Engine   *core.Engine // nil means an Off-mode engine
+	Engine *core.Engine // nil means an Off-mode engine
+	// Observer sees every step, switch and output. New reads it once: a
+	// *Digest that keeps no tail (KeepEvents == 0 by then) is folded in
+	// place at near-counter cost; any other observer is called per
+	// instruction, and Run executes the unfused stream while it is set.
 	Observer Observer
 	MemHook  MemHook
 	SyncHook SyncHook
@@ -168,6 +172,12 @@ type VM struct {
 	// reserve: header + locals + verified MaxStack + interpreter headroom.
 	// nil when the program did not verify (a fallback heuristic applies).
 	frameNeed []int
+
+	// Config.Observer, split by New: dig is a *Digest that keeps no
+	// tail, folded in place by note; stepObs is any other observer,
+	// served OnStep at dispatch (execOne, runSlice's boundary block).
+	dig     *Digest
+	stepObs Observer
 
 	events      uint64
 	stackGrows  uint64
@@ -277,6 +287,11 @@ func New(prog *bytecode.Program, cfg Config) (*VM, error) {
 		rngHost:   rand.New(rand.NewSource(cfg.HostRand + 1)),
 	}
 	vm.out.echo = cfg.Stdout
+	if d, ok := cfg.Observer.(*Digest); ok && d.KeepEvents == 0 {
+		vm.dig = d
+	} else if cfg.Observer != nil {
+		vm.stepObs = cfg.Observer
+	}
 
 	if cfg.Engine != nil {
 		vm.eng = cfg.Engine
