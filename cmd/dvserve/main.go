@@ -15,7 +15,7 @@
 // The -t argument accepts a flat (DVT2) or streaming (DVS1) trace file, or
 // a segmented journal directory — the latter opens a journal session that
 // seeds from the nearest durable checkpoint (-from-event picks the initial
-// position) and re-seeds across segments during time travel.
+// position) and time-travels from the nearest durable or in-memory one.
 //
 // Multi-tenant usage (one process, many sessions):
 //
@@ -314,8 +314,8 @@ func run(c serveConfig) error {
 	reg := obs.NewRegistry()
 
 	// The trace argument selects the session shape: a directory is a
-	// segmented journal (travel re-seeds the debugger's VM across
-	// segments), a file is a flat trace.
+	// segmented journal (travel restores its durable checkpoints into the
+	// debugger's VM), a file is a flat trace.
 	var d *debugger.Debugger
 	if st, serr := os.Stat(c.traceIn); serr == nil && st.IsDir() {
 		if c.restore != "" {

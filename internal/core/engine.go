@@ -658,25 +658,48 @@ func (e *Engine) RecordPos() (nyp uint64, ok bool) {
 	return e.nyp, true
 }
 
-// SeedReplay aligns a freshly begun replay engine with a segment-boundary
-// checkpoint taken boundaryNYP yield points into its current switch
-// interval. Begin prefetched the interval's full recorded length from the
-// segment; of those yields, boundaryNYP already happened before the
-// checkpoint, so the countdown shrinks by that much. With no pending
-// switch (a salvaged tail that lost its remaining switches) there is
-// nothing to align.
-func (e *Engine) SeedReplay(boundaryNYP uint64) error {
+// SeedAt moves a replay engine to a journal segment seam, the trace
+// position pos where a segment starts (trace.Reader.SegmentStart), to
+// resume replay from that segment's checkpoint. The checkpoint sits
+// boundaryNYP yield points into the switch interval that spans the seam,
+// so the countdown the segment's first switch starts shrinks by that much.
+// SeedAt leaves the engine as a fresh engine over the segment is after
+// Begin and this alignment: the seam's switch loaded, switchBit clear, the
+// clock live, no sticky error. It is the one seeding rule, for a fresh
+// engine and for one moved back or forward in place.
+//
+// A checkpoint that does not fit its segment (boundaryNYP not inside the
+// interval) is refused with the engine untouched. A streaming source cannot
+// seek: it only takes the zero position of an engine that Begin just
+// started, whose prefetched switch is the seam's.
+func (e *Engine) SeedAt(pos trace.ReaderPos, boundaryNYP uint64) error {
 	if e.mode != ModeReplay {
 		return ErrNotReplaying
 	}
-	if boundaryNYP == 0 || !e.hasPending {
-		return nil
+	nyp, pending := e.nyp, e.hasPending
+	sk, seekable := e.r.(traceSeeker)
+	if seekable {
+		cur := sk.Pos()
+		sk.Seek(pos)
+		nyp, pending = e.r.NextSwitch()
+		sk.Seek(cur)
+	} else if pos != (trace.ReaderPos{}) || e.r.EventIndex() != 0 || e.stats.YieldPoints != 0 {
+		return ErrNotSeekable
 	}
-	if boundaryNYP >= e.nyp {
+	if pending && boundaryNYP > 0 && boundaryNYP >= nyp {
 		return fmt.Errorf("core: checkpoint does not match its segment: checkpoint sits %d yields into a %d-yield switch interval",
-			boundaryNYP, e.nyp)
+			boundaryNYP, nyp)
 	}
-	e.nyp -= boundaryNYP
+	if seekable {
+		sk.Seek(pos)
+		e.err = nil
+		e.switchBit, e.liveClock = false, true
+		e.markProgress()
+		e.loadNextSwitch()
+	}
+	if e.hasPending {
+		e.nyp -= boundaryNYP
+	}
 	return nil
 }
 

@@ -7,9 +7,13 @@
 //
 // Time travel comes from pairing deterministic replay with Igor-style
 // checkpoints: every forward replay snapshots the VM each CheckpointEvery
-// events; traveling to an earlier event restores the nearest checkpoint
-// and re-replays forward, which is exact because replay is deterministic
-// and costs at most one checkpoint interval.
+// events, and a journal-backed debugger also has the recording's durable
+// segment checkpoints. A travel, backward or forward, starts from whichever
+// of the VM's own position, an in-memory snapshot and a durable checkpoint
+// starts latest at or before the target, restored into the same VM, and
+// re-replays forward from there. That is exact because replay is
+// deterministic, and no travel replays more than the gap between two
+// checkpoints.
 package debugger
 
 import (
@@ -56,10 +60,11 @@ type bpKey struct {
 }
 
 // Debugger wraps one VM (normally replaying) with control and inspection.
-// It is the one stable handle for a debugging session: a durable re-seed
-// (journal-backed debuggers only) replaces VM and World in place and keeps
-// everything else. Callers keep the *Debugger but read VM afresh under the
-// lock that serializes commands, never caching it across commands.
+// It is the one stable handle for a debugging session: a re-seed (a
+// journal-backed debugger traveling before the journal suffix its VM
+// replays) replaces VM and World in place and keeps everything else.
+// Callers keep the *Debugger but read VM afresh under the lock that
+// serializes commands, never caching it across commands.
 type Debugger struct {
 	VM    *vm.VM
 	World *remoteref.World
@@ -79,10 +84,12 @@ type Debugger struct {
 	tainted bool // the user intentionally altered application state
 
 	// journal is the segmented recording a journal-backed debugger replays
-	// (nil for a flat trace); travel past the in-memory checkpoints
-	// re-seeds VM from its durable checkpoints. obs is attached to every
-	// engine a re-seed builds.
+	// (nil for a flat trace), and suffix the part of it VM replays: travel
+	// restores its durable checkpoints into VM in place, and a target
+	// before the suffix re-seeds VM. obs is attached to every engine a
+	// re-seed builds.
 	journal *trace.Journal
+	suffix  suffix
 	obs     *obs.Registry
 	reseeds uint64
 	travels uint64
@@ -254,38 +261,54 @@ func (d *Debugger) Continue() (StopReason, error) {
 	}
 }
 
-// TravelTo rewinds (or advances) execution to the given event count using
-// the nearest earlier in-memory checkpoint plus deterministic re-replay;
-// a journal-backed debugger with no such checkpoint re-seeds from the
-// best durable one instead (see reseed). It lands on the first
-// instruction boundary at or after event, where a Step loop would; only
-// the program end stops it earlier.
+// TravelTo moves execution to the given event count, backward or forward.
+// It restores the latest start at or before event (see restoreNearest)
+// and replays forward from it; a journal-backed debugger re-seeds its VM
+// for a target before the journal suffix the VM replays (see reseed). It
+// lands on the first instruction boundary at or after event, where a Step
+// loop would; only the program end stops it earlier.
 func (d *Debugger) TravelTo(event uint64) error {
 	d.travels++
-	if d.journal != nil && event < d.journal.Origin() {
+	if d.journal != nil {
 		// A flight window's events before its origin were evicted and
 		// cannot be reconstructed.
-		event = d.journal.Origin()
-	}
-	if event <= d.VM.Events() {
-		var best *vm.Snapshot
-		for _, s := range d.checkpoints {
-			if s.Events() <= event && (best == nil || s.Events() > best.Events()) {
-				best = s
-			}
-		}
-		switch {
-		case best != nil:
-			if err := d.VM.Restore(best); err != nil {
-				return err
-			}
-		case d.journal != nil:
+		event = max(event, d.journal.Origin())
+		if event < d.suffix.start {
 			return d.reseed(event)
-		default:
-			return fmt.Errorf("debugger: no checkpoint at or before event %d (earliest: %s)", event, d.earliest())
 		}
+	}
+	if err := d.restoreNearest(event); err != nil {
+		return err
 	}
 	return d.replayTo(event)
+}
+
+// restoreNearest moves the VM to the latest start at or before event: the
+// VM's own position, an in-memory checkpoint, or (journal only) a durable
+// checkpoint in the loaded suffix. On equal starts the VM's position beats
+// an in-memory checkpoint, which beats a durable one: no copy beats a
+// memcpy, which beats a file read. A journal-backed debugger with no start
+// at all re-seeds, or refuses if tainted.
+func (d *Debugger) restoreNearest(event uint64) error {
+	from, have := d.VM.Events(), d.VM.Events() <= event
+	var best *vm.Snapshot
+	for _, s := range d.checkpoints {
+		if s.Events() <= event && (!have || s.Events() > from) {
+			best, from, have = s, s.Events(), true
+		}
+	}
+	switch {
+	case d.restoreDurable(event, from, have):
+		return nil
+	case best != nil:
+		return d.VM.Restore(best)
+	case have:
+		return nil
+	case d.journal != nil:
+		return d.reseed(event)
+	default:
+		return fmt.Errorf("debugger: no checkpoint at or before event %d (earliest: %s)", event, d.earliest())
+	}
 }
 
 // Travels reports how many TravelTo calls the debugger has served.

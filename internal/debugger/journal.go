@@ -1,11 +1,14 @@
 // Journal-backed debugging: a debugger over a segmented journal recording.
-// Travel targets before the in-memory checkpoint horizon are served by
-// re-seeding the debugger's VM from the nearest durable segment checkpoint
-// and replaying only that segment suffix — O(segment) instead of O(trace).
+// Its VM replays the journal suffix from the durable checkpoint it was
+// seeded at, and the suffix's later durable checkpoints restore into that
+// VM in place as travel starts, next to the in-memory ones. Only a target
+// before the suffix re-seeds: a fresh VM over an earlier suffix, seeded
+// from the nearest durable checkpoint — O(segment) instead of O(trace).
 package debugger
 
 import (
 	"fmt"
+	"sort"
 
 	"dejavu/internal/bytecode"
 	"dejavu/internal/core"
@@ -33,12 +36,12 @@ func OpenJournal(prog *bytecode.Program, fs trace.FS, event uint64, reg *obs.Reg
 	if h := vm.ProgramHash(prog); j.ProgHash() != h {
 		return nil, fmt.Errorf("debugger: journal program hash mismatch: journal %x, program %x", j.ProgHash(), h)
 	}
-	m, err := seed(j, reg, prog, event)
+	m, sfx, err := seed(j, reg, prog, event)
 	if err != nil {
 		return nil, err
 	}
 	d := New(m)
-	d.journal, d.obs = j, reg
+	d.journal, d.suffix, d.obs = j, sfx, reg
 	// Anchor an in-memory checkpoint at the seed point itself, so travel
 	// back to anywhere at or after it stays in memory.
 	d.maybeCheckpoint()
@@ -54,18 +57,35 @@ func OpenJournal(prog *bytecode.Program, fs trace.FS, event uint64, reg *obs.Reg
 // salvage report), or nil for a flat trace.
 func (d *Debugger) Journal() *trace.Journal { return d.journal }
 
-// Reseeds reports how many travels re-seeded the VM from a durable
-// checkpoint.
+// Reseeds reports how many travels started from a durable checkpoint:
+// restored into the VM in place, or by a re-seed.
 func (d *Debugger) Reseeds() uint64 { return d.reseeds }
+
+func (d *Debugger) noteReseed() {
+	d.reseeds++
+	d.obs.Counter("dv_journal_reseeds_total").Inc()
+}
+
+// suffix is the part of a journal a journal-backed debugger's VM replays:
+// the trace Reader loaded from Journal.Source(seg), which starts at VM
+// event start (checkpoint seg's VMEvents, or zero). Checkpoint seg+i
+// restores into the VM at r.SegmentStart(i).
+type suffix struct {
+	r     *trace.Reader
+	seg   int
+	start uint64
+}
 
 // seed builds a replay VM over the journal, seeded from the best loadable
 // durable checkpoint at or before event (replaycheck.SeedJournal). The
-// suffix is loaded into a Reader so the engine stays seekable and the
-// debugger's in-memory checkpoints keep working.
-func seed(j *trace.Journal, reg *obs.Registry, prog *bytecode.Program, event uint64) (*vm.VM, error) {
-	m, _, err := replaycheck.SeedJournal(j, event, func(src *trace.StreamReader) (*vm.VM, error) {
-		r, err := src.Load()
-		if err != nil {
+// suffix is loaded into a Reader so the engine stays seekable: the
+// debugger's in-memory checkpoints and the suffix's later durable ones
+// restore into the VM in place.
+func seed(j *trace.Journal, reg *obs.Registry, prog *bytecode.Program, event uint64) (*vm.VM, suffix, error) {
+	var r *trace.Reader
+	m, info, err := replaycheck.SeedJournal(j, event, func(src *trace.StreamReader) (*vm.VM, error) {
+		var err error
+		if r, err = src.Load(); err != nil {
 			return nil, err
 		}
 		ecfg := core.DefaultConfig(core.ModeReplay)
@@ -80,34 +100,65 @@ func seed(j *trace.Journal, reg *obs.Registry, prog *bytecode.Program, event uin
 		return vm.New(prog, vm.Config{Engine: eng})
 	}, nil)
 	if err != nil {
-		return nil, fmt.Errorf("debugger: %w", err)
+		return nil, suffix{}, fmt.Errorf("debugger: %w", err)
 	}
-	return m, nil
+	return m, suffix{r: r, seg: info.Segment, start: info.VMEvents}, nil
 }
 
-// reseed serves a travel target no in-memory checkpoint covers: it
-// replaces the VM with one seeded from the best durable checkpoint at or
-// before event and replays forward to event. Breakpoints, the checkpoint
-// policy and the taint flag are kept; the in-memory checkpoints belonged
-// to the old VM and are dropped. On failure the debugger is left as it was.
-// A tainted debugger refuses: a re-seed would silently resurrect the
-// unmodified recording.
+// restoreDurable restores into the VM the latest usable durable checkpoint
+// of the loaded suffix at or before event that starts after the given
+// start (any, when have is false), and reports whether one took. It skips
+// checkpoint files it cannot read, as Journal.BestCheckpoint does, and
+// ones the VM refuses or whose seam they do not fit; RestoreSeam checks
+// both before it changes anything. A tainted debugger never restores one:
+// it would silently resurrect the unmodified recording.
+func (d *Debugger) restoreDurable(event, after uint64, have bool) bool {
+	if d.journal == nil || d.tainted {
+		return false
+	}
+	cks := d.journal.Manifest.Checkpoints
+	i := sort.Search(len(cks), func(i int) bool { return cks[i].VMEvents > event })
+	for i--; i >= 0; i-- {
+		info := cks[i]
+		if (have && info.VMEvents <= after) || info.Index < d.suffix.seg {
+			return false
+		}
+		pos, ok := d.suffix.r.SegmentStart(info.Index - d.suffix.seg)
+		if !ok {
+			continue
+		}
+		ck, err := d.journal.LoadCheckpoint(info)
+		if err != nil || d.VM.RestoreSeam(ck.State, pos, ck.BoundaryNYP) != nil {
+			continue
+		}
+		d.noteReseed()
+		return true
+	}
+	return false
+}
+
+// reseed serves a travel target before the loaded suffix (or, with no
+// start left in it, any target): it replaces the VM with one seeded from
+// the best durable checkpoint at or before event and replays forward to
+// event. Breakpoints, the checkpoint policy and the taint flag are kept;
+// the in-memory checkpoints belonged to the old VM and are dropped. On
+// failure the debugger is left as it was. A tainted debugger refuses: a
+// re-seed would silently resurrect the unmodified recording.
 func (d *Debugger) reseed(event uint64) error {
 	if d.tainted {
 		return fmt.Errorf("debugger: session is tainted (state was modified); travel to event %d would discard the modification — no durable re-seed", event)
 	}
-	m, err := seed(d.journal, d.obs, d.VM.Program(), event)
+	m, sfx, err := seed(d.journal, d.obs, d.VM.Program(), event)
 	if err != nil {
 		return err
 	}
 	prev := *d
-	d.VM, d.World, d.checkpoints = m, remoteref.NewLocalWorld(m), nil
+	d.VM, d.World, d.checkpoints, d.suffix = m, remoteref.NewLocalWorld(m), nil, sfx
 	d.maybeCheckpoint()
 	if err := d.replayTo(event); err != nil {
 		*d = prev
 		return err
 	}
-	d.reseeds++
-	d.obs.Counter("dv_journal_reseeds_total").Inc()
+	d.noteReseed()
 	return nil
 }

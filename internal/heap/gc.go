@@ -234,10 +234,12 @@ var ErrSnapshot = errors.New("heap: malformed snapshot")
 const maxSemi = 1 << 31
 
 // DecodeSnapshot parses a snapshot encoded by EncodeTo, returning the rest
-// of the input. It checks the geometry before copying anything: a word-
-// aligned semispace of at least one page whose two halves an Addr can
-// reach, base at the start of one of them, alloc word-aligned in
-// [base+8, base+semi], and an image of exactly alloc−base bytes.
+// of the input. It checks the geometry: a word-aligned semispace of at
+// least one page whose two halves an Addr can reach, base at the start of
+// one of them, alloc word-aligned in [base+8, base+semi], and an image of
+// exactly alloc−base bytes. The snapshot's Image aliases data, so restoring
+// it copies the image once: data must not change until the snapshot is
+// restored or dropped.
 func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
 	var f [4]uint64 // semi, base, alloc, image length
 	for i := range f {
@@ -260,7 +262,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
 		return nil, nil, fmt.Errorf("%w: image truncated (%d of %d bytes)", ErrSnapshot, len(data), n)
 	}
 	s := &Snapshot{
-		Image: append([]byte(nil), data[:n]...),
+		Image: data[:n:n],
 		Semi:  int(semi),
 		Base:  int(base),
 		Alloc: int(alloc),

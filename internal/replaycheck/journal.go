@@ -101,10 +101,10 @@ func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, o Options
 // history before its origin, so target is clamped to the origin and the
 // seed refused when no checkpoint covers it: a from-zero replay would
 // silently diverge. open builds a fresh replay VM over the trace suffix
-// src; SeedJournal restores the checkpoint into it and aligns its engine's
-// switch countdown. When the VM refuses a checkpoint (an older format, a
-// different heap size), refused (if set) hears why, and the next earlier
-// checkpoint is tried, down to zero.
+// src; SeedJournal restores the checkpoint into it and moves its engine to
+// the suffix's first seam (vm.VM.RestoreSeam). When the VM refuses a
+// checkpoint (an older format, a different heap size), refused (if set)
+// hears why, and the next earlier checkpoint is tried, down to zero.
 func SeedJournal(j *trace.Journal, target uint64, open func(src *trace.StreamReader) (*vm.VM, error), refused func(error)) (*vm.VM, *SeedInfo, error) {
 	org := j.Origin()
 	if target < org {
@@ -134,7 +134,8 @@ func SeedJournal(j *trace.Journal, target uint64, open func(src *trace.StreamRea
 }
 
 // seedAt opens a replay VM over the journal suffix info names and
-// restores its checkpoint, if any.
+// restores its checkpoint, if any, at the suffix's first seam: the zero
+// position of the fresh trace source.
 func seedAt(j *trace.Journal, info *SeedInfo, open func(*trace.StreamReader) (*vm.VM, error)) (*vm.VM, error) {
 	src, err := j.Source(info.Segment)
 	if err != nil {
@@ -145,10 +146,7 @@ func seedAt(j *trace.Journal, info *SeedInfo, open func(*trace.StreamReader) (*v
 		return m, err
 	}
 	ck := info.Checkpoint
-	if err := m.RestoreBytes(ck.State); err != nil {
-		return nil, fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
-	}
-	if err := m.Engine().SeedReplay(ck.BoundaryNYP); err != nil {
+	if err := m.RestoreSeam(ck.State, trace.ReaderPos{}, ck.BoundaryNYP); err != nil {
 		return nil, fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
 	}
 	return m, nil

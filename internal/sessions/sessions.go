@@ -14,8 +14,8 @@
 //
 // Lifecycle: Create records (or adopts) a segmented journal and opens a
 // debugging session over it; Attach binds a dbgproto or ptrace connection
-// to the session; Travel moves it through time (re-seeding from durable
-// checkpoints when needed); Kill resolves through the session lock, so an
+// to the session; Travel moves it through time (from the nearest in-memory
+// or durable checkpoint); Kill resolves through the session lock, so an
 // in-flight command completes and everything after it sees a clean
 // "killed" refusal. Drain stops admissions and checkpoints every live
 // session for restart.
@@ -574,8 +574,11 @@ type Info struct {
 	Tainted      bool   `json:"tainted,omitempty"`
 	Attaches     uint64 `json:"attaches"`
 	Travels      uint64 `json:"travels"`
-	Reseeds      uint64 `json:"reseeds,omitempty"`
-	Created      string `json:"created,omitempty"`
+	// Reseeds counts the travels that started from a durable checkpoint:
+	// restored into the session's VM in place, or, for a target before
+	// the journal suffix the VM replays, a re-seeded VM.
+	Reseeds uint64 `json:"reseeds,omitempty"`
+	Created string `json:"created,omitempty"`
 	// Degraded carries the quarantining storage fault while the session is
 	// degraded; Recoveries counts degraded→active repairs over its life.
 	Degraded   string `json:"degraded,omitempty"`
@@ -1039,8 +1042,8 @@ func (m *Manager) List() []*Info {
 }
 
 // Travel moves a session to the given event count via its command lock,
-// re-seeding from durable checkpoints when the target is behind the
-// in-memory window.
+// starting from the nearest in-memory or durable checkpoint at or before
+// it (see debugger.Debugger.TravelTo).
 func (m *Manager) Travel(id string, event uint64) (*Info, error) {
 	s, err := m.lookup(id)
 	if err != nil {

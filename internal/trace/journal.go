@@ -5,9 +5,11 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 )
@@ -101,13 +103,37 @@ type swDataBuf struct{ b []byte }
 
 func (s *swDataBuf) add(p []byte) { s.b = append(s.b, p...) }
 
+// readAll reads a whole journal file in one allocation when the file can
+// tell its size up front (Stat) or hand over its bytes at once
+// (io.WriterTo); io.ReadAll would grow its buffer by doubling.
 func readAll(fs FS, name string) ([]byte, error) {
 	rc, err := fs.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer rc.Close()
+	switch f := rc.(type) {
+	case interface{ Stat() (os.FileInfo, error) }:
+		if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+			// The extra MinRead leaves room for the read that sees EOF.
+			b := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
+			_, err := b.ReadFrom(rc)
+			return b.Bytes(), err
+		}
+	case io.WriterTo:
+		var b appendWriter
+		_, err := f.WriteTo(&b)
+		return b, err
+	}
 	return io.ReadAll(rc)
+}
+
+// appendWriter collects what an io.WriterTo hands it.
+type appendWriter []byte
+
+func (w *appendWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
 // ProgHash returns the journal's program hash.
@@ -176,14 +202,17 @@ func (j *Journal) String() string {
 // and reaches a clean end marker, so a journal cut short replays with the
 // same partial-trace semantics as a RecoverStream salvage. Load on the
 // result yields a seekable Reader and is how callers validate every byte
-// the manifest commits to. fromSeg 0 replays from the beginning; fromSeg k
-// is only coherent seeded with checkpoint k.
+// the manifest commits to; that Reader also knows where each later segment
+// starts (Reader.SegmentStart), so checkpoint k+i can seed it in place.
+// fromSeg 0 replays from the beginning; fromSeg k is only coherent seeded
+// with checkpoint k.
 func (j *Journal) Source(fromSeg int) (*StreamReader, error) {
 	if fromSeg < 0 || fromSeg > j.TailIndex || (fromSeg == j.TailIndex && j.TailReport == nil) {
 		return nil, fmt.Errorf("trace: journal has no segment %d", fromSeg)
 	}
 	s := &StreamReader{}
 	cur := fromSeg
+	index := 0 // data events in segments fromSeg..cur-1
 	var rc io.ReadCloser
 	var synthetic []streamChunk
 	s.next = func() (streamChunk, error) {
@@ -225,10 +254,14 @@ func (j *Journal) Source(fromSeg int) (*StreamReader, error) {
 				return streamChunk{}, fmt.Errorf("trace: journal segment %d: %w", cur, err)
 			}
 			if c.tag == chunkEnd {
+				// The end marker of a sealed segment is an internal seam:
+				// strip it, and note where the next segment starts.
 				rc.Close()
 				rc = nil
+				index += j.Manifest.Segments[cur].Events
+				s.inner.seams = append(s.inner.seams, ReaderPos{SwPos: len(s.inner.sw), Pos: len(s.inner.data), Index: index})
 				cur++
-				continue // the end marker of a sealed segment is an internal seam
+				continue
 			}
 			return c, nil
 		}

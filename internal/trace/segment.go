@@ -344,6 +344,7 @@ func EncodeCheckpoint(progHash uint64, c Checkpoint) []byte {
 var ErrCheckpoint = errors.New("trace: corrupt journal checkpoint")
 
 // DecodeCheckpoint parses and verifies a checkpoint file against progHash.
+// The returned State aliases data.
 func DecodeCheckpoint(data []byte, progHash uint64) (Checkpoint, error) {
 	var c Checkpoint
 	if len(data) < len(checkpointFileMagic)+8+4 || string(data[:4]) != checkpointFileMagic {
@@ -375,7 +376,7 @@ func DecodeCheckpoint(data []byte, progHash uint64) (Checkpoint, error) {
 	c.Index = int(idx)
 	c.VMEvents = vme
 	c.BoundaryNYP = nyp
-	c.State = append([]byte(nil), rest...)
+	c.State = rest[:len(rest):len(rest)]
 	return c, nil
 }
 

@@ -473,7 +473,8 @@ func hashMismatch(trace, prog uint64) error {
 
 // Load drains the rest of the container and returns both streams as a
 // seekable Reader, positioned where s stands. Any damage is an error (use
-// RecoverStream to salvage).
+// RecoverStream to salvage). Segment starts (Reader.SegmentStart) hold for
+// a StreamReader nothing has been read from yet.
 func (s *StreamReader) Load() (*Reader, error) {
 	for !s.eof {
 		if err := s.fill(); err != nil {
@@ -522,10 +523,12 @@ func (s *StreamReader) compact() {
 	if s.inner.pos > keep {
 		s.inner.data = append([]byte(nil), s.inner.data[s.inner.pos:]...)
 		s.inner.pos = 0
+		s.inner.seams = nil // they index the streams before the cut
 	}
 	if s.inner.swPos > 1<<12 {
 		s.inner.sw = append([]byte(nil), s.inner.sw[s.inner.swPos:]...)
 		s.inner.swPos = 0
+		s.inner.seams = nil
 	}
 }
 

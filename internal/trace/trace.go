@@ -309,6 +309,10 @@ type Reader struct {
 	pos      int
 	index    int
 	decoding Kind // kind whose payload is being decoded, for TruncatedError
+
+	// seams[i] is where segment i+1 of a loaded journal suffix starts
+	// (Journal.Source records them; see SegmentStart).
+	seams []ReaderPos
 }
 
 // NewReader validates a trace container of either kind against progHash.
@@ -494,6 +498,21 @@ func (r *Reader) Pos() ReaderPos { return ReaderPos{SwPos: r.swPos, Pos: r.pos, 
 // Seek rewinds (or forwards) the reader to a previously captured position.
 func (r *Reader) Seek(p ReaderPos) {
 	r.swPos, r.pos, r.index = p.SwPos, p.Pos, p.Index
+}
+
+// SegmentStart returns the position at which the i-th segment of the
+// reader's trace starts, counting its first segment as 0. A Reader loaded
+// from Journal.Source(k) knows where each segment k+i starts: the seams
+// the journal source strips, where segment k+i's checkpoint seeds replay.
+// Any other Reader has only segment 0, at the zero position.
+func (r *Reader) SegmentStart(i int) (ReaderPos, bool) {
+	switch {
+	case i == 0:
+		return ReaderPos{}, true
+	case i > 0 && i <= len(r.seams):
+		return r.seams[i-1], true
+	}
+	return ReaderPos{}, false
 }
 
 // Summary describes a trace container without replaying it.

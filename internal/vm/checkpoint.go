@@ -8,6 +8,7 @@ import (
 	"dejavu/internal/core"
 	"dejavu/internal/heap"
 	"dejavu/internal/threads"
+	"dejavu/internal/trace"
 )
 
 // Checkpoint files: a Snapshot serialized to bytes, so a replay session
@@ -74,10 +75,11 @@ func (s *Snapshot) Encode(progHash uint64) []byte {
 	return buf
 }
 
-// ErrCheckpointRefused wraps every reason RestoreBytes refuses a
-// checkpoint: bad framing, another program, a shape or heap geometry this
-// VM cannot take, or an encoding from an older checkpoint format. Journal
-// replay then seeds from an earlier checkpoint or from zero.
+// ErrCheckpointRefused wraps every reason RestoreBytes and RestoreSeam
+// refuse a checkpoint: bad framing, another program, a shape or heap
+// geometry this VM cannot take, or an encoding from an older checkpoint
+// format. Journal replay then seeds from an earlier checkpoint or from
+// zero.
 var ErrCheckpointRefused = errors.New("vm: checkpoint refused")
 
 // RestoreBytes decodes a checkpoint produced by Encode against this VM's
@@ -86,20 +88,62 @@ var ErrCheckpointRefused = errors.New("vm: checkpoint refused")
 // checkpoints, an engine over the same trace). A refusal wraps
 // ErrCheckpointRefused.
 func (vm *VM) RestoreBytes(data []byte) error {
-	if err := vm.restoreBytes(data); err != nil {
+	s, err := vm.decodeCheckpoint(data)
+	if err != nil {
+		return err
+	}
+	if err := vm.Restore(s); err != nil {
 		return fmt.Errorf("%w: %w", ErrCheckpointRefused, err)
 	}
 	vm.restoredBytes = true
 	return nil
 }
 
-func (vm *VM) restoreBytes(data []byte) error {
+// RestoreSeam reinstates a durable journal checkpoint, one taken at a
+// segment boundary while recording, and moves the replay engine to the seam
+// pos where that segment starts in its trace, boundaryNYP yield points into
+// the switch interval spanning it (core.Engine.SeedAt). It checks the
+// checkpoint against this VM and the seam against the trace before it
+// changes anything, so a refusal leaves the VM as it was; a checkpoint the
+// VM cannot take wraps ErrCheckpointRefused.
+func (vm *VM) RestoreSeam(data []byte, pos trace.ReaderPos, boundaryNYP uint64) error {
+	if vm.nestedDepth != 0 {
+		return ErrNestedSnapshot
+	}
+	s, err := vm.decodeCheckpoint(data)
+	if err != nil {
+		return err
+	}
+	if s.engine != nil {
+		// The seam, not a replay position, says where the engine stands.
+		return fmt.Errorf("%w: vm: a seam checkpoint carries no replay state", ErrCheckpointRefused)
+	}
+	if err := vm.eng.SeedAt(pos, boundaryNYP); err != nil {
+		return err
+	}
+	// Cannot fail: the nesting is checked and the snapshot has no engine.
+	vm.Restore(s)
+	vm.restoredBytes = true
+	return nil
+}
+
+// decodeCheckpoint decodes checkpoint bytes and checks them against this
+// VM without changing it. A refusal wraps ErrCheckpointRefused.
+func (vm *VM) decodeCheckpoint(data []byte) (*Snapshot, error) {
+	s, err := vm.decodeSnapshot(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrCheckpointRefused, err)
+	}
+	return s, nil
+}
+
+func (vm *VM) decodeSnapshot(data []byte) (*Snapshot, error) {
 	if len(data) < len(checkpointMagic)+8 || string(data[:4]) != checkpointMagic {
-		return fmt.Errorf("vm: bad checkpoint magic")
+		return nil, fmt.Errorf("vm: bad checkpoint magic")
 	}
 	h := binary.LittleEndian.Uint64(data[4:12])
 	if h != vm.progHash {
-		return fmt.Errorf("vm: checkpoint is for program %x, this VM runs %x", h, vm.progHash)
+		return nil, fmt.Errorf("vm: checkpoint is for program %x, this VM runs %x", h, vm.progHash)
 	}
 	data = data[12:]
 
@@ -147,23 +191,23 @@ func (vm *VM) restoreBytes(data []byte) error {
 	s := &Snapshot{}
 	var err error
 	if s.heap, data, err = heap.DecodeSnapshot(data); err != nil {
-		return err
+		return nil, err
 	}
 	if 2*s.heap.Semi > vm.cfg.MaxHeapBytes {
-		return fmt.Errorf("vm: checkpoint heap of %d bytes exceeds MaxHeapBytes %d", 2*s.heap.Semi, vm.cfg.MaxHeapBytes)
+		return nil, fmt.Errorf("vm: checkpoint heap of %d bytes exceeds MaxHeapBytes %d", 2*s.heap.Semi, vm.cfg.MaxHeapBytes)
 	}
 	if s.sched, data, err = threads.DecodeSnapshot(data); err != nil {
-		return err
+		return nil, err
 	}
 	s.events = uv()
 	s.halted = bl()
 	s.deferred = bl()
 	n := uv()
 	if fail == nil && n > uint64(len(data)) {
-		return fmt.Errorf("vm: checkpoint output corrupt")
+		return nil, fmt.Errorf("vm: checkpoint output corrupt")
 	}
 	if fail == nil {
-		s.out = append([]byte(nil), data[:n]...)
+		s.out = data[:n:n] // Restore copies it
 		data = data[n:]
 	}
 	s.interned = addrs()
@@ -175,27 +219,27 @@ func (vm *VM) restoreBytes(data []byte) error {
 	s.captureBuf = heap.Addr(uv())
 	hasEngine := bl()
 	if fail != nil {
-		return fail
+		return nil, fail
 	}
 	if hasEngine {
 		es, _, err := core.DecodeEngineSnapshot(data)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		s.engine = es
 		if vm.eng.Mode() != core.ModeReplay {
-			return fmt.Errorf("vm: checkpoint carries replay state but this VM is in %v mode", vm.eng.Mode())
+			return nil, fmt.Errorf("vm: checkpoint carries replay state but this VM is in %v mode", vm.eng.Mode())
 		}
 	}
 	// Structural sanity: the snapshot must describe this program.
 	if len(s.staticsObj) != vm.numClasses || len(s.methodMir) != len(vm.prog.Methods) {
-		return fmt.Errorf("vm: checkpoint shape mismatch (classes %d/%d, methods %d/%d)",
+		return nil, fmt.Errorf("vm: checkpoint shape mismatch (classes %d/%d, methods %d/%d)",
 			len(s.staticsObj), vm.numClasses, len(s.methodMir), len(vm.prog.Methods))
 	}
 	if len(s.interned) < len(vm.interned) {
 		// The fresh VM interned only the program constants; a checkpoint
 		// can carry more (runtime-interned), never fewer.
-		return fmt.Errorf("vm: checkpoint interned-string table too small")
+		return nil, fmt.Errorf("vm: checkpoint interned-string table too small")
 	}
 	// Rebuild the intern bookkeeping for strings the checkpointed run
 	// interned beyond the static pool: their text is unknown, but their
@@ -203,9 +247,9 @@ func (vm *VM) restoreBytes(data []byte) error {
 	// constants and those are pre-interned identically, sizes normally
 	// match; reject exotic mismatches instead of guessing.
 	if len(s.interned) != len(vm.interned) {
-		return fmt.Errorf("vm: checkpoint interned-string table mismatch (%d vs %d)", len(s.interned), len(vm.interned))
+		return nil, fmt.Errorf("vm: checkpoint interned-string table mismatch (%d vs %d)", len(s.interned), len(vm.interned))
 	}
-	return vm.Restore(s)
+	return s, nil
 }
 
 // ErrCorruptCheckpoint stops a VM restored by RestoreBytes whose execution
