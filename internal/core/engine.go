@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"dejavu/internal/obs"
@@ -279,9 +280,11 @@ func (e *Engine) Begin(host Host) error {
 		}
 	}
 	if e.mode != ModeOff && e.cfg.WarmupIO {
-		if err := e.warmupIO(); err != nil {
-			return err
+		warmup.once.Do(func() { warmup.bytes, warmup.err = warmupIO() })
+		if warmup.err != nil {
+			return warmup.err
 		}
+		e.stats.WarmupBytes = warmup.bytes
 	}
 	if e.mode == ModeReplay {
 		e.markProgress()
@@ -290,34 +293,43 @@ func (e *Engine) Begin(host Host) error {
 	return nil
 }
 
+// warmup is the process's one I/O warm-up: like a JVM initializing its
+// I/O classes, the process initializes its I/O paths once, and every
+// engine that asks for the warm-up reports its byte count, or its error.
+var warmup struct {
+	once  sync.Once
+	bytes uint64
+	err   error
+}
+
 // warmupIO writes a temporary file and immediately reads it back — the
 // paper's trick for forcing both the output path (used by record) and the
 // input path (used by replay) through identical initialization in both
-// modes (§2.4).
-func (e *Engine) warmupIO() error {
+// modes (§2.4). It runs once per process, under warmup.once, and returns
+// the bytes written and read.
+func warmupIO() (uint64, error) {
 	f, err := os.CreateTemp("", "dejavu-warmup-*")
 	if err != nil {
-		return fmt.Errorf("core: I/O warm-up: %w", err)
+		return 0, fmt.Errorf("core: I/O warm-up: %w", err)
 	}
 	name := f.Name()
 	defer os.Remove(name)
 	payload := []byte("dejavu symmetric I/O warm-up")
 	if _, err := f.Write(payload); err != nil {
 		f.Close()
-		return fmt.Errorf("core: I/O warm-up write: %w", err)
+		return 0, fmt.Errorf("core: I/O warm-up write: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return 0, err
 	}
 	back, err := os.ReadFile(name)
 	if err != nil {
-		return fmt.Errorf("core: I/O warm-up read: %w", err)
+		return 0, fmt.Errorf("core: I/O warm-up read: %w", err)
 	}
 	if string(back) != string(payload) {
-		return fmt.Errorf("core: I/O warm-up round-trip mismatch")
+		return 0, fmt.Errorf("core: I/O warm-up round-trip mismatch")
 	}
-	e.stats.WarmupBytes = uint64(len(payload) + len(back))
-	return nil
+	return uint64(len(payload) + len(back)), nil
 }
 
 // End finalizes record mode and returns the trace bytes. When recording

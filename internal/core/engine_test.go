@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -548,6 +550,36 @@ func TestWarmupIOSymmetric(t *testing.T) {
 	e.Begin(&fakeHost{})
 	if e.Stats().WarmupBytes != 0 {
 		t.Fatal("off mode should not warm up I/O")
+	}
+}
+
+// TestWarmupIOOncePerProcess: the warm-up runs once per process. Once a
+// first engine has warmed up, a second one reports the same WarmupBytes
+// with TMPDIR pointing at a directory that does not exist, where
+// creating the warm-up's temp file would fail.
+func TestWarmupIOOncePerProcess(t *testing.T) {
+	begin := func() *Engine {
+		t.Helper()
+		cfg := DefaultConfig(ModeRecord)
+		cfg.Preempt = NeverPreempt{}
+		e, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Begin(&fakeHost{}); err != nil {
+			t.Fatalf("Begin: %v", err)
+		}
+		return e
+	}
+	first := begin()
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	if f, err := os.CreateTemp("", "dejavu-probe-*"); err == nil {
+		f.Close()
+		t.Fatalf("temp files can still be created (%s); the check below would prove nothing", f.Name())
+	}
+	second := begin()
+	if got, want := second.Stats().WarmupBytes, first.Stats().WarmupBytes; got != want || want == 0 {
+		t.Fatalf("second engine WarmupBytes %d, first %d", got, want)
 	}
 }
 

@@ -256,7 +256,8 @@ type Config struct {
 	// will be writing (record) or reading (replay) — §2.4 "Symmetry in
 	// Loading and Compilation". In Go nothing is lazily compiled, so this
 	// is behavioural fidelity rather than a correctness requirement; it is
-	// on by default and observable through Stats.
+	// on by default and observable through Stats. The file round trip
+	// runs once per process; every later engine reports its byte count.
 	WarmupIO bool
 
 	// InstrYieldsRecord/Replay simulate the instrumentation's own yield

@@ -40,12 +40,21 @@ import (
 //     and runSlice's boundary block, which budgetAt sends every
 //     instruction through while such an observer is set, on the
 //     unfused stream, so each component still reports itself, in
-//     order. The MaxEvents budget plus the stack-headroom growth check
-//     run at every component boundary, exactly like Step's
-//     per-instruction checks. Yield points (method prologues, taken
-//     backward branches) fire from the same helpers (doCall, branch),
-//     so the logical clock, trace bytes and switch schedule cannot
-//     shift.
+//     order. The MaxEvents budget runs at every component boundary,
+//     exactly like Step's per-instruction check. The stack headroom
+//     Step checks before every instruction needs no check here: a
+//     verified program reserves it at frame entry (pushFrame), and an
+//     unverified one runs unfused with its growth checked at every
+//     boundary. Yield points (method prologues, taken backward
+//     branches) fire from the same helpers (doCall, branch), so the
+//     logical clock, trace bytes and switch schedule cannot shift.
+//   - Control checks: the engine error, the halt and the thread state
+//     are looked at only after a handler returns ctrlCall or
+//     ctrlSwitch. A handler returns ctrlNext or ctrlJump only while its
+//     thread still runs, the program has not halted and the engine has
+//     not failed; one that can block, sleep, wait, halt or see the
+//     engine fail returns ctrlSwitch with its resume pc instead, which
+//     execOne treats exactly like ctrlNext.
 //   - Deferred state: Run defers the frame's resume pc and the
 //     per-thread heap mirrors, and flushes them whenever they can be
 //     observed — at calls (the call site pc must sit in the caller
@@ -204,9 +213,11 @@ var (
 )
 
 // fpush writes val at t.SP and bumps it. It skips push's mid-
-// instruction overflow assertion: handlers run under both drivers'
-// headroom guarantee (opHeadroom free slots at every instruction and
-// pair boundary), which covers any single instruction's pushes.
+// instruction overflow assertion: handlers run under the headroom
+// guarantee (opHeadroom free slots at every instruction and pair
+// boundary: reserved at frame entry for a verified program, checked at
+// every boundary for any other), which covers any single instruction's
+// pushes.
 func (vm *VM) fpush(t *threads.Thread, val uint64, isRef bool) {
 	vm.h.StoreWord(t.StackSeg, t.SP, val)
 	t.Tags[t.SP] = isRef
@@ -226,32 +237,23 @@ func (vm *VM) fpop(t *threads.Thread) (val uint64, isRef, ok bool) {
 }
 
 // boundaryErr marks an error raised at the instruction boundary between
-// the two components of a fused pair (event budget, stack growth
-// failure). It must surface unwrapped — Step reports these outside any
-// trap — with the resume pc pointing at the second component.
+// the two components of a fused pair (the event budget). It must surface
+// unwrapped — Step reports it outside any trap — with the resume pc
+// pointing at the second component.
 type boundaryErr struct{ err error }
 
 func (e *boundaryErr) Error() string { return e.err.Error() }
 func (e *boundaryErr) Unwrap() error { return e.err }
 
-// pairBoundary runs the instruction-boundary checks between the two
-// components of a fused pair: the MaxEvents budget and the operand
-// stack headroom growth, exactly as the dispatch loop performs them
-// before every instruction. Growth is a heap allocation — a replay-
-// observable event — so fusion must neither move nor skip it. spBias is
-// the net stack effect the unfused first component would have had that
-// the fused handler elided (it kept the value in a Go local instead of
-// pushing): the growth condition must see the SP Step would see, or the
-// two drivers would grow at different points.
-func (vm *VM) pairBoundary(t *threads.Thread, d *bytecode.DInstr, spBias int) error {
+// pairBoundary runs the instruction-boundary check between the two
+// components of a fused pair: the MaxEvents budget, exactly as the
+// dispatch loop runs it before every instruction. There is no headroom
+// check: only verified programs run fused (see run), and pushFrame
+// reserved their frame's verified footprint plus opHeadroom on entry, so
+// their stack never needs to grow at an instruction boundary.
+func (vm *VM) pairBoundary() error {
 	if vm.cfg.MaxEvents > 0 && vm.events >= vm.cfg.MaxEvents {
 		return ErrEventBudget
-	}
-	if vm.stackLen(t)-(t.SP+spBias) < opHeadroom {
-		// Mid-pair, Step would have flushed the second component's pc;
-		// the abandoned segment keeps those bytes.
-		vm.flushFramePC(t, int(d.PC)+1)
-		return vm.growStack(t, opHeadroom+12)
 	}
 	return nil
 }
@@ -334,7 +336,10 @@ func (vm *VM) RunUntil(event uint64) (done bool, err error) {
 // run is the dispatch-and-slice loop Run and RunUntil share.
 func (vm *VM) run() (done bool, err error) {
 	if vm.decoded == nil {
-		vm.decoded = vm.decodeStream(true)
+		// A program that failed verification has no frame-entry headroom
+		// reservation, so its stack may have to grow at any instruction
+		// boundary; it runs unfused, leaving no boundary inside a handler.
+		vm.decoded = vm.decodeStream(vm.frameNeed != nil)
 	}
 	for {
 		// A RunUntil target reached by a slice's last instruction: stop
@@ -391,8 +396,9 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 
 	for {
 		// One compare covers the event budget and a pending journal poll
-		// (checkAt is 0 while pollDue is set); journal-less runs only
-		// ever see the budget here.
+		// (checkAt is 0 while pollDue is set); journal-less runs of a
+		// verified program without a per-event observer only ever see the
+		// budget here.
 		if vm.events >= vm.checkAt {
 			if vm.stopAt > 0 && vm.events >= vm.stopAt {
 				stop(pc) // RunUntil's target: resumable, so no vm.err
@@ -421,27 +427,23 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 				// components.
 				code = vm.plainCode(m.ID)
 			}
-			if vm.stepObs != nil {
-				// A per-event observer (budgetAt pins checkAt to 0, so
-				// every boundary lands here) sees each instruction of the
-				// unfused stream, after the headroom growth as in execOne:
-				// a failed growth reports no step.
-				code = vm.plainCode(m.ID)
-				if vm.stackLen(t)-t.SP < opHeadroom {
-					if err := vm.growAt(t, pc); err != nil {
-						stop(pc)
-						vm.err = err
-						return vm.err
-					}
+			// Unverified programs land here at every boundary (budgetAt
+			// pins checkAt to 0): they grow their stack at the boundary, as
+			// execOne does, and before a per-event observer sees the step,
+			// so a failed growth reports none. For a verified program the
+			// frame-entry reservation keeps this from ever firing.
+			if vm.h.Len(t.StackSeg)-t.SP < opHeadroom {
+				if err := vm.growAt(t, pc); err != nil {
+					stop(pc)
+					vm.err = err
+					return vm.err
 				}
-				vm.stepObs.OnStep(t.ID, m.ID, pc, code[pc].Op)
 			}
-		}
-		if vm.stackLen(t)-t.SP < opHeadroom {
-			if err := vm.growAt(t, pc); err != nil {
-				stop(pc)
-				vm.err = err
-				return vm.err
+			if vm.stepObs != nil {
+				// A per-event observer (budgetAt pins checkAt to 0 here too)
+				// sees each instruction of the unfused stream.
+				code = vm.plainCode(m.ID)
+				vm.stepObs.OnStep(t.ID, m.ID, pc, code[pc].Op)
 			}
 		}
 		d := &code[pc]
@@ -464,14 +466,20 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 		switch ctrl {
 		case ctrlNext:
 			pc = int(d.Next)
-		case ctrlJump, ctrlSwitch:
+			continue
+		case ctrlJump:
 			pc = next
+			continue
 		case ctrlCall:
 			// Frame changed (call or return): re-cache the method.
 			m = vm.frameMethod(t)
 			code = vm.decoded.Methods[m.ID].Code
-			pc = next
 		}
+		// A control change (ctrlCall, ctrlSwitch): the only outcomes after
+		// which the engine can have failed, the program halted or the
+		// thread left the CPU. Every handler that can cause one of those
+		// returns ctrlSwitch instead of ctrlNext (DESIGN.md §14).
+		pc = next
 		if e := vm.eng.Err(); e != nil {
 			stop(pc)
 			if errors.Is(e, core.ErrStalled) {
@@ -755,23 +763,6 @@ func (vm *VM) flushFramePC(t *threads.Thread, pc int) {
 	vm.h.StoreWord(t.StackSeg, t.FP+FramePC, uint64(int64(pc)))
 }
 
-// stackLen returns the current thread's stack segment length through a
-// one-entry cache, avoiding a header decode per instruction. A segment's
-// length never changes in place: growStack swaps in a freshly allocated
-// segment (address change) and the copying collector moves every live
-// object between disjoint semispace ranges (address change), while a
-// heap grow reallocates the backing store and may reuse old offsets —
-// so the cache is keyed on both the segment address and the heap
-// generation counters.
-func (vm *VM) stackLen(t *threads.Thread) int {
-	h := vm.h
-	if g := h.Collections + h.Grows; t.StackSeg != vm.segAddr || g != vm.segGen {
-		vm.segAddr, vm.segGen = t.StackSeg, g
-		vm.segLen = h.Len(t.StackSeg)
-	}
-	return vm.segLen
-}
-
 func fpCall(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	vm.flushFramePC(t, int(d.PC)) // the call site: returns resume at +1
@@ -841,7 +832,13 @@ func fpNative(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	// Clock, native, input and callback events all go through here (and
 	// nested callbacks may log switches), so a journal poll follows.
 	vm.journalLogged()
-	return vm.doNativeID(t, id, int(d.B))
+	ctrl, next, err := vm.doNativeID(t, id, int(d.B))
+	if err == nil && vm.eng.Err() != nil {
+		// A failed engine call (a diverged or stalled replay) leaves the
+		// native's result in place; the dispatch loop reports the failure.
+		return ctrlSwitch, int(d.PC) + 1, nil
+	}
+	return ctrl, next, err
 }
 
 func fpNew(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
@@ -1005,7 +1002,7 @@ func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 	if err := vm.sched.Wait(t, heap.Addr(w), wakeAt); err != nil {
 		return 0, 0, err
 	}
-	return ctrlNext, 0, nil
+	return ctrlSwitch, int(d.PC) + 1, nil // waiting: the slice is over
 }
 
 func fpNotify(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
@@ -1056,7 +1053,7 @@ func fpMonEnter(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInst
 		if vm.nestedDepth > 0 {
 			return 0, 0, fmt.Errorf("blocking monitorenter inside a native callback")
 		}
-		return ctrlNext, 0, nil // blocked; pc+1 saved for resume
+		return ctrlSwitch, int(d.PC) + 1, nil // blocked; resumes at pc+1
 	}
 	return ctrlNext, 0, nil
 }
@@ -1317,7 +1314,7 @@ func fpSleep(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 		millis = 0
 	}
 	vm.sched.Sleep(t, vm.readClock()+millis)
-	return ctrlNext, 0, nil
+	return ctrlSwitch, int(d.PC) + 1, nil // sleeping: the slice is over
 }
 
 func fpInterrupt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
@@ -1406,7 +1403,7 @@ func fpAssert(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 func fpHalt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	vm.halted = true
-	return ctrlNext, 0, nil
+	return ctrlSwitch, int(d.PC) + 1, nil // the dispatch loop sees the halt
 }
 
 // --- fused superinstruction handlers ---
@@ -1430,7 +1427,7 @@ func (vm *VM) pairErr(t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr,
 func fpLoadArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), bytecode.Load)
 	b, tag := vm.slot(t, t.FP+FrameHeader+int(d.A))
-	if err := vm.pairBoundary(t, d, 1); err != nil {
+	if err := vm.pairBoundary(); err != nil {
 		return ctrlJump, int(d.PC) + 1, &boundaryErr{err}
 	}
 	// The unfused Load would have written the value at the stack top;
@@ -1461,7 +1458,7 @@ func fpLoadArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DIns
 
 func fpIConstArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), bytecode.IConst)
-	if err := vm.pairBoundary(t, d, 1); err != nil {
+	if err := vm.pairBoundary(); err != nil {
 		return ctrlJump, int(d.PC) + 1, &boundaryErr{err}
 	}
 	vm.h.StoreWord(t.StackSeg, t.SP, uint64(d.Imm)) // elided push: keep bytes identical
@@ -1485,7 +1482,7 @@ func fpLoadLoad(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInst
 	vm.note(t, m.ID, int(d.PC), bytecode.Load)
 	v, tag := vm.slot(t, t.FP+FrameHeader+int(d.A))
 	vm.fpush(t, v, tag)
-	if err := vm.pairBoundary(t, d, 0); err != nil {
+	if err := vm.pairBoundary(); err != nil {
 		return ctrlJump, int(d.PC) + 1, &boundaryErr{err}
 	}
 	vm.note(t, m.ID, int(d.PC)+1, bytecode.Load)
@@ -1498,7 +1495,7 @@ func fpLoadIConst(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DIn
 	vm.note(t, m.ID, int(d.PC), bytecode.Load)
 	v, tag := vm.slot(t, t.FP+FrameHeader+int(d.A))
 	vm.fpush(t, v, tag)
-	if err := vm.pairBoundary(t, d, 0); err != nil {
+	if err := vm.pairBoundary(); err != nil {
 		return ctrlJump, int(d.PC) + 1, &boundaryErr{err}
 	}
 	vm.note(t, m.ID, int(d.PC)+1, bytecode.IConst)
@@ -1509,7 +1506,7 @@ func fpLoadIConst(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DIn
 func fpLoadStore(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), bytecode.Load)
 	v, tag := vm.slot(t, t.FP+FrameHeader+int(d.A))
-	if err := vm.pairBoundary(t, d, 1); err != nil {
+	if err := vm.pairBoundary(); err != nil {
 		return ctrlJump, int(d.PC) + 1, &boundaryErr{err}
 	}
 	vm.h.StoreWord(t.StackSeg, t.SP, v) // elided push: keep bytes identical
@@ -1555,7 +1552,7 @@ func fpCmpJump(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr
 		}
 		r = boolWord(cmpOrd(d.Op, int64(a), int64(b)))
 	}
-	if err := vm.pairBoundary(t, d, 1); err != nil {
+	if err := vm.pairBoundary(); err != nil {
 		return ctrlJump, int(d.PC) + 1, &boundaryErr{err}
 	}
 	vm.h.StoreWord(t.StackSeg, t.SP, r) // elided push: keep bytes identical
@@ -1571,7 +1568,7 @@ func fpCmpJump(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr
 func fpIConstCall(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), bytecode.IConst)
 	vm.fpush(t, uint64(d.Imm), false)
-	if err := vm.pairBoundary(t, d, 0); err != nil {
+	if err := vm.pairBoundary(); err != nil {
 		return ctrlJump, int(d.PC) + 1, &boundaryErr{err}
 	}
 	vm.note(t, m.ID, int(d.PC)+1, bytecode.Call)

@@ -97,10 +97,11 @@ func (vm *VM) rotationDue() bool {
 // budgetAt is the event count at which runSlice's boundary compare must
 // leave the hot path: where the MaxEvents budget runs out, or one event
 // before a RunUntil stop, whichever comes first. A per-event observer
-// pins it at 0, so every boundary takes the slow block that reports the
-// step.
+// and a program that failed verification pin it at 0, so every boundary
+// takes the slow block, which reports the step to the observer and grows
+// the unverified program's stack where execOne would.
 func (vm *VM) budgetAt() uint64 {
-	if vm.stepObs != nil {
+	if vm.stepObs != nil || vm.frameNeed == nil {
 		return 0
 	}
 	at := uint64(math.MaxUint64)
@@ -310,7 +311,9 @@ func (vm *VM) branch(t *threads.Thread, pc, target int, taken bool) (control, in
 		// The engine's switch effects can grow the stack and abandon this
 		// segment; its header must hold the pc Step would have flushed.
 		vm.flushFramePC(t, pc)
-		if vm.yieldHere(t) {
+		if vm.yieldHere(t) || vm.eng.Err() != nil {
+			// Switched, or the engine failed at the yield point (a stalled
+			// or diverged replay): either way the dispatch loop must look.
 			return ctrlSwitch, target, nil
 		}
 	}

@@ -122,7 +122,8 @@ type Config struct {
 
 	// Verify runs the static bytecode verifier at load time and refuses
 	// programs that fail it (the interpreter's dynamic checks still run
-	// either way).
+	// either way). Without it, a program that fails verification still
+	// runs, unfused and with a stack check at every instruction boundary.
 	Verify bool
 
 	// Journal, when set on a recording VM, drives segmented-journal
@@ -218,12 +219,6 @@ type VM struct {
 	natBuf   [1]int64
 	cbBuf    [2]int64
 	printBuf []byte
-
-	// One-entry stack-segment length cache for the fast path's headroom
-	// checks (see stackLen in fastpath.go).
-	segAddr heap.Addr
-	segGen  int
-	segLen  int
 }
 
 type internEntry struct {
