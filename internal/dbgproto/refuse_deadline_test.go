@@ -42,10 +42,10 @@ func (c *deadlineConn) Close() error {
 	c.closeOnce.Do(func() { close(c.closed) })
 	return nil
 }
-func (c *deadlineConn) LocalAddr() net.Addr                { return fakeAddr{} }
-func (c *deadlineConn) RemoteAddr() net.Addr               { return fakeAddr{} }
-func (c *deadlineConn) SetDeadline(t time.Time) error      { return nil }
-func (c *deadlineConn) SetReadDeadline(t time.Time) error  { return nil }
+func (c *deadlineConn) LocalAddr() net.Addr               { return fakeAddr{} }
+func (c *deadlineConn) RemoteAddr() net.Addr              { return fakeAddr{} }
+func (c *deadlineConn) SetDeadline(t time.Time) error     { return nil }
+func (c *deadlineConn) SetReadDeadline(t time.Time) error { return nil }
 func (c *deadlineConn) SetWriteDeadline(t time.Time) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -39,17 +39,18 @@ func (s *Scheduler) monitorFor(obj heap.Addr) *Monitor {
 	return m
 }
 
-// dropIfIdle removes the bookkeeping for an idle monitor to keep the
-// monitor table bounded. The removal condition is deterministic. The
-// monitor itself goes to the free list with its queue capacity intact.
-func (s *Scheduler) dropIfIdle(obj heap.Addr) {
-	m, ok := s.monitors[obj]
-	if !ok || !m.idle() {
+// dropIfIdle removes the bookkeeping for obj's monitor m once it is idle,
+// to keep the monitor table bounded. The removal condition is
+// deterministic. The monitor itself goes to the free list with its queue
+// capacity intact. monOrder holds each address once, and the monitor
+// just released is usually among the newest, so the scan starts there.
+func (s *Scheduler) dropIfIdle(obj heap.Addr, m *Monitor) {
+	if !m.idle() {
 		return
 	}
 	delete(s.monitors, obj)
-	for i, a := range s.monOrder {
-		if a == obj {
+	for i := len(s.monOrder) - 1; i >= 0; i-- {
+		if s.monOrder[i] == obj {
 			s.monOrder = append(s.monOrder[:i], s.monOrder[i+1:]...)
 			break
 		}

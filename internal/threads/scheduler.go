@@ -23,6 +23,13 @@ type Scheduler struct {
 
 	timers   []timerEntry
 	timerSeq uint64
+
+	// changed lists, once each, the threads whose State was written since
+	// the last TakeChanged; changedMark[id] is set while id is listed.
+	// Both live here rather than in Thread, so Thread copies and the
+	// snapshot codec carry no bookkeeping of the interpreter's flushes.
+	changed     []int
+	changedMark []bool
 }
 
 type timerEntry struct {
@@ -41,7 +48,37 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) NewThread() *Thread {
 	t := &Thread{ID: len(s.threads), State: Ready, FP: -1}
 	s.threads = append(s.threads, t)
+	s.changedMark = append(s.changedMark, false)
+	s.markChanged(t.ID)
 	return t
+}
+
+// setState writes t's scheduling state and lists t as changed. Every
+// State write of the scheduler goes through it.
+func (s *Scheduler) setState(t *Thread, st State) {
+	t.State = st
+	s.markChanged(t.ID)
+}
+
+// markChanged lists thread id as changed unless it is listed already.
+func (s *Scheduler) markChanged(id int) {
+	if !s.changedMark[id] {
+		s.changedMark[id] = true
+		s.changed = append(s.changed, id)
+	}
+}
+
+// TakeChanged returns the IDs of the threads whose State was written
+// since the previous call, each once, in order of first change, and
+// empties the list. A new scheduler and Restore list every thread. The
+// slice is only valid until the next State write.
+func (s *Scheduler) TakeChanged() []int {
+	ids := s.changed
+	for _, id := range ids {
+		s.changedMark[id] = false
+	}
+	s.changed = s.changed[:0]
+	return ids
 }
 
 // Thread returns the thread with the given ID.
@@ -65,7 +102,7 @@ func (s *Scheduler) Current() *Thread {
 
 // Enqueue appends t to the ready queue.
 func (s *Scheduler) Enqueue(t *Thread) {
-	t.State = Ready
+	s.setState(t, Ready)
 	s.readyQ = append(s.readyQ, t.ID)
 }
 
@@ -103,7 +140,7 @@ func (s *Scheduler) PickNext() *Thread {
 	n := copy(s.readyQ, s.readyQ[1:])
 	s.readyQ = s.readyQ[:n]
 	t := s.threads[id]
-	t.State = Running
+	s.setState(t, Running)
 	s.current = id
 	return t
 }
@@ -116,7 +153,7 @@ func (s *Scheduler) Preempt(t *Thread) {
 
 // Terminate marks t dead.
 func (s *Scheduler) Terminate(t *Thread) {
-	t.State = Terminated
+	s.setState(t, Terminated)
 	if s.current == t.ID {
 		s.current = -1
 	}
@@ -137,7 +174,7 @@ func (s *Scheduler) MonEnter(t *Thread, obj heap.Addr) (acquired bool) {
 		m.Recursion++
 		return true
 	}
-	t.State = BlockedMonitor
+	s.setState(t, BlockedMonitor)
 	t.WaitingOn = obj
 	m.EntryQ = append(m.EntryQ, t.ID)
 	s.current = -1
@@ -157,7 +194,7 @@ func (s *Scheduler) MonExit(t *Thread, obj heap.Addr) error {
 	}
 	m.Owner = -1
 	s.grantIfFree(obj, m)
-	s.dropIfIdle(obj)
+	s.dropIfIdle(obj, m)
 	return nil
 }
 
@@ -194,11 +231,11 @@ func (s *Scheduler) Wait(t *Thread, obj heap.Addr, wakeAt int64) error {
 	m.WaitQ = append(m.WaitQ, t.ID)
 	t.WaitingOn = obj
 	if wakeAt >= 0 {
-		t.State = TimedWaiting
+		s.setState(t, TimedWaiting)
 		t.WakeAt = wakeAt
 		s.addTimer(wakeAt, t.ID)
 	} else {
-		t.State = Waiting
+		s.setState(t, Waiting)
 	}
 	s.grantIfFree(obj, m)
 	s.current = -1
@@ -221,7 +258,7 @@ func (s *Scheduler) Notify(t *Thread, obj heap.Addr) (int, error) {
 	m.WaitQ = m.WaitQ[:n]
 	w := s.threads[id]
 	s.cancelTimer(id)
-	w.State = BlockedMonitor
+	s.setState(w, BlockedMonitor)
 	m.EntryQ = append(m.EntryQ, id)
 	return id, nil
 }
@@ -236,7 +273,7 @@ func (s *Scheduler) NotifyAll(t *Thread, obj heap.Addr) (int, error) {
 	for _, id := range m.WaitQ {
 		w := s.threads[id]
 		s.cancelTimer(id)
-		w.State = BlockedMonitor
+		s.setState(w, BlockedMonitor)
 		m.EntryQ = append(m.EntryQ, id)
 	}
 	m.WaitQ = m.WaitQ[:0]
@@ -245,7 +282,7 @@ func (s *Scheduler) NotifyAll(t *Thread, obj heap.Addr) (int, error) {
 
 // Sleep parks t until wakeAt.
 func (s *Scheduler) Sleep(t *Thread, wakeAt int64) {
-	t.State = Sleeping
+	s.setState(t, Sleeping)
 	t.WakeAt = wakeAt
 	s.addTimer(wakeAt, t.ID)
 	s.current = -1
@@ -260,7 +297,7 @@ func (s *Scheduler) Interrupt(target *Thread) {
 		s.cancelTimer(target.ID)
 		m := s.monitors[target.WaitingOn]
 		removeID(&m.WaitQ, target.ID)
-		target.State = BlockedMonitor
+		s.setState(target, BlockedMonitor)
 		m.EntryQ = append(m.EntryQ, target.ID)
 		s.grantIfFree(target.WaitingOn, m)
 	case Sleeping:
@@ -318,7 +355,7 @@ func (s *Scheduler) ExpireTimers(now int64) (woken int) {
 		case TimedWaiting:
 			m := s.monitors[t.WaitingOn]
 			removeID(&m.WaitQ, t.ID)
-			t.State = BlockedMonitor
+			s.setState(t, BlockedMonitor)
 			m.EntryQ = append(m.EntryQ, t.ID)
 			s.grantIfFree(t.WaitingOn, m)
 			woken++

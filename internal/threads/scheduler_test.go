@@ -626,3 +626,132 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 		}()
 	}
 }
+
+// TestChangeListReportsStateWrites: every scheduler transition lists
+// exactly the threads whose State it wrote, each once, and a take empties
+// the list. A new scheduler and Restore list every thread.
+func TestChangeListReportsStateWrites(t *testing.T) {
+	s, _ := newSched(4)
+	expect := func(what string, want ...int) {
+		t.Helper()
+		got := append([]int{}, s.TakeChanged()...)
+		if want == nil {
+			want = []int{}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: changed %v, want %v", what, got, want)
+		}
+		if again := s.TakeChanged(); len(again) != 0 {
+			t.Fatalf("%s: second take reports %v", what, again)
+		}
+	}
+	expect("new scheduler", 0, 1, 2, 3)
+	a, b := heap.Addr(64), heap.Addr(96)
+
+	t0 := s.PickNext()
+	expect("PickNext", 0)
+	if !s.MonEnter(t0, a) {
+		t.Fatal("uncontended enter blocked")
+	}
+	expect("uncontended MonEnter")
+	s.Preempt(t0)
+	expect("Preempt", 0)
+
+	t1 := s.PickNext()
+	expect("PickNext", 1)
+	if s.MonEnter(t1, a) {
+		t.Fatal("contended enter acquired")
+	}
+	expect("contended MonEnter", 1)
+
+	t2 := s.PickNext()
+	expect("PickNext", 2)
+	s.MonEnter(t2, b)
+	if err := s.Wait(t2, b, -1); err != nil {
+		t.Fatal(err)
+	}
+	expect("Wait", 2)
+
+	t3 := s.PickNext()
+	expect("PickNext", 3)
+	s.Sleep(t3, 50)
+	expect("Sleep", 3)
+
+	t0 = s.PickNext()
+	expect("PickNext", 0)
+	if err := s.MonExit(t0, a); err != nil {
+		t.Fatal(err)
+	}
+	expect("MonExit granting the entry queue", 1)
+	s.MonEnter(t0, b)
+	expect("uncontended MonEnter")
+	if id, _ := s.Notify(t0, b); id != 2 {
+		t.Fatalf("Notify woke %d", id)
+	}
+	expect("Notify", 2)
+	if id, _ := s.Notify(t0, b); id != -1 {
+		t.Fatalf("Notify of an empty wait set woke %d", id)
+	}
+	expect("Notify of an empty wait set")
+	if err := s.MonExit(t0, b); err != nil {
+		t.Fatal(err)
+	}
+	expect("MonExit granting a notified waiter", 2)
+
+	s.Interrupt(t3)
+	expect("Interrupt of a sleeper", 3)
+	s.Interrupt(t0)
+	expect("Interrupt of a running thread")
+	s.Terminate(t0)
+	expect("Terminate", 0)
+
+	// Timed waits, NotifyAll and expiry, on a fresh scheduler: thread 0
+	// waits with a timeout and thread 1 without; thread 2 wakes both, then
+	// waits itself, granting the monitor to thread 0, and its timer
+	// expires while thread 0 owns the monitor.
+	s, _ = newSched(3)
+	s.TakeChanged()
+	c := heap.Addr(128)
+	t0 = s.PickNext()
+	s.MonEnter(t0, c)
+	s.TakeChanged()
+	if err := s.Wait(t0, c, 100); err != nil {
+		t.Fatal(err)
+	}
+	expect("timed Wait", 0)
+	t1 = s.PickNext()
+	s.MonEnter(t1, c)
+	s.TakeChanged()
+	if err := s.Wait(t1, c, -1); err != nil {
+		t.Fatal(err)
+	}
+	expect("Wait", 1)
+	t2 = s.PickNext()
+	s.MonEnter(t2, c)
+	s.TakeChanged()
+	if n, _ := s.NotifyAll(t2, c); n != 2 {
+		t.Fatalf("NotifyAll woke %d", n)
+	}
+	expect("NotifyAll", 0, 1)
+	if err := s.Wait(t2, c, 40); err != nil {
+		t.Fatal(err)
+	}
+	expect("timed Wait granting the entry queue", 2, 0)
+	if s.ExpireTimers(39) != 0 {
+		t.Fatal("timer fired early")
+	}
+	expect("ExpireTimers before the deadline")
+	if s.ExpireTimers(40) != 1 {
+		t.Fatal("timed wait did not expire")
+	}
+	expect("timed Wait expiry behind an owned monitor", 2)
+	if t2.State != BlockedMonitor {
+		t.Fatalf("expired waiter is %v, want blocked", t2.State)
+	}
+
+	snap := s.Snapshot()
+	s.PickNext()
+	s.TakeChanged()
+	s.Restore(snap)
+	expect("Restore", 0, 1, 2)
+}

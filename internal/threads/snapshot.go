@@ -45,10 +45,13 @@ func (s *Scheduler) Snapshot() *Snapshot {
 // Restore reinstates a snapshot.
 func (s *Scheduler) Restore(snap *Snapshot) {
 	s.threads = s.threads[:0]
+	s.changed, s.changedMark = s.changed[:0], s.changedMark[:0]
 	for i := range snap.Threads {
 		t := snap.Threads[i] // copy
 		t.Tags = append([]bool(nil), snap.Tags[i]...)
 		s.threads = append(s.threads, &t)
+		s.changedMark = append(s.changedMark, false)
+		s.markChanged(i)
 	}
 	s.readyQ = append(s.readyQ[:0:0], snap.ReadyQ...)
 	s.current = snap.Current

@@ -71,8 +71,8 @@ type Thread struct {
 	MirrorObj heap.Addr
 
 	// Shadow of the values last flushed into MirrorObj by the interpreter
-	// (vm.flushMirror), letting it skip the heap stores when nothing
-	// changed. Skipping an equal-valued store never alters heap bytes, so
+	// (vm.flushMirror), letting it skip the store of every word that has
+	// not changed. Skipping an equal-valued store never alters heap bytes, so
 	// the image stays bit-identical. MirValid is false until the first
 	// flush; checkpoint decode leaves it false, forcing a full (idempotent)
 	// flush after restore.

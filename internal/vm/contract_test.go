@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -340,6 +341,60 @@ func TestUnverifiedProgramGrowsAtBoundaries(t *testing.T) {
 				if dig.Sum() != want.digest || m.StackGrows() != want.grows {
 					t.Fatalf("replay under %s: digest %x grows %d, recorded %x %d",
 						drive, dig.Sum(), m.StackGrows(), want.digest, want.grows)
+				}
+			}
+		})
+	}
+}
+
+// nativeLoopSrc is clockLoopSrc with the clock read replaced by another
+// recorded native: call pushes its operands and calls it, leaving one
+// result for the loop to pop.
+func nativeLoopSrc(call string) string {
+	return strings.Replace(strings.Replace(clockLoopSrc, `native "clock" 0`, call, 1), "  method main", `  method onEvent 2 2 {
+    ret
+  }
+  method main`, 1)
+}
+
+// TestRecordedNativeDivergenceMessage replays a trace cut short by the
+// event budget past its end, under Run, RunUntil and a Step loop. Every
+// recorded native must then report the engine failure as the run's
+// divergence, in clock's words, and not as a trap at the native's pc;
+// the error must still unwrap to the engine's.
+func TestRecordedNativeDivergenceMessage(t *testing.T) {
+	calls := map[string]string{
+		"clock":      `native "clock" 0`,
+		"random":     `native "random" 0`,
+		"nanotime":   `native "nanotime" 0`,
+		"randrange":  "iconst 10\n    native \"randrange\" 1",
+		"pollevents": "sconst \"Main.onEvent\"\n    iconst 3\n    native \"pollevents\" 2",
+	}
+	for name, call := range calls {
+		t.Run(name, func(t *testing.T) {
+			prog := bytecode.MustAssemble(nativeLoopSrc(call))
+			rec := recordVM(t, prog, 1, "", Config{MaxEvents: 500})
+			if err := rec.Run(); !errors.Is(err, ErrEventBudget) {
+				t.Fatalf("record: %v, want the event budget", err)
+			}
+			tr := rec.Engine().End()
+			for _, drive := range digestDrives {
+				m := replayVM(t, prog, tr, Config{}, nil)
+				err := driveVM(m, drive)
+				eerr := m.Engine().Err()
+				if err == nil || eerr == nil {
+					t.Fatalf("under %s: run error %v, engine error %v, want both", drive, err, eerr)
+				}
+				want := fmt.Sprintf("vm: replay diverged after %d events: %v", m.Events(), eerr)
+				if err.Error() != want {
+					t.Errorf("under %s: %q, want %q", drive, err, want)
+				}
+				var ve *VMError
+				if errors.As(err, &ve) || strings.Contains(err.Error(), "trap") {
+					t.Errorf("under %s: %v reads as a trap", drive, err)
+				}
+				if !errors.Is(err, eerr) {
+					t.Errorf("under %s: %v does not unwrap to the engine's %v", drive, err, eerr)
 				}
 			}
 		})

@@ -63,13 +63,16 @@ import (
 //     and remote tool VMs read the mirrors), before every stack growth
 //     (an abandoned segment keeps its header; a taken backedge flushes
 //     before its yield point, whose switch effects can grow the stack),
-//     on every thread-state change, before a journal checkpoint
-//     snapshot, and when the slice exits or stops at a RunUntil target,
-//     so a snapshot at any stop is Step's byte for byte. In between,
-//     nothing replay-visible reads them: FinalState
-//     renders statics-reachable heap only, and the flush schedule is
-//     identical between record and replay, so heap digests match
-//     bit-for-bit.
+//     before a journal checkpoint snapshot, when the slice exits or
+//     stops at a RunUntil target, and after dispatch picks a thread, so
+//     a snapshot at any stop is Step's byte for byte. A mirror flush
+//     visits the running thread and the threads on the scheduler's
+//     change list (TakeChanged), the only mirrors that can be stale; a
+//     monitor grant, notify or interrupt only lists its thread, which
+//     the next of those points flushes. In between, nothing
+//     replay-visible reads them: FinalState renders statics-reachable
+//     heap only, and the flush schedule is identical between record and
+//     replay, so heap digests match bit-for-bit.
 //   - Inline caches (CallV target, GetF/PutF field refness, SConst
 //     intern index, native ids) key on program identity — class layout,
 //     string pool and native registry are immutable per program — and
@@ -1026,7 +1029,6 @@ func fpNotify(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	if err != nil {
 		return 0, 0, err
 	}
-	vm.flushAllMirrors()
 	return ctrlNext, 0, nil
 }
 
@@ -1077,7 +1079,6 @@ func fpMonExit(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr
 	if vm.cfg.SyncHook != nil {
 		vm.cfg.SyncHook.OnMonitor(t.ID, obj, false)
 	}
-	vm.flushAllMirrors()
 	return ctrlNext, 0, nil
 }
 
@@ -1332,7 +1333,6 @@ func fpInterrupt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DIns
 		return 0, 0, fmt.Errorf("interrupt of unknown thread %d", tid)
 	}
 	vm.sched.Interrupt(target)
-	vm.flushAllMirrors()
 	return ctrlNext, 0, nil
 }
 

@@ -256,6 +256,9 @@ func (vm *VM) execOne(t *threads.Thread) error {
 		if !errors.As(err, &ve) {
 			err = vm.trap(t, m, pc, err)
 		}
+		// The handler may have popped operands or changed threads before
+		// it failed; runSlice flushes the mirrors at a trap too.
+		vm.flushAllMirrors()
 		return err
 	}
 	if ctrl == ctrlNext {
@@ -269,12 +272,7 @@ func (vm *VM) execOne(t *threads.Thread) error {
 	if t.State != threads.Terminated {
 		vm.flushFramePC(t, next)
 	}
-
-	if t.State == threads.Running {
-		vm.flushMirror(t)
-	} else {
-		vm.flushAllMirrors()
-	}
+	vm.flushAllMirrors()
 	return nil
 }
 

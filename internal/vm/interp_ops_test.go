@@ -718,7 +718,8 @@ func trapParityVM(t *testing.T, src string, tool bool, obs Observer) *VM {
 // TestTrapParity pins every error arm of newarr, astore, instof, spawn,
 // sleep, interrupt and prints: the trap's reason text, method, pc and
 // source line (the line marked "# trap") must be the same whether the VM
-// runs through Run or is stepped one instruction at a time.
+// runs through Run or is stepped one instruction at a time, and either
+// way every thread mirror must hold its thread's live values after it.
 func TestTrapParity(t *testing.T) {
 	for _, tc := range trapParityCases {
 		line := 0
@@ -732,7 +733,11 @@ func TestTrapParity(t *testing.T) {
 			run  func(*VM) error
 		}{{"run", (*VM).Run}, {"step", stepToEnd}} {
 			t.Run(tc.name+"/"+drive.name, func(t *testing.T) {
-				err := drive.run(trapParityVM(t, tc.src, tc.tool, nil))
+				m := trapParityVM(t, tc.src, tc.tool, nil)
+				err := drive.run(m)
+				if s := staleMirror(m); s != "" {
+					t.Errorf("after the trap: %s", s)
+				}
 				ve := innermostTrap(err)
 				if ve == nil {
 					t.Fatalf("err = %v, want a trap", err)

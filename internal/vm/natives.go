@@ -216,8 +216,12 @@ func (vm *VM) doNativeID(t *threads.Thread, id, nargs int) (control, int, error)
 }
 
 func (vm *VM) pushNativeResult(t *threads.Thread, vals []int64) (control, int, error) {
-	if err := vm.eng.Err(); err != nil {
-		return 0, 0, err
+	if vm.eng.Err() != nil {
+		// A failed engine call (a diverged or stalled replay) has no
+		// result. A zero stands in for it, as a failed clock read leaves
+		// its value, and fpNative hands the failure to the dispatch loop,
+		// which reports it as the run's divergence, not as a trap.
+		return ctrlNext, 0, vm.push(t, 0, false)
 	}
 	if len(vals) != 1 {
 		return 0, 0, fmt.Errorf("native returned %d results, expected 1", len(vals))
@@ -282,7 +286,9 @@ func (vm *VM) nativePollEvents(t *threads.Thread, id int) (control, int, error) 
 		vm.natBuf[0] = n
 		return vm.natBuf[:]
 	}, apply)
-	if cbErr != nil {
+	// A callback cut short by an engine failure is reported as that
+	// failure, like any recorded native's, not as a callback error.
+	if cbErr != nil && vm.eng.Err() == nil {
 		return 0, 0, cbErr
 	}
 	return vm.pushNativeResult(t, vals)

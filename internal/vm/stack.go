@@ -230,26 +230,48 @@ func (vm *VM) spawnThread(methodID int, src *threads.Thread, argStart int) (*thr
 // flushMirror writes t's volatile execution state into its heap mirror so
 // out-of-process tools see a consistent image. It runs at the same
 // deterministic points in record and replay, keeping the heap image
-// identical whether or not a debugger is watching.
+// identical whether or not a debugger is watching. Once a mirror has
+// been flushed (MirValid), only the words whose shadow differs are
+// stored: skipping an equal-valued store never alters heap bytes.
 func (vm *VM) flushMirror(t *threads.Thread) {
-	if t.MirrorObj == 0 {
+	o := t.MirrorObj
+	if o == 0 {
 		return
 	}
-	if t.MirValid && t.MirFP == t.FP && t.MirSP == t.SP &&
-		t.MirState == t.State && t.MirYields == t.YieldCount {
-		return // mirror already holds exactly these values
+	all := !t.MirValid
+	if all || t.MirFP != t.FP {
+		vm.h.StoreWord(o, MThreadFP, uint64(int64(t.FP)))
+		t.MirFP = t.FP
 	}
-	vm.h.StoreWord(t.MirrorObj, MThreadFP, uint64(int64(t.FP)))
-	vm.h.StoreWord(t.MirrorObj, MThreadSP, uint64(int64(t.SP)))
-	vm.h.StoreWord(t.MirrorObj, MThreadState, uint64(t.State))
-	vm.h.StoreWord(t.MirrorObj, MThreadYields, t.YieldCount)
-	t.MirFP, t.MirSP = t.FP, t.SP
-	t.MirState, t.MirYields = t.State, t.YieldCount
+	if all || t.MirSP != t.SP {
+		vm.h.StoreWord(o, MThreadSP, uint64(int64(t.SP)))
+		t.MirSP = t.SP
+	}
+	if all || t.MirState != t.State {
+		vm.h.StoreWord(o, MThreadState, uint64(t.State))
+		t.MirState = t.State
+	}
+	if all || t.MirYields != t.YieldCount {
+		vm.h.StoreWord(o, MThreadYields, t.YieldCount)
+		t.MirYields = t.YieldCount
+	}
 	t.MirValid = true
 }
 
+// flushAllMirrors brings every stale thread mirror up to date: the
+// running thread's, whose FP, SP and yield count move as it runs, and
+// those of the threads the scheduler lists as changed since the last
+// flush. No other mirror can be stale: a thread only leaves the CPU
+// through a State write, which lists it, and nothing else a mirror holds
+// moves while its thread is off the CPU. It runs only where a reader can
+// look: slice exit, dispatch, Native, and after every Step.
 func (vm *VM) flushAllMirrors() {
-	for _, t := range vm.sched.Threads() {
+	if t := vm.sched.Current(); t != nil {
 		vm.flushMirror(t)
+	}
+	for _, id := range vm.sched.TakeChanged() {
+		if t, ok := vm.sched.Thread(id); ok {
+			vm.flushMirror(t)
+		}
 	}
 }
