@@ -500,14 +500,13 @@ func BenchmarkCheckpointEncode(b *testing.B) {
 	for i := 0; i < 5000; i++ {
 		m.Step()
 	}
-	snap, err := m.Snapshot()
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	var blob []byte
 	for i := 0; i < b.N; i++ {
-		blob = snap.Encode(m.Hash())
+		var err error
+		if blob, err = m.AppendCheckpoint(blob[:0]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(float64(len(blob)), "checkpoint-B")
 }

@@ -492,12 +492,11 @@ func obsMux(srv *dbgproto.Server, reg *obs.Registry, d *debugger.Debugger) *http
 // run under the server's command lock so the VM is at an instruction
 // boundary.
 func saveCheckpoint(m *vm.VM, path string) {
-	snap, err := m.Snapshot()
+	blob, err := m.AppendCheckpoint(nil)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dvserve: exit checkpoint: %v\n", err)
 		return
 	}
-	blob := snap.Encode(m.Hash())
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		fmt.Fprintf(os.Stderr, "dvserve: exit checkpoint: %v\n", err)
 		return

@@ -405,11 +405,10 @@ func runCommand(d *debugger.Debugger, fields []string) (string, error) {
 		if len(fields) != 2 {
 			return "", fmt.Errorf("usage: save <file>")
 		}
-		snap, err := d.VM.Snapshot()
+		blob, err := d.VM.AppendCheckpoint(nil)
 		if err != nil {
 			return "", err
 		}
-		blob := snap.Encode(d.VM.Hash())
 		if err := os.WriteFile(fields[1], blob, 0o644); err != nil {
 			return "", err
 		}

@@ -135,11 +135,11 @@ func (r *recording) session(t *testing.T, every uint64) *Debugger {
 // encoded is the VM's full checkpoint encoding.
 func encoded(t *testing.T, m *vm.VM) []byte {
 	t.Helper()
-	s, err := m.Snapshot()
+	b, err := m.AppendCheckpoint(nil)
 	if err != nil {
-		t.Fatalf("snapshot: %v", err)
+		t.Fatalf("checkpoint: %v", err)
 	}
-	return s.Encode(m.Hash())
+	return b
 }
 
 // sameVM fails unless got matches the Step-loop reference want in event

@@ -185,6 +185,28 @@ func (h *Heap) Snapshot() *Snapshot {
 	}
 }
 
+// AppendCheckpoint appends the heap's checkpoint encoding to buf, read in
+// place from the active semispace.
+func (h *Heap) AppendCheckpoint(buf []byte) []byte {
+	return appendCheckpoint(buf, h.semi, h.base, h.alloc, h.mem[h.base:h.alloc])
+}
+
+// AppendCheckpoint appends the snapshot's checkpoint encoding to buf: the
+// bytes Heap.AppendCheckpoint wrote when the snapshot was taken.
+func (s *Snapshot) AppendCheckpoint(buf []byte) []byte {
+	return appendCheckpoint(buf, s.Semi, s.Base, s.Alloc, s.Image)
+}
+
+// appendCheckpoint is the heap's one checkpoint encoder: semi, base,
+// alloc, the image length, and the image.
+func appendCheckpoint(buf []byte, semi, base, alloc int, image []byte) []byte {
+	buf = appendUvarint(buf, uint64(semi))
+	buf = appendUvarint(buf, uint64(base))
+	buf = appendUvarint(buf, uint64(alloc))
+	buf = appendUvarint(buf, uint64(len(image)))
+	return append(buf, image...)
+}
+
 // Restore reinstates a snapshot taken from this or an identically
 // configured heap. It copies the image into the existing memory, which it
 // reallocates only when that is too short to hold it.
@@ -216,16 +238,6 @@ func (h *Heap) LiveBytes() (bytes, entities int) {
 	return bytes, entities
 }
 
-// EncodeTo serializes the snapshot (checkpoint files): semi, base, alloc,
-// the image length, and the image.
-func (s *Snapshot) EncodeTo(buf *[]byte) {
-	*buf = appendUvarint(*buf, uint64(s.Semi))
-	*buf = appendUvarint(*buf, uint64(s.Base))
-	*buf = appendUvarint(*buf, uint64(s.Alloc))
-	*buf = appendUvarint(*buf, uint64(len(s.Image)))
-	*buf = append(*buf, s.Image...)
-}
-
 // ErrSnapshot reports a snapshot encoding that cannot be restored: it is
 // truncated, or describes a geometry no heap can have.
 var ErrSnapshot = errors.New("heap: malformed snapshot")
@@ -233,13 +245,13 @@ var ErrSnapshot = errors.New("heap: malformed snapshot")
 // maxSemi keeps both semispaces addressable by a 32-bit Addr.
 const maxSemi = 1 << 31
 
-// DecodeSnapshot parses a snapshot encoded by EncodeTo, returning the rest
-// of the input. It checks the geometry: a word-aligned semispace of at
-// least one page whose two halves an Addr can reach, base at the start of
-// one of them, alloc word-aligned in [base+8, base+semi], and an image of
-// exactly alloc−base bytes. The snapshot's Image aliases data, so restoring
-// it copies the image once: data must not change until the snapshot is
-// restored or dropped.
+// DecodeSnapshot parses a checkpoint encoded by AppendCheckpoint,
+// returning the rest of the input. It checks the geometry: a word-aligned
+// semispace of at least one page whose two halves an Addr can reach, base
+// at the start of one of them, alloc word-aligned in [base+8, base+semi],
+// and an image of exactly alloc−base bytes. The snapshot's Image aliases
+// data, so restoring it copies the image once: data must not change until
+// the snapshot is restored or dropped.
 func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
 	var f [4]uint64 // semi, base, alloc, image length
 	for i := range f {

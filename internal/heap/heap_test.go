@@ -416,8 +416,14 @@ func TestHeapSnapshotCodec(t *testing.T) {
 	a, _ := h.AllocObject(1, 2)
 	h.StoreWord(a, 0, 424242)
 	snap := h.Snapshot()
-	var buf []byte
-	snap.EncodeTo(&buf)
+	buf := snap.AppendCheckpoint([]byte("prefix"))
+	if string(buf[:6]) != "prefix" {
+		t.Fatal("AppendCheckpoint overwrote the bytes before it")
+	}
+	buf = buf[6:]
+	if live := h.AppendCheckpoint(nil); string(live) != string(buf) {
+		t.Fatal("the live heap and its snapshot encode to different bytes")
+	}
 	dec, rest, err := DecodeSnapshot(buf)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("%v, %d trailing", err, len(rest))

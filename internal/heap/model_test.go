@@ -169,9 +169,7 @@ func TestCompactHeapModel(t *testing.T) {
 					collect(true)
 				}
 			case op < 94:
-				var enc []byte
-				h.Snapshot().EncodeTo(&enc)
-				snaps = append(snaps, snapPair{enc, ref.snapshot(),
+				snaps = append(snaps, snapPair{h.AppendCheckpoint(nil), ref.snapshot(),
 					append([]Addr(nil), roots...), append([]Addr(nil), refRoots...)})
 			default:
 				if len(snaps) == 0 {

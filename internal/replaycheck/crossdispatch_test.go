@@ -59,15 +59,15 @@ func crossNames() []string {
 // heap image (garbage included), scheduler and engine position.
 func sameSnapshot(t *testing.T, what string, fast, stepped *vm.VM) {
 	t.Helper()
-	fs, err := fast.Snapshot()
+	fs, err := fast.AppendCheckpoint(nil)
 	if err != nil {
-		t.Fatalf("%s: run snapshot: %v", what, err)
+		t.Fatalf("%s: run checkpoint: %v", what, err)
 	}
-	ls, err := stepped.Snapshot()
+	ls, err := stepped.AppendCheckpoint(nil)
 	if err != nil {
-		t.Fatalf("%s: step snapshot: %v", what, err)
+		t.Fatalf("%s: step checkpoint: %v", what, err)
 	}
-	if !bytes.Equal(fs.Encode(fast.Hash()), ls.Encode(stepped.Hash())) {
+	if !bytes.Equal(fs, ls) {
 		t.Fatalf("%s: encoded final snapshots diverged", what)
 	}
 }

@@ -20,8 +20,13 @@ func stepLoop(m *vm.VM) error {
 // UseStepLoop makes every run this package starts drive its VM through
 // stepLoop instead of Run, until the returned restore func is called.
 // Tests that use it must not run in parallel with other runs.
-func UseStepLoop() (restore func()) {
+func UseStepLoop() (restore func()) { return UseDriver(stepLoop) }
+
+// UseDriver makes every run this package starts drive its VM through
+// drive instead of Run, until the returned restore func is called. Tests
+// that use it must not run in parallel with other runs.
+func UseDriver(drive func(*vm.VM) error) (restore func()) {
 	prev := runVM
-	runVM = stepLoop
+	runVM = drive
 	return func() { runVM = prev }
 }

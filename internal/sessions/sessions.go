@@ -1318,11 +1318,10 @@ func (m *Manager) Draining() bool {
 // into the session directory. Caller holds s.mu, so the VM is between
 // commands at an instruction boundary.
 func (s *Session) saveCheckpointLocked(name string) error {
-	snap, err := s.d.VM.Snapshot()
+	blob, err := s.d.VM.AppendCheckpoint(nil)
 	if err != nil {
 		return err
 	}
-	blob := snap.Encode(s.d.VM.Hash())
 	return os.WriteFile(filepath.Join(s.dir, name), blob, 0o644)
 }
 

@@ -1,6 +1,7 @@
 package threads
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -358,7 +359,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s.Wait(t0, obj, 500)
 	t1 := s.PickNext()
 	s.MonEnter(t1, obj)
-	snap := s.Snapshot()
+	snap := s.Clone()
 
 	// Mutate heavily.
 	s.Notify(t1, obj)
@@ -576,32 +577,32 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	s.MonEnter(t1, obj)
 	t1.Tags = []bool{true, false, true}
 	t1.SP = 3
-	snap := s.Snapshot()
-	var buf []byte
-	snap.EncodeTo(&buf)
-	dec, rest, err := DecodeSnapshot(buf)
+	buf := s.AppendCheckpoint(nil)
+	dec, rest, err := DecodeCheckpoint(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("%d trailing bytes", len(rest))
 	}
-	// Thread.Tags is carried in Snapshot.Tags, not inside the Thread
-	// structs; blank it for the struct comparison.
-	a := append([]Thread(nil), snap.Threads...)
-	bThreads := append([]Thread(nil), dec.Threads...)
-	for i := range a {
-		a[i].Tags = nil
-		bThreads[i].Tags = nil
+	if again := dec.AppendCheckpoint(nil); !bytes.Equal(again, buf) {
+		t.Fatal("the decoded scheduler encodes to other bytes")
 	}
-	if !reflect.DeepEqual(a, bThreads) {
-		t.Fatalf("threads differ:\n%+v\n%+v", a, bThreads)
+	// A clone holds the scheduler state the way a decode does (empty
+	// queues as nil), so the two compare field by field.
+	snap := s.Clone()
+	if len(snap.threads) != len(dec.threads) {
+		t.Fatalf("%d threads decoded, want %d", len(dec.threads), len(snap.threads))
 	}
-	if !reflect.DeepEqual(snap.Tags, dec.Tags) || !reflect.DeepEqual(snap.ReadyQ, dec.ReadyQ) ||
-		snap.Current != dec.Current || !reflect.DeepEqual(snap.Mons, dec.Mons) ||
-		!reflect.DeepEqual(snap.MonAddrs, dec.MonAddrs) || !reflect.DeepEqual(snap.Timers, dec.Timers) ||
-		snap.TimerSeq != dec.TimerSeq {
-		t.Fatal("snapshot fields differ after codec round trip")
+	for i := range snap.threads {
+		if !reflect.DeepEqual(*snap.threads[i], *dec.threads[i]) {
+			t.Fatalf("thread %d differs:\n%+v\n%+v", i, *snap.threads[i], *dec.threads[i])
+		}
+	}
+	if !reflect.DeepEqual(snap.readyQ, dec.readyQ) || snap.current != dec.current ||
+		!reflect.DeepEqual(snap.monOrder, dec.monOrder) || !reflect.DeepEqual(snap.monitors, dec.monitors) ||
+		!reflect.DeepEqual(snap.timers, dec.timers) || snap.timerSeq != dec.timerSeq {
+		t.Fatal("scheduler fields differ after codec round trip")
 	}
 	// Restoring the decoded snapshot yields a working scheduler.
 	s2 := NewScheduler()
@@ -622,7 +623,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 					t.Fatalf("decode panicked at byte %d: %v", i, r)
 				}
 			}()
-			_, _, _ = DecodeSnapshot(mut)
+			_, _, _ = DecodeCheckpoint(mut)
 		}()
 	}
 }
@@ -749,7 +750,7 @@ func TestChangeListReportsStateWrites(t *testing.T) {
 		t.Fatalf("expired waiter is %v, want blocked", t2.State)
 	}
 
-	snap := s.Snapshot()
+	snap := s.Clone()
 	s.PickNext()
 	s.TakeChanged()
 	s.Restore(snap)

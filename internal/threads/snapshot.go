@@ -1,94 +1,48 @@
 package threads
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"dejavu/internal/heap"
 )
 
-// Snapshot is a deep copy of all scheduler state, used by the Igor-style
-// checkpointing baseline and by the debugger's time travel.
-type Snapshot struct {
-	Threads  []Thread
-	Tags     [][]bool
-	ReadyQ   []int
-	Current  int
-	MonAddrs []heap.Addr
-	Mons     []Monitor
-	Timers   []timerEntry
-	TimerSeq uint64
+// Clone deep-copies the scheduler, for the VM's in-memory checkpoints:
+// Restore(clone) rewinds to it, and clone.AppendCheckpoint encodes it.
+func (s *Scheduler) Clone() *Scheduler {
+	c := &Scheduler{} // Restore sets every field but the (empty) monitor pool
+	c.Restore(s)
+	return c
 }
 
-// Snapshot deep-copies the scheduler.
-func (s *Scheduler) Snapshot() *Snapshot {
-	snap := &Snapshot{
-		ReadyQ:   append([]int(nil), s.readyQ...),
-		Current:  s.current,
-		Timers:   append([]timerEntry(nil), s.timers...),
-		TimerSeq: s.timerSeq,
-	}
-	for _, t := range s.threads {
-		snap.Threads = append(snap.Threads, *t)
-		snap.Tags = append(snap.Tags, append([]bool(nil), t.Tags...))
-	}
-	for _, a := range s.monOrder {
-		m := s.monitors[a]
-		snap.MonAddrs = append(snap.MonAddrs, a)
-		cp := *m
-		cp.EntryQ = append([]int(nil), m.EntryQ...)
-		cp.WaitQ = append([]int(nil), m.WaitQ...)
-		snap.Mons = append(snap.Mons, cp)
-	}
-	return snap
-}
-
-// Restore reinstates a snapshot.
-func (s *Scheduler) Restore(snap *Snapshot) {
+// Restore makes the scheduler a deep copy of from, a clone or a decoded
+// checkpoint; from is left as it was. Every thread is listed as changed.
+func (s *Scheduler) Restore(from *Scheduler) {
 	s.threads = s.threads[:0]
 	s.changed, s.changedMark = s.changed[:0], s.changedMark[:0]
-	for i := range snap.Threads {
-		t := snap.Threads[i] // copy
-		t.Tags = append([]bool(nil), snap.Tags[i]...)
+	for i, ft := range from.threads {
+		t := *ft // copy
+		t.Tags = append([]bool(nil), ft.Tags...)
 		s.threads = append(s.threads, &t)
 		s.changedMark = append(s.changedMark, false)
 		s.markChanged(i)
 	}
-	s.readyQ = append(s.readyQ[:0:0], snap.ReadyQ...)
-	s.current = snap.Current
-	s.timers = append(s.timers[:0:0], snap.Timers...)
-	s.timerSeq = snap.TimerSeq
-	s.monitors = make(map[heap.Addr]*Monitor, len(snap.Mons))
-	s.monOrder = append(s.monOrder[:0:0], snap.MonAddrs...)
-	for i, a := range snap.MonAddrs {
-		m := snap.Mons[i] // copy
-		m.EntryQ = append([]int(nil), snap.Mons[i].EntryQ...)
-		m.WaitQ = append([]int(nil), snap.Mons[i].WaitQ...)
+	s.readyQ = append(s.readyQ[:0:0], from.readyQ...)
+	s.current = from.current
+	s.timers = append(s.timers[:0:0], from.timers...)
+	s.timerSeq = from.timerSeq
+	s.monitors = make(map[heap.Addr]*Monitor, len(from.monOrder))
+	s.monOrder = append(s.monOrder[:0:0], from.monOrder...)
+	for _, a := range from.monOrder {
+		m := *from.monitors[a] // copy
+		m.EntryQ = append([]int(nil), m.EntryQ...)
+		m.WaitQ = append([]int(nil), m.WaitQ...)
 		s.monitors[a] = &m
 	}
 }
 
 // Serialization for checkpoint files. The format is varint-based; decode
 // validates counts against the remaining input.
-
-type snapWriter struct{ buf []byte }
-
-func (w *snapWriter) uv(v uint64) {
-	for v >= 0x80 {
-		w.buf = append(w.buf, byte(v)|0x80)
-		v >>= 7
-	}
-	w.buf = append(w.buf, byte(v))
-}
-
-func (w *snapWriter) sv(v int64) { w.uv(uint64(v)<<1 ^ uint64(v>>63)) }
-
-func (w *snapWriter) b(v bool) {
-	if v {
-		w.buf = append(w.buf, 1)
-	} else {
-		w.buf = append(w.buf, 0)
-	}
-}
 
 type snapReader struct {
 	data []byte
@@ -129,72 +83,79 @@ func (r *snapReader) b() bool {
 	return v == 1
 }
 
-// EncodeTo serializes the scheduler snapshot.
-func (s *Snapshot) EncodeTo(buf *[]byte) {
-	w := &snapWriter{buf: *buf}
-	w.uv(uint64(len(s.Threads)))
-	for i := range s.Threads {
-		t := &s.Threads[i]
-		w.uv(uint64(t.ID))
-		w.uv(uint64(t.State))
-		w.uv(uint64(t.StackSeg))
-		w.sv(int64(t.FP))
-		w.sv(int64(t.SP))
-		w.uv(uint64(t.WaitingOn))
-		w.sv(t.WakeAt)
-		w.b(t.Interrupted)
-		w.sv(int64(t.SavedRecursion))
-		w.uv(t.YieldCount)
-		w.uv(t.NYP)
-		w.uv(t.EventCount)
-		w.uv(uint64(t.MirrorObj))
-		tags := s.Tags[i]
-		w.uv(uint64(len(tags)))
-		for _, tg := range tags {
-			w.b(tg)
+// AppendCheckpoint appends the scheduler's checkpoint encoding to buf,
+// read in place from the live threads, tags, ready queue, monitors (in
+// creation order) and timers. It copies nothing but into buf.
+func (s *Scheduler) AppendCheckpoint(buf []byte) []byte {
+	uv, sv := binary.AppendUvarint, binary.AppendVarint
+	buf = uv(buf, uint64(len(s.threads)))
+	for _, t := range s.threads {
+		buf = uv(buf, uint64(t.ID))
+		buf = uv(buf, uint64(t.State))
+		buf = uv(buf, uint64(t.StackSeg))
+		buf = sv(buf, int64(t.FP))
+		buf = sv(buf, int64(t.SP))
+		buf = uv(buf, uint64(t.WaitingOn))
+		buf = sv(buf, t.WakeAt)
+		buf = appendBool(buf, t.Interrupted)
+		buf = sv(buf, int64(t.SavedRecursion))
+		buf = uv(buf, t.YieldCount)
+		buf = uv(buf, t.NYP)
+		buf = uv(buf, t.EventCount)
+		buf = uv(buf, uint64(t.MirrorObj))
+		buf = uv(buf, uint64(len(t.Tags)))
+		for _, tg := range t.Tags {
+			buf = appendBool(buf, tg)
 		}
 	}
-	w.uv(uint64(len(s.ReadyQ)))
-	for _, id := range s.ReadyQ {
-		w.uv(uint64(id))
+	buf = uv(buf, uint64(len(s.readyQ)))
+	for _, id := range s.readyQ {
+		buf = uv(buf, uint64(id))
 	}
-	w.sv(int64(s.Current))
-	w.uv(uint64(len(s.Mons)))
-	for i := range s.Mons {
-		w.uv(uint64(s.MonAddrs[i]))
-		m := &s.Mons[i]
-		w.sv(int64(m.Owner))
-		w.sv(int64(m.Recursion))
-		w.uv(uint64(len(m.EntryQ)))
+	buf = sv(buf, int64(s.current))
+	buf = uv(buf, uint64(len(s.monOrder)))
+	for _, a := range s.monOrder {
+		m := s.monitors[a]
+		buf = uv(buf, uint64(a))
+		buf = sv(buf, int64(m.Owner))
+		buf = sv(buf, int64(m.Recursion))
+		buf = uv(buf, uint64(len(m.EntryQ)))
 		for _, id := range m.EntryQ {
-			w.uv(uint64(id))
+			buf = uv(buf, uint64(id))
 		}
-		w.uv(uint64(len(m.WaitQ)))
+		buf = uv(buf, uint64(len(m.WaitQ)))
 		for _, id := range m.WaitQ {
-			w.uv(uint64(id))
+			buf = uv(buf, uint64(id))
 		}
 	}
-	w.uv(uint64(len(s.Timers)))
-	for _, e := range s.Timers {
-		w.sv(e.WakeAt)
-		w.uv(e.Seq)
-		w.uv(uint64(e.TID))
+	buf = uv(buf, uint64(len(s.timers)))
+	for _, e := range s.timers {
+		buf = sv(buf, e.WakeAt)
+		buf = uv(buf, e.Seq)
+		buf = uv(buf, uint64(e.TID))
 	}
-	w.uv(s.TimerSeq)
-	*buf = w.buf
+	return uv(buf, s.timerSeq)
 }
 
-// DecodeSnapshot parses a snapshot encoded by EncodeTo, returning the
-// unread remainder.
-func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
+func appendBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
+}
+
+// DecodeCheckpoint parses a checkpoint encoded by AppendCheckpoint into a
+// scheduler to Restore from, returning the unread remainder.
+func DecodeCheckpoint(data []byte) (*Scheduler, []byte, error) {
 	r := &snapReader{data: data}
-	s := &Snapshot{}
+	s := NewScheduler()
 	n := r.uv()
 	if r.err == nil && n > uint64(len(r.data)) {
 		return nil, nil, fmt.Errorf("threads: snapshot thread count corrupt")
 	}
+	ts := make([]Thread, n) // n is at most the bytes left, one per thread at least
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		var t Thread
+		t := &ts[i]
 		t.ID = int(r.uv())
 		t.State = State(r.uv())
 		t.StackSeg = heap.Addr(r.uv())
@@ -212,31 +173,29 @@ func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
 		if r.err == nil && nt > uint64(len(r.data)) {
 			return nil, nil, fmt.Errorf("threads: snapshot tag count corrupt")
 		}
-		var tags []bool
 		if nt > 0 {
-			tags = make([]bool, nt)
-			for j := range tags {
-				tags[j] = r.b()
+			t.Tags = make([]bool, nt)
+			for j := range t.Tags {
+				t.Tags[j] = r.b()
 			}
 		}
-		s.Threads = append(s.Threads, t)
-		s.Tags = append(s.Tags, tags)
+		s.threads = append(s.threads, t)
 	}
 	nq := r.uv()
 	if r.err == nil && nq > uint64(len(r.data))+1 {
 		return nil, nil, fmt.Errorf("threads: snapshot ready queue corrupt")
 	}
 	for i := uint64(0); i < nq && r.err == nil; i++ {
-		s.ReadyQ = append(s.ReadyQ, int(r.uv()))
+		s.readyQ = append(s.readyQ, int(r.uv()))
 	}
-	s.Current = int(r.sv())
+	s.current = int(r.sv())
 	nm := r.uv()
 	if r.err == nil && nm > uint64(len(r.data))+1 {
 		return nil, nil, fmt.Errorf("threads: snapshot monitor count corrupt")
 	}
 	for i := uint64(0); i < nm && r.err == nil; i++ {
-		s.MonAddrs = append(s.MonAddrs, heap.Addr(r.uv()))
-		var m Monitor
+		a := heap.Addr(r.uv())
+		m := &Monitor{}
 		m.Owner = int(r.sv())
 		m.Recursion = int(r.sv())
 		ne := r.uv()
@@ -247,7 +206,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
 		for j := uint64(0); j < nw && r.err == nil; j++ {
 			m.WaitQ = append(m.WaitQ, int(r.uv()))
 		}
-		s.Mons = append(s.Mons, m)
+		s.monOrder = append(s.monOrder, a)
+		s.monitors[a] = m
 	}
 	ntm := r.uv()
 	if r.err == nil && ntm > uint64(len(r.data))+1 {
@@ -258,9 +218,9 @@ func DecodeSnapshot(data []byte) (*Snapshot, []byte, error) {
 		e.WakeAt = r.sv()
 		e.Seq = r.uv()
 		e.TID = int(r.uv())
-		s.Timers = append(s.Timers, e)
+		s.timers = append(s.timers, e)
 	}
-	s.TimerSeq = r.uv()
+	s.timerSeq = r.uv()
 	if r.err != nil {
 		return nil, nil, r.err
 	}

@@ -154,23 +154,66 @@ const manifestMagic = "DVSG1"
 
 // Encode renders the manifest in its durable text form, ending with a
 // CRC32C line over everything before it.
-func (m *Manifest) Encode() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s %016x\n", manifestMagic, m.ProgHash)
+func (m *Manifest) Encode() []byte { return m.appendTo(nil) }
+
+// appendTo appends the manifest's durable text form to buf:
+//
+//	DVSG1 <prog hash, 16 hex digits>
+//	origin <first replayable instruction>      (only when Origin > 0)
+//	seg <index> <name> <events> <switches> <bytes>
+//	ckpt <index> <name> <vm events>
+//	complete                                    (only when Complete)
+//	crc <CRC32C of the lines above, 8 hex digits>
+func (m *Manifest) appendTo(buf []byte) []byte {
+	start := len(buf)
+	buf = append(buf, manifestMagic+" "...)
+	buf = appendHex(buf, m.ProgHash, 16)
+	buf = append(buf, '\n')
 	if m.Origin > 0 {
-		fmt.Fprintf(&b, "origin %d\n", m.Origin)
+		buf = append(buf, "origin "...)
+		buf = strconv.AppendUint(buf, m.Origin, 10)
+		buf = append(buf, '\n')
 	}
 	for _, s := range m.Segments {
-		fmt.Fprintf(&b, "seg %d %s %d %d %d\n", s.Index, s.Name, s.Events, s.Switches, s.Bytes)
+		buf = append(buf, "seg "...)
+		buf = strconv.AppendInt(buf, int64(s.Index), 10)
+		buf = append(buf, ' ')
+		buf = append(buf, s.Name...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(s.Events), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(s.Switches), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, s.Bytes, 10)
+		buf = append(buf, '\n')
 	}
 	for _, c := range m.Checkpoints {
-		fmt.Fprintf(&b, "ckpt %d %s %d\n", c.Index, c.Name, c.VMEvents)
+		buf = append(buf, "ckpt "...)
+		buf = strconv.AppendInt(buf, int64(c.Index), 10)
+		buf = append(buf, ' ')
+		buf = append(buf, c.Name...)
+		buf = append(buf, ' ')
+		buf = strconv.AppendUint(buf, c.VMEvents, 10)
+		buf = append(buf, '\n')
 	}
 	if m.Complete {
-		fmt.Fprintf(&b, "complete\n")
+		buf = append(buf, "complete\n"...)
 	}
-	fmt.Fprintf(&b, "crc %08x\n", crc32.Checksum(b.Bytes(), castagnoli))
-	return b.Bytes()
+	sum := crc32.Checksum(buf[start:], castagnoli)
+	buf = append(buf, "crc "...)
+	buf = appendHex(buf, uint64(sum), 8)
+	return append(buf, '\n')
+}
+
+// appendHex appends v in lower-case hex, zero-padded to width digits
+// (fmt's %0<width>x).
+func appendHex(buf []byte, v uint64, width int) []byte {
+	var digits [16]byte
+	d := strconv.AppendUint(digits[:0], v, 16)
+	for i := len(d); i < width; i++ {
+		buf = append(buf, '0')
+	}
+	return append(buf, d...)
 }
 
 // ErrManifest reports a manifest that does not parse or whose CRC does not
@@ -313,7 +356,7 @@ type Checkpoint struct {
 	Index       int    // segment this checkpoint seeds
 	VMEvents    uint64 // instruction count at the boundary
 	BoundaryNYP uint64 // record-mode yields since the last recorded switch
-	State       []byte // opaque VM snapshot (vm.Snapshot.Encode bytes)
+	State       []byte // opaque VM checkpoint (vm.VM.AppendCheckpoint bytes)
 }
 
 const checkpointFileMagic = "DVSC"
@@ -321,21 +364,21 @@ const checkpointFileMagic = "DVSC"
 // EncodeCheckpoint renders the checkpoint file: magic, program hash, the
 // three positions, the opaque state, and a trailing CRC32C.
 func EncodeCheckpoint(progHash uint64, c Checkpoint) []byte {
-	buf := make([]byte, 0, len(c.State)+64)
+	return appendCheckpointFile(make([]byte, 0, len(c.State)+64), progHash, c)
+}
+
+// appendCheckpointFile appends c's checkpoint file (EncodeCheckpoint's
+// bytes) to buf.
+func appendCheckpointFile(buf []byte, progHash uint64, c Checkpoint) []byte {
+	start := len(buf)
 	buf = append(buf, checkpointFileMagic...)
-	var h8 [8]byte
-	binary.LittleEndian.PutUint64(h8[:], progHash)
-	buf = append(buf, h8[:]...)
-	var tmp [binary.MaxVarintLen64]byte
-	uv := func(v uint64) { buf = append(buf, tmp[:binary.PutUvarint(tmp[:], v)]...) }
-	uv(uint64(c.Index))
-	uv(c.VMEvents)
-	uv(c.BoundaryNYP)
-	uv(uint64(len(c.State)))
+	buf = binary.LittleEndian.AppendUint64(buf, progHash)
+	buf = binary.AppendUvarint(buf, uint64(c.Index))
+	buf = binary.AppendUvarint(buf, c.VMEvents)
+	buf = binary.AppendUvarint(buf, c.BoundaryNYP)
+	buf = binary.AppendUvarint(buf, uint64(len(c.State)))
 	buf = append(buf, c.State...)
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf, castagnoli))
-	return append(buf, crc[:]...)
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf[start:], castagnoli))
 }
 
 // ErrCheckpoint reports an unreadable (torn, bit-flipped, or mismatched)
@@ -422,6 +465,10 @@ type SegmentWriter struct {
 	closed bool
 	err    error
 	m      segmentMetrics
+
+	// fileBuf holds the checkpoint or manifest file being written; every
+	// rotation reuses it, and Close drops it.
+	fileBuf []byte
 }
 
 // segmentMetrics holds the journal writer's obs series; all nil-safe
@@ -618,9 +665,10 @@ func (s *SegmentWriter) writeAtomic(name string, data []byte) {
 
 // Rotate seals the current segment, writes the boundary checkpoint and the
 // updated manifest atomically, and opens the next segment. state is the
-// opaque VM snapshot at the boundary (taken at an instruction boundary,
+// opaque VM checkpoint at the boundary (taken at an instruction boundary,
 // before the next instruction executes); vmEvents and boundaryNYP position
-// it. Rotate matches the vm.JournalSink surface.
+// it. Rotate matches the vm.JournalSink surface: it frames state into the
+// checkpoint file in a buffer of its own and keeps no reference to it.
 func (s *SegmentWriter) Rotate(state []byte, vmEvents, boundaryNYP uint64) error {
 	if s.closed {
 		return errors.New("trace: journal already closed")
@@ -631,7 +679,11 @@ func (s *SegmentWriter) Rotate(state []byte, vmEvents, boundaryNYP uint64) error
 	s.seal()
 	next := s.index + 1
 	ck := Checkpoint{Index: next, VMEvents: vmEvents, BoundaryNYP: boundaryNYP, State: state}
-	s.writeAtomic(CheckpointFileName(next), EncodeCheckpoint(s.progHash, ck))
+	if need := len(state) + 64; cap(s.fileBuf) < need {
+		s.fileBuf = make([]byte, 0, 2*need) // room for a state that grows
+	}
+	s.fileBuf = appendCheckpointFile(s.fileBuf[:0], s.progHash, ck)
+	s.writeAtomic(CheckpointFileName(next), s.fileBuf)
 	if s.err == nil {
 		s.man.Checkpoints = append(s.man.Checkpoints, CheckpointInfo{
 			Index: next, Name: CheckpointFileName(next), VMEvents: vmEvents,
@@ -639,7 +691,7 @@ func (s *SegmentWriter) Rotate(state []byte, vmEvents, boundaryNYP uint64) error
 		s.m.ckWrites.Inc()
 		s.m.ckBytes.Add(uint64(len(state)))
 	}
-	s.writeAtomic(manifestName, s.man.Encode())
+	s.writeManifest()
 	if s.err == nil && s.opts.MaxJournalBytes > 0 && int64(s.agg.TotalBytes) >= s.opts.MaxJournalBytes {
 		s.setErr(fmt.Errorf("journal holds %d sealed bytes, quota %d: %w",
 			s.agg.TotalBytes, s.opts.MaxJournalBytes, ErrJournalQuota))
@@ -665,8 +717,15 @@ func (s *SegmentWriter) Close() error {
 		s.seal()
 	}
 	s.man.Complete = s.err == nil
-	s.writeAtomic(manifestName, s.man.Encode())
+	s.writeManifest()
+	s.fileBuf = nil
 	return s.err
+}
+
+// writeManifest encodes the manifest into fileBuf and writes it atomically.
+func (s *SegmentWriter) writeManifest() {
+	s.fileBuf = s.man.appendTo(s.fileBuf[:0])
+	s.writeAtomic(manifestName, s.fileBuf)
 }
 
 // Err returns the sticky write error.

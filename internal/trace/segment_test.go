@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -303,6 +304,46 @@ func TestManifestRoundTripAndCorruption(t *testing.T) {
 	evil := &Manifest{Segments: []SegmentInfo{{Index: 0, Name: "../escape.dvs"}}}
 	if _, err := ParseManifest(evil.Encode()); err == nil {
 		t.Fatal("path-escaping segment name must not parse")
+	}
+}
+
+// TestManifestGolden pins the manifest's exact bytes, crc line included,
+// for a manifest with every kind of line: an origin, two segments (one
+// holding more than 2^32 events), a checkpoint and the complete marker.
+// The program hash and the crc both start with a zero digit, so the
+// padding of both hex fields shows.
+func TestManifestGolden(t *testing.T) {
+	m := &Manifest{
+		ProgHash: 0x00c0ffee0badf00d,
+		Origin:   4102,
+		Complete: true,
+		Segments: []SegmentInfo{
+			{Index: 0, Name: SegmentFileName(0), Events: 12, Switches: 3, Bytes: 1234},
+			{Index: 1, Name: SegmentFileName(1), Events: 1<<32 + 5, Switches: 0, Bytes: 77},
+		},
+		Checkpoints: []CheckpointInfo{{Index: 1, Name: CheckpointFileName(1), VMEvents: 99999}},
+	}
+	const want = "DVSG1 00c0ffee0badf00d\n" +
+		"origin 4102\n" +
+		"seg 0 seg-000000.dvs 12 3 1234\n" +
+		"seg 1 seg-000001.dvs 4294967301 0 77\n" +
+		"ckpt 1 ckpt-000001.dvck 99999\n" +
+		"complete\n" +
+		"crc 0c7a93f4\n"
+	if got := string(m.Encode()); got != want {
+		t.Fatalf("manifest bytes:\n%q\nwant\n%q", got, want)
+	}
+	// Appending after other bytes leaves them alone and covers only the
+	// manifest with the crc.
+	if got := string(m.appendTo([]byte("xyz"))); got != "xyz"+want {
+		t.Fatalf("appendTo after a prefix:\n%q", got)
+	}
+	back, err := ParseManifest([]byte(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, m) {
+		t.Fatalf("parsed %+v, want %+v", back, m)
 	}
 }
 

@@ -20,59 +20,78 @@ import (
 
 const checkpointMagic = "DVCK"
 
-// Encode serializes the snapshot. The header binds it to a program image
-// hash; RestoreBytes refuses checkpoints from other programs.
+// AppendCheckpoint appends the VM's state at the current instruction
+// boundary to buf as checkpoint bytes, encoded straight from the live
+// heap, scheduler and VM tables without an intermediate copy. The header
+// binds the bytes to the program image hash; RestoreBytes refuses
+// checkpoints from other programs. Inside a native callback it refuses
+// with ErrNestedSnapshot and returns buf unchanged.
+func (vm *VM) AppendCheckpoint(buf []byte) ([]byte, error) {
+	s, err := vm.view()
+	if err != nil {
+		return buf, err
+	}
+	return s.appendCheckpoint(buf, vm.progHash, vm.h), nil
+}
+
+// Encode returns the snapshot as checkpoint bytes, the bytes
+// AppendCheckpoint would have produced when it was taken. Checkpoint
+// writers encode from the live VM instead; this serves holders of an
+// in-memory snapshot.
 func (s *Snapshot) Encode(progHash uint64) []byte {
-	buf := make([]byte, 0, len(s.heap.Image)+4096)
+	return s.appendCheckpoint(make([]byte, 0, len(s.heap.Image)+4096), progHash, nil)
+}
+
+// appendCheckpoint is the one checkpoint encoder. It appends s to buf:
+// magic, program hash, the heap (read in place from live when it is set,
+// as for a view, else from s.heap), the scheduler, the VM tables and, in
+// replay mode, the engine position.
+func (s *Snapshot) appendCheckpoint(buf []byte, progHash uint64, live *heap.Heap) []byte {
 	buf = append(buf, checkpointMagic...)
-	var h8 [8]byte
-	binary.LittleEndian.PutUint64(h8[:], progHash)
-	buf = append(buf, h8[:]...)
-
-	uv := func(v uint64) {
-		for v >= 0x80 {
-			buf = append(buf, byte(v)|0x80)
-			v >>= 7
-		}
-		buf = append(buf, byte(v))
-	}
-	bl := func(v bool) {
-		if v {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-	}
-	addrs := func(as []heap.Addr) {
-		uv(uint64(len(as)))
-		for _, a := range as {
-			uv(uint64(a))
-		}
-	}
-
-	s.heap.EncodeTo(&buf)
-	s.sched.EncodeTo(&buf)
-
-	uv(s.events)
-	bl(s.halted)
-	bl(s.deferred)
-	uv(uint64(len(s.out)))
-	buf = append(buf, s.out...)
-	addrs(s.interned)
-	addrs(s.staticsObj)
-	addrs(s.classMir)
-	addrs(s.methodMir)
-	uv(uint64(s.dict))
-	uv(uint64(s.threadsArr))
-	uv(uint64(s.captureBuf))
-
-	if s.engine != nil {
-		bl(true)
-		s.engine.EncodeTo(&buf)
+	buf = binary.LittleEndian.AppendUint64(buf, progHash)
+	if live != nil {
+		buf = live.AppendCheckpoint(buf)
 	} else {
-		bl(false)
+		buf = s.heap.AppendCheckpoint(buf)
+	}
+	buf = s.sched.AppendCheckpoint(buf)
+
+	uv := binary.AppendUvarint
+	buf = uv(buf, s.events)
+	buf = appendBool(buf, s.halted)
+	buf = appendBool(buf, s.deferred)
+	buf = uv(buf, uint64(len(s.out)))
+	buf = append(buf, s.out...)
+	buf = uv(buf, uint64(len(s.interned)))
+	for _, e := range s.interned {
+		buf = uv(buf, uint64(e.addr))
+	}
+	buf = appendAddrs(buf, s.staticsObj)
+	buf = appendAddrs(buf, s.classMir)
+	buf = appendAddrs(buf, s.methodMir)
+	buf = uv(buf, uint64(s.dict))
+	buf = uv(buf, uint64(s.threadsArr))
+	buf = uv(buf, uint64(s.captureBuf))
+	buf = appendBool(buf, s.engine != nil)
+	if s.engine != nil {
+		s.engine.EncodeTo(&buf)
 	}
 	return buf
+}
+
+func appendAddrs(buf []byte, as []heap.Addr) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(as)))
+	for _, a := range as {
+		buf = binary.AppendUvarint(buf, uint64(a))
+	}
+	return buf
+}
+
+func appendBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, 1)
+	}
+	return append(buf, 0)
 }
 
 // ErrCheckpointRefused wraps every reason RestoreBytes and RestoreSeam
@@ -82,10 +101,10 @@ func (s *Snapshot) Encode(progHash uint64) []byte {
 // zero.
 var ErrCheckpointRefused = errors.New("vm: checkpoint refused")
 
-// RestoreBytes decodes a checkpoint produced by Encode against this VM's
-// program and reinstates it. The VM must have been constructed the same
-// way as the one that took the checkpoint (same program image; for replay
-// checkpoints, an engine over the same trace). A refusal wraps
+// RestoreBytes decodes a checkpoint produced by AppendCheckpoint against
+// this VM's program and reinstates it. The VM must have been constructed
+// the same way as the one that took the checkpoint (same program image;
+// for replay checkpoints, an engine over the same trace). A refusal wraps
 // ErrCheckpointRefused.
 func (vm *VM) RestoreBytes(data []byte) error {
 	s, err := vm.decodeCheckpoint(data)
@@ -196,7 +215,7 @@ func (vm *VM) decodeSnapshot(data []byte) (*Snapshot, error) {
 	if 2*s.heap.Semi > vm.cfg.MaxHeapBytes {
 		return nil, fmt.Errorf("vm: checkpoint heap of %d bytes exceeds MaxHeapBytes %d", 2*s.heap.Semi, vm.cfg.MaxHeapBytes)
 	}
-	if s.sched, data, err = threads.DecodeSnapshot(data); err != nil {
+	if s.sched, data, err = threads.DecodeCheckpoint(data); err != nil {
 		return nil, err
 	}
 	s.events = uv()
@@ -210,7 +229,9 @@ func (vm *VM) decodeSnapshot(data []byte) (*Snapshot, error) {
 		s.out = data[:n:n] // Restore copies it
 		data = data[n:]
 	}
-	s.interned = addrs()
+	for _, a := range addrs() {
+		s.interned = append(s.interned, internEntry{addr: a})
+	}
 	s.staticsObj = addrs()
 	s.classMir = addrs()
 	s.methodMir = addrs()

@@ -306,11 +306,11 @@ func TestUnverifiedProgramGrowsAtBoundaries(t *testing.T) {
 		if m.frameNeed != nil {
 			t.Fatal("unverified program got a frame reservation")
 		}
-		s, err := m.Snapshot()
+		ck, err := m.AppendCheckpoint(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{m.Engine().End(), dig.Sum(), m.StackGrows(), s.Encode(m.Hash())}
+		return outcome{m.Engine().End(), dig.Sum(), m.StackGrows(), ck}
 	}
 	for _, seed := range []int64{1, 4, 9} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {

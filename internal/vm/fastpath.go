@@ -458,11 +458,19 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 				vm.err = be.err
 				return vm.err
 			}
+			// Leave every frame pc where a Step loop leaves it. A trap
+			// that arrives already wrapped was raised where the frames
+			// are flushed: in a native callback (fpNative stored this
+			// frame's pc, execOne the callback frames') or in a fused
+			// pair's second component (pairErr stored its pc). Any other
+			// trap is this instruction's own, at pc.
 			var ve *VMError
-			if !errors.As(err, &ve) {
+			if errors.As(err, &ve) {
+				vm.flushAllMirrors()
+			} else {
 				err = vm.trap(t, m, int(d.PC), err)
+				stop(pc)
 			}
-			stop(pc)
 			vm.err = err
 			return vm.err
 		}
@@ -1419,8 +1427,10 @@ func fpHalt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 // identical flush schedules between record and replay.)
 
 // pairErr wraps a second-component error exactly as Step would: trapped
-// at the component's own pc.
+// at the component's own pc, which the frame holds, as the first
+// component's epilogue left it under Step.
 func (vm *VM) pairErr(t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr, err error) error {
+	vm.flushFramePC(t, int(d.PC)+1)
 	return vm.trap(t, m, int(d.PC)+1, err)
 }
 

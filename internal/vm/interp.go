@@ -133,7 +133,8 @@ func (vm *VM) readClock() int64 {
 }
 
 // rotateJournal seals the current journal segment with a checkpoint of the
-// VM as it stands at this instruction boundary. Only meaningful while
+// VM as it stands at this instruction boundary, encoded from live state
+// into the buffer the previous rotation used. Only meaningful while
 // recording — a replaying VM never rotates (its journal is read-only).
 // A failure is sticky: it becomes the run's error.
 func (vm *VM) rotateJournal() error {
@@ -141,9 +142,16 @@ func (vm *VM) rotateJournal() error {
 	if !ok {
 		return nil
 	}
-	snap, err := vm.Snapshot()
+	// A checkpoint is the heap image plus a few KB. When that outgrows the
+	// buffer, reserve twice the room: a heap that grows between rotations
+	// then reallocates the buffer a logarithmic number of times.
+	if need := vm.h.Used() + 4096; cap(vm.ckptBuf) < need {
+		vm.ckptBuf = make([]byte, 0, 2*need)
+	}
+	var err error
+	vm.ckptBuf, err = vm.AppendCheckpoint(vm.ckptBuf[:0])
 	if err == nil {
-		err = vm.cfg.Journal.Rotate(snap.Encode(vm.progHash), vm.events, nyp)
+		err = vm.cfg.Journal.Rotate(vm.ckptBuf, vm.events, nyp)
 	}
 	if err != nil {
 		vm.err = fmt.Errorf("vm: journal rotation: %w", err)

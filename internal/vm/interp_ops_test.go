@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -718,8 +719,10 @@ func trapParityVM(t *testing.T, src string, tool bool, obs Observer) *VM {
 // TestTrapParity pins every error arm of newarr, astore, instof, spawn,
 // sleep, interrupt and prints: the trap's reason text, method, pc and
 // source line (the line marked "# trap") must be the same whether the VM
-// runs through Run or is stepped one instruction at a time, and either
-// way every thread mirror must hold its thread's live values after it.
+// runs through Run or is stepped one instruction at a time, and either way
+// every thread mirror must hold its thread's live values after it. For an
+// application VM the two drivers must also leave byte-identical
+// checkpoints behind the trap.
 func TestTrapParity(t *testing.T) {
 	for _, tc := range trapParityCases {
 		line := 0
@@ -728,6 +731,7 @@ func TestTrapParity(t *testing.T) {
 				line = i + 1
 			}
 		}
+		var ckpts [][]byte
 		for _, drive := range []struct {
 			name string
 			run  func(*VM) error
@@ -749,7 +753,57 @@ func TestTrapParity(t *testing.T) {
 					t.Errorf("trap at %s:%d line %d, want %s:%d line %d",
 						ve.Method, ve.PC, ve.Line, tc.method, tc.pc, line)
 				}
+				ck, err := m.AppendCheckpoint(nil)
+				if err != nil {
+					t.Fatalf("checkpoint after the trap: %v", err)
+				}
+				ckpts = append(ckpts, ck)
 			})
 		}
+		if !tc.tool && len(ckpts) == 2 && !bytes.Equal(ckpts[0], ckpts[1]) {
+			t.Errorf("%s: Run and Step leave different checkpoints after the trap (%d vs %d bytes)",
+				tc.name, len(ckpts[0]), len(ckpts[1]))
+		}
+	}
+}
+
+// TestFusedCallTrapParity: an iconst+call pair whose call cannot grow the
+// stack traps in the pair's second component. Run must leave the frame
+// pcs where a Step loop leaves them, so both drivers end on the same
+// trap and byte-identical checkpoints.
+func TestFusedCallTrapParity(t *testing.T) {
+	src := `
+program p
+class Main {
+  method f 1 1 {
+    iconst 1
+    call Main.f
+    ret
+  }
+  method main 0 0 {
+    iconst 1
+    call Main.f
+    halt
+  }
+}
+entry Main.main`
+	var ckpts [][]byte
+	for _, run := range []func(*VM) error{(*VM).Run, stepToEnd} {
+		m, err := New(asm(t, src), Config{HeapBytes: 1 << 14, MaxHeapBytes: 1 << 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ve := innermostTrap(run(m))
+		if ve == nil || ve.Method != "Main.f" || ve.PC != 1 {
+			t.Fatalf("trap = %v, want one at Main.f:1", ve)
+		}
+		ck, err := m.AppendCheckpoint(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckpts = append(ckpts, ck)
+	}
+	if !bytes.Equal(ckpts[0], ckpts[1]) {
+		t.Fatal("Run and Step leave different checkpoints after the trap")
 	}
 }

@@ -17,16 +17,19 @@ import (
 // re-execution from them is only exact when no non-deterministic source
 // (timer, clock, native) will be consulted afterwards — which is exactly
 // why the paper pairs checkpointing with deterministic replay.
+//
+// The same struct also serves as a view of a live VM (VM.view), whose
+// slices alias the VM's own; appendCheckpoint encodes either one.
 type Snapshot struct {
-	heap   *heap.Snapshot
-	sched  *threads.Snapshot
+	heap   *heap.Snapshot     // a copy; nil in a view, whose encoder reads the live heap
+	sched  *threads.Scheduler // a clone, or the live scheduler in a view
 	engine *core.EngineSnapshot
 
 	events     uint64
 	halted     bool
 	deferred   bool
 	out        []byte
-	interned   []heap.Addr
+	interned   []internEntry // only addr is checkpoint state
 	staticsObj []heap.Addr
 	classMir   []heap.Addr
 	methodMir  []heap.Addr
@@ -38,36 +41,53 @@ type Snapshot struct {
 // ErrNestedSnapshot rejects snapshots taken inside a native callback.
 var ErrNestedSnapshot = errors.New("vm: cannot snapshot inside a native callback")
 
-// Snapshot captures the full VM state at the current instruction boundary.
-func (vm *VM) Snapshot() (*Snapshot, error) {
+// view returns the VM's checkpoint state without copying any of it: the
+// slices are the VM's own and sched is the live scheduler, so the view is
+// valid only until the VM next runs. Its heap is nil: the encoder reads
+// the live heap in place. In replay mode it carries the engine snapshot.
+func (vm *VM) view() (Snapshot, error) {
 	if vm.nestedDepth != 0 {
-		return nil, ErrNestedSnapshot
+		return Snapshot{}, ErrNestedSnapshot
 	}
-	s := &Snapshot{
-		heap:       vm.h.Snapshot(),
-		sched:      vm.sched.Snapshot(),
+	s := Snapshot{
+		sched:      vm.sched,
 		events:     vm.events,
 		halted:     vm.halted,
 		deferred:   vm.deferred,
-		out:        append([]byte(nil), vm.out.buf...),
-		staticsObj: append([]heap.Addr(nil), vm.staticsObj...),
-		classMir:   append([]heap.Addr(nil), vm.classMirrors...),
-		methodMir:  append([]heap.Addr(nil), vm.methodMirrors...),
+		out:        vm.out.buf,
+		interned:   vm.interned,
+		staticsObj: vm.staticsObj,
+		classMir:   vm.classMirrors,
+		methodMir:  vm.methodMirrors,
 		dict:       vm.dict,
 		threadsArr: vm.threadsArr,
 		captureBuf: vm.captureBuf,
 	}
-	for _, e := range vm.interned {
-		s.interned = append(s.interned, e.addr)
-	}
 	if vm.eng.Mode() == core.ModeReplay {
 		es, err := vm.eng.Snapshot()
 		if err != nil {
-			return nil, err
+			return Snapshot{}, err
 		}
 		s.engine = es
 	}
 	return s, nil
+}
+
+// Snapshot captures the full VM state at the current instruction boundary
+// into memory the VM does not share.
+func (vm *VM) Snapshot() (*Snapshot, error) {
+	s, err := vm.view()
+	if err != nil {
+		return nil, err
+	}
+	s.heap = vm.h.Snapshot()
+	s.sched = vm.sched.Clone()
+	s.out = append([]byte(nil), s.out...)
+	s.interned = append([]internEntry(nil), s.interned...)
+	s.staticsObj = append([]heap.Addr(nil), s.staticsObj...)
+	s.classMir = append([]heap.Addr(nil), s.classMir...)
+	s.methodMir = append([]heap.Addr(nil), s.methodMir...)
+	return &s, nil
 }
 
 // SnapshotBytes reports the in-memory footprint of a snapshot (allocated
@@ -75,8 +95,8 @@ func (vm *VM) Snapshot() (*Snapshot, error) {
 func (s *Snapshot) SnapshotBytes() int {
 	n := len(s.heap.Image) + len(s.out)
 	n += 8 * (len(s.interned) + len(s.staticsObj) + len(s.classMir) + len(s.methodMir))
-	for i := range s.sched.Threads {
-		n += 128 + len(s.sched.Tags[i])
+	for _, t := range s.sched.Threads() {
+		n += 128 + len(t.Tags)
 	}
 	return n
 }
@@ -103,7 +123,7 @@ func (vm *VM) Restore(s *Snapshot) error {
 	vm.threadsArr = s.threadsArr
 	vm.captureBuf = s.captureBuf
 	for i := range s.interned {
-		vm.interned[i].addr = s.interned[i]
+		vm.interned[i].addr = s.interned[i].addr
 	}
 	// Interned strings only grow; entries beyond the snapshot's length
 	// were added after it and their heap storage is gone. Drop them.

@@ -280,11 +280,10 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 			t.Fatalf("early stop: %v", err)
 		}
 	}
-	snap, err := m1.Snapshot()
+	blob, err := m1.AppendCheckpoint(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blob := snap.Encode(m1.Hash())
 	for {
 		done, err := m1.Step()
 		if err != nil {
@@ -332,8 +331,7 @@ func TestCheckpointRejections(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Step()
 	}
-	snap, _ := m.Snapshot()
-	blob := snap.Encode(m.Hash())
+	blob, _ := m.AppendCheckpoint(nil)
 
 	// Wrong magic / truncation / wrong program.
 	if err := m.RestoreBytes([]byte("XXXXXXXXXXXX")); err == nil {
@@ -394,8 +392,7 @@ func TestCheckpointHeapGeometryRefusals(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Step()
 	}
-	snap, _ := m.Snapshot()
-	blob := snap.Encode(m.Hash())
+	blob, _ := m.AppendCheckpoint(nil)
 	hs, rest, err := heap.DecodeSnapshot(blob[12:])
 	if err != nil {
 		t.Fatal(err)

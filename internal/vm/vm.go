@@ -81,16 +81,19 @@ type SyncHook interface {
 }
 
 // JournalSink is the rotation surface a segmented trace journal offers a
-// recording VM (trace.SegmentWriter implements it). The VM owns the safe
-// point: it polls RotatePending at instruction boundaries and answers with
-// Rotate, handing over its encoded snapshot and position, so a segment
-// boundary always falls where a checkpoint is well-defined.
+// recording VM (trace.SegmentWriter and flightrec.Ring implement it). The
+// VM owns the safe point: it polls RotatePending at instruction
+// boundaries and answers with Rotate, handing over its checkpoint bytes
+// (AppendCheckpoint) and position, so a segment boundary always falls
+// where a checkpoint is well-defined.
 type JournalSink interface {
 	// RotatePending reports that a rotation policy threshold was crossed.
 	RotatePending() bool
-	// Rotate seals the current segment and makes state (an encoded VM
-	// snapshot), the instruction count, and the record-side yield position
-	// durable as the next segment's seed checkpoint.
+	// Rotate seals the current segment and makes state (the VM's
+	// checkpoint bytes), the instruction count, and the record-side yield
+	// position durable as the next segment's seed checkpoint. state is
+	// borrowed for the call only: the VM encodes the next checkpoint into
+	// the same buffer, so a sink that keeps the bytes must copy them.
 	Rotate(state []byte, vmEvents, boundaryNYP uint64) error
 }
 
@@ -219,6 +222,11 @@ type VM struct {
 	natBuf   [1]int64
 	cbBuf    [2]int64
 	printBuf []byte
+
+	// ckptBuf holds the last journal checkpoint rotateJournal encoded; it
+	// is reused by the next rotation. Kept last, clear of the fields the
+	// dispatch loop reads.
+	ckptBuf []byte
 }
 
 type internEntry struct {
