@@ -181,7 +181,7 @@ func TestCLIReplayFromEventRefusedCheckpointFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const vmHeader = 12 // "DVCK" + program hash
+	const vmHeader = 12 // checkpoint magic + program hash
 	hs, rest, err := heap.DecodeSnapshot(ck.State[vmHeader:])
 	if err != nil {
 		t.Fatal(err)

@@ -397,7 +397,6 @@ func (e *Engine) AtYieldPoint(t *threads.Thread) bool {
 			e.stats.YieldPoints++
 			e.m.yieldPoints.Inc()
 			e.nyp++
-			t.NYP++
 			t.YieldCount++
 			if e.cfg.Preempt.Pending() { // preemptiveHardwareBit
 				e.m.preemptRec.Inc()
@@ -406,7 +405,6 @@ func (e *Engine) AtYieldPoint(t *threads.Thread) bool {
 				e.stats.Switches++
 				e.m.switches.Inc()
 				e.nyp = 0
-				t.NYP = 0
 				e.symmetricSwitchEffects()
 				e.switchBit = true
 			}
@@ -479,7 +477,6 @@ func (e *Engine) instrumentationYield(t *threads.Thread) {
 	switch e.mode {
 	case ModeRecord:
 		e.nyp++
-		t.NYP++
 		t.YieldCount++
 	case ModeReplay:
 		t.YieldCount++

@@ -92,7 +92,7 @@ func checkpointContent(t *testing.T, name string, progHash uint64, data []byte) 
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	const vmHeader = 12 // "DVCK" + program hash
+	const vmHeader = 12 // checkpoint magic + program hash
 	if len(ck.State) < vmHeader {
 		t.Fatalf("%s: VM state of %d bytes", name, len(ck.State))
 	}

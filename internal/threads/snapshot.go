@@ -100,7 +100,6 @@ func (s *Scheduler) AppendCheckpoint(buf []byte) []byte {
 		buf = appendBool(buf, t.Interrupted)
 		buf = sv(buf, int64(t.SavedRecursion))
 		buf = uv(buf, t.YieldCount)
-		buf = uv(buf, t.NYP)
 		buf = uv(buf, t.EventCount)
 		buf = uv(buf, uint64(t.MirrorObj))
 		buf = uv(buf, uint64(len(t.Tags)))
@@ -166,7 +165,6 @@ func DecodeCheckpoint(data []byte) (*Scheduler, []byte, error) {
 		t.Interrupted = r.b()
 		t.SavedRecursion = int(r.sv())
 		t.YieldCount = r.uv()
-		t.NYP = r.uv()
 		t.EventCount = r.uv()
 		t.MirrorObj = heap.Addr(r.uv())
 		nt := r.uv()

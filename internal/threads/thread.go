@@ -60,9 +60,9 @@ type Thread struct {
 	SavedRecursion int // monitor recursion saved across wait
 
 	// DejaVu logical clock (§2.4): yield points executed by this thread
-	// with the clock live, and the delta since the last preemptive switch.
+	// with the clock live. The delta since the last preemptive switch is
+	// the engine's one nyp counter (Fig. 2), not a per-thread copy.
 	YieldCount uint64
-	NYP        uint64
 
 	// EventCount counts instructions executed by this thread.
 	EventCount uint64

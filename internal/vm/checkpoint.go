@@ -18,7 +18,10 @@ import (
 // points: a colleague can open your recorded failure at event N without
 // re-executing the prefix.
 
-const checkpointMagic = "DVCK"
+// checkpointMagic names the checkpoint format. DVC2 dropped a per-thread
+// record-only counter from the scheduler section; a DVCK checkpoint from
+// before that is refused rather than decoded one field out of step.
+const checkpointMagic = "DVC2"
 
 // AppendCheckpoint appends the VM's state at the current instruction
 // boundary to buf as checkpoint bytes, encoded straight from the live
