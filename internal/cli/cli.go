@@ -138,39 +138,20 @@ type JournalRecording struct {
 	Switches uint64
 	Digest   uint64
 	Output   []byte
-	// RunErr is the recording's run error. RecordJournalProgram treats any
-	// run error as a failure and never sets it; RecordFlightProgram returns
-	// faulting runs as data (the fault is what the flight recorder flushes
-	// on), so callers inspect it.
+	// RunErr is the recording's run error. RecordJournalProgramOptions
+	// treats any run error as a failure and never sets it;
+	// RecordFlightProgram returns faulting runs as data (the fault is what
+	// the flight recorder flushes on), so callers inspect it.
 	RunErr error
 }
 
-// RecordJournal resolves a program spec (workload:name, .dvs, or .dva),
-// records it with a seeded preemptor, and rotates the trace into a
-// segmented journal on fs so every segment boundary carries a durable
-// checkpoint. rotateEvents <= 0 keeps the journal single-segment. It is
-// the shared create path for tools that mint journal-backed sessions
-// (dvserve's multi-tenant session manager, tests).
-func RecordJournal(spec string, fs trace.FS, seed int64, rotateEvents int) (*JournalRecording, error) {
-	prog, err := LoadProgram(spec)
-	if err != nil {
-		return nil, err
-	}
-	return RecordJournalProgram(prog, fs, seed, rotateEvents)
-}
-
-// RecordJournalProgram is RecordJournal over an already-resolved program
-// — the path session managers take when the program went through the
-// optimizer first, so the journal records the build that will replay it.
-func RecordJournalProgram(prog *bytecode.Program, fs trace.FS, seed int64, rotateEvents int) (*JournalRecording, error) {
-	return RecordJournalProgramOptions(prog, fs, replaycheck.Options{Seed: seed, RotateEvents: rotateEvents})
-}
-
-// RecordJournalProgramOptions is RecordJournalProgram with the full
-// replaycheck option surface exposed — session managers use it to apply a
-// journal byte quota (Options.MaxJournalBytes) at record time. A run error
-// (including a quota refusal) is a failure: journal sessions replay
-// complete recordings.
+// RecordJournalProgramOptions records an already-resolved program (for a
+// session manager, the optimized build when it asked for one, so the
+// journal records the build that will replay it) into a segmented journal
+// on fs, every segment boundary carrying a durable checkpoint. o carries
+// the seed, the rotation threshold and a journal byte quota
+// (Options.MaxJournalBytes). A run error (including a quota refusal) is a
+// failure: journal sessions replay complete recordings.
 func RecordJournalProgramOptions(prog *bytecode.Program, fs trace.FS, o replaycheck.Options) (*JournalRecording, error) {
 	res, err := replaycheck.RecordJournal(prog, fs, o)
 	if err != nil {
@@ -188,11 +169,11 @@ func RecordJournalProgramOptions(prog *bytecode.Program, fs trace.FS, o replaych
 }
 
 // RecordFlightProgram records prog through sink — a flight-recorder ring
-// (trace.Sink, and vm.JournalSink for rotation) — with the same seeded
-// defaults as RecordJournalProgram. Unlike the journal path, a faulting run
-// is not a failure here: the fault is precisely what the flight recorder
-// exists to capture, so the run error comes back in JournalRecording.RunErr
-// and only setup errors are returned. The caller owns flushing the ring.
+// (trace.Sink, and vm.JournalSink for rotation) — seeded with seed and
+// otherwise default options. Unlike the journal path, a faulting run is not
+// a failure here: the fault is precisely what the flight recorder exists to
+// capture, so the run error comes back in JournalRecording.RunErr and only
+// setup errors are returned. The caller owns flushing the ring.
 func RecordFlightProgram(prog *bytecode.Program, sink trace.Sink, seed int64) (*JournalRecording, error) {
 	res, err := replaycheck.RecordSink(prog, sink, replaycheck.Options{Seed: seed})
 	if err != nil {

@@ -22,10 +22,22 @@ import (
 // claim applied to the observability subsystem: a run with a metrics
 // registry attached must produce a bit-identical trace and a bit-identical
 // replay digest to a run without one. Metrics live outside the logical
-// clock, so turning them on may not move a single event.
+// clock, so turning them on may not move a single event. The second case
+// adds seeded preemption and a small heap.
 func TestMetricsPreserveReplayDeterminism(t *testing.T) {
-	o := replaycheck.Options{Seed: 11, HostRand: 11}
+	for _, c := range []struct {
+		name string
+		o    replaycheck.Options
+	}{
+		{"seed11", replaycheck.Options{Seed: 11, HostRand: 11}},
+		{"preempt2-9", replaycheck.Options{Seed: 7, HostRand: 7, PreemptMin: 2, PreemptMax: 9, HeapBytes: 1 << 17}},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkMetricsPreserveDeterminism(t, c.o) })
+	}
+}
 
+func checkMetricsPreserveDeterminism(t *testing.T, o replaycheck.Options) {
+	t.Helper()
 	recPlain, err := replaycheck.Record(workloads.Events(400), o)
 	if err != nil {
 		t.Fatal(err)
@@ -45,6 +57,11 @@ func TestMetricsPreserveReplayDeterminism(t *testing.T) {
 	repObs, err := replaycheck.Replay(workloads.Events(400), recObs.Trace, oObs)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range []*replaycheck.Result{recPlain, repPlain, recObs, repObs} {
+		if r.RunErr != nil {
+			t.Fatal(r.RunErr)
+		}
 	}
 
 	if !bytes.Equal(recPlain.Trace, recObs.Trace) {
@@ -67,6 +84,9 @@ func TestMetricsPreserveReplayDeterminism(t *testing.T) {
 	// a vacuous pass (metrics silently off) proves nothing.
 	if v := reg.Counter("dv_engine_yield_points_total").Value(); v == 0 {
 		t.Fatal("registry collected nothing; the determinism check is vacuous")
+	}
+	if v := reg.Counter("dv_engine_switches_total").Value(); o.PreemptMax > 0 && v == 0 {
+		t.Fatal("seeded preemption recorded no switch; the trace check is vacuous")
 	}
 }
 
