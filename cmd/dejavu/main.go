@@ -288,9 +288,10 @@ func cmdReplay(args []string) error {
 	flags := cli.EngineFlags{Mode: core.ModeReplay, PartialTrace: *partial, Deadline: *deadline}
 	flags.Obs = reg
 	var j *trace.Journal
+	var r *trace.Reader // the loaded journal, for a seeded replay
 	if fi, err := os.Stat(*traceIn); err == nil && fi.IsDir() {
 		// A directory is a segmented journal: replay its segment chain, and
-		// with -from-event seed from the best durable checkpoint.
+		// with -from-event start from the best durable checkpoint.
 		dfs, err := trace.NewDirFS(*traceIn)
 		if err != nil {
 			return err
@@ -302,13 +303,26 @@ func cmdReplay(args []string) error {
 			return fmt.Errorf("journal %s was recorded from program %x, not %x", *traceIn, j.ProgHash(), h)
 		}
 		if j.Origin() > 0 {
-			// A flight window starts mid-run: replay seeds from its origin
-			// checkpoint (replaycheck.SeedJournal), never from zero.
+			// A flight window starts mid-run: replay starts from its origin
+			// checkpoint (replaycheck.RestoreDurable), never from zero.
 			fmt.Fprintf(os.Stderr, "flight journal: %s\n", j)
 		}
 		if !j.Complete() {
 			flags.PartialTrace = true
 			fmt.Fprintf(os.Stderr, "incomplete journal (crash-cut recording): %s\n", j)
+		}
+		src, err := j.Source()
+		if err != nil {
+			return err
+		}
+		// From zero, replay streams the journal; a seeded replay loads it
+		// whole, to restore a checkpoint at its segment's seam.
+		flags.TraceSrc = src
+		if *fromEvent > 0 || j.Origin() > 0 {
+			if r, err = src.Load(); err != nil {
+				return err
+			}
+			flags.TraceSrc = r
 		}
 	} else {
 		if *fromEvent > 0 {
@@ -363,40 +377,34 @@ func cmdReplay(args []string) error {
 		}
 		cfg.SyncHook = multi
 	}
-	stop := func() {}
-	open := func() (*vm.VM, error) {
-		eng, s, err := cli.BuildEngine(prog, flags)
-		if err != nil {
-			return nil, err
-		}
-		stop = s
-		cfg.Engine = eng
-		return vm.New(prog, cfg)
-	}
-	var m *vm.VM
-	if j == nil {
-		m, err = open()
-	} else {
-		var info *replaycheck.SeedInfo
-		m, info, err = replaycheck.SeedJournal(j, *fromEvent, func(src *trace.StreamReader) (*vm.VM, error) {
-			flags.TraceSrc = src
-			return open()
-		}, func(err error) {
-			// The VM refused the checkpoint (a different -heap, or an older
-			// format): SeedJournal tries an earlier one, or zero.
-			stop()
-			stop = func() {}
-			fmt.Fprintf(os.Stderr, "%v (check -heap); falling back to an earlier seed\n", err)
-		})
-		if err == nil && info.Checkpoint != nil {
-			fmt.Fprintf(os.Stderr, "seeded from checkpoint %d at %d events\n", info.Segment, info.VMEvents)
-		}
-	}
-	defer stop()
+	eng, stop, err := cli.BuildEngine(prog, flags)
 	if err != nil {
 		return err
 	}
-	eng := m.Engine()
+	defer stop()
+	cfg.Engine = eng
+	m, err := vm.New(prog, cfg)
+	if err != nil {
+		return err
+	}
+	if r != nil {
+		ck, err := replaycheck.RestoreDurable(m, j, r, 0, *fromEvent, func(err error) {
+			// A torn file, a misfit, or one the VM refuses (a different
+			// -heap, an older format): an earlier checkpoint, or zero, is
+			// tried.
+			hint := ""
+			if errors.Is(err, vm.ErrCheckpointRefused) {
+				hint = " (check -heap)"
+			}
+			fmt.Fprintf(os.Stderr, "%v%s; falling back to an earlier seed\n", err, hint)
+		})
+		if err != nil {
+			return err
+		}
+		if ck != nil {
+			fmt.Fprintf(os.Stderr, "seeded from checkpoint %d at %d events\n", ck.Index, ck.VMEvents)
+		}
+	}
 	runErr := m.Run()
 	if runErr != nil && errors.Is(runErr, io.ErrUnexpectedEOF) {
 		if *partial {
@@ -463,7 +471,7 @@ func cmdMinimize(args []string) error {
 		if org := j.Origin(); org > 0 {
 			return fmt.Errorf("%s is a flight window starting at event %d; minimize needs a from-start recording (its switch positions are meaningless without the prefix)", *traceIn, org)
 		}
-		sr, err := j.Source(0)
+		sr, err := j.Source()
 		if err != nil {
 			return err
 		}

@@ -1143,8 +1143,8 @@ func runE20(r *report) error {
 // --- E21 ---
 
 // runE21 quantifies chaos resilience (ISSUE 9): a pool of sessions is
-// driven through time travels that force durable checkpoint re-seeds —
-// the storage read path — while an injected EIO fault takes the backing
+// driven through time travels that start from durable checkpoints read
+// from disk — the storage read path — while an injected EIO fault takes the backing
 // store away under a third of the operations. The containment contract
 // under measurement: no travel ever crashes the pool (faults become
 // structured refusals), every quarantined session is repaired by the
@@ -1209,8 +1209,9 @@ func runE21(r *report) error {
 		// One probe recording discovers the event horizon, then the pool
 		// is built fault-free: each session rotates every 2 logged events
 		// (a durable checkpoint per segment) and opens positioned at the
-		// last event, so traveling near zero and back is always a
-		// re-seed from disk — the path the fault window can take away.
+		// last event, so traveling just behind it starts from a late
+		// durable checkpoint read from disk — the path the fault window
+		// can take away.
 		probe, err := m.Create(sessions.CreateRequest{Program: "workload:fig1ab", Seed: 7, RotateEvents: 2})
 		if err != nil {
 			return nil, fmt.Errorf("probe create: %v", err)
@@ -1233,15 +1234,15 @@ func runE21(r *report) error {
 
 		res := &result{Scenario: scenario, Sessions: pool}
 		var lats []time.Duration
-		targets := []uint64{1, events - 1}
+		targets := []uint64{events - 2, events - 1}
 		for round := 0; round < rounds; round++ {
 			for _, id := range ids {
-				// Round 0 is every session's first durable re-seed (its
-				// in-memory anchor sits at the far end) — the one command
-				// per session guaranteed to touch disk. The storm takes
-				// the disk away under all of them at once; after repair
-				// the rebuilt debugger serves from memory, so the storm's
-				// blast radius is exactly one quarantine per session.
+				// Round 0 is every session's first durable checkpoint
+				// restore (its in-memory checkpoints sit at zero and at
+				// the far end) — the one command per session guaranteed
+				// to touch disk. The storm takes the disk away under all
+				// of them at once, so its blast radius is exactly one
+				// quarantine per session.
 				hit := chaotic && round == 0
 				if hit {
 					st.Arm()

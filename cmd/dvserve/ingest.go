@@ -118,7 +118,7 @@ func ingestHandler(dataRoot string, reg *obs.Registry, admit func(tenant string)
 		}
 		// CRC-validate every byte the manifest commits to: drain the full
 		// trace (chunk checksums) and load every named checkpoint.
-		src, err := j.Source(0)
+		src, err := j.Source()
 		if err == nil {
 			_, err = src.Load()
 		}

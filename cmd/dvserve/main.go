@@ -14,7 +14,7 @@
 //
 // The -t argument accepts a flat (DVT2) or streaming (DVS1) trace file, or
 // a segmented journal directory — the latter opens a journal session that
-// seeds from the nearest durable checkpoint (-from-event picks the initial
+// starts from the nearest durable checkpoint (-from-event picks the initial
 // position) and time-travels from the nearest durable or in-memory one.
 //
 // Multi-tenant usage (one process, many sessions):
@@ -28,8 +28,8 @@
 // The debug and peek listeners stay up but become per-session attachable
 // (dbgproto `attach <id>`, ptrace 'A' request). Admission control refuses
 // over-capacity creates with structured reasons; /metrics exports the
-// per-pool series (active sessions, admissions, rejections, re-seeds,
-// worker occupancy).
+// per-pool series (active sessions, admissions, rejections, durable
+// checkpoint restores, worker occupancy).
 //
 // All listeners are bound before any of them starts serving: a bind
 // failure on any endpoint aborts startup with nothing half-started.
@@ -106,7 +106,7 @@ func main() {
 	flag.StringVar(&c.peek, "peek", "127.0.0.1:4456", "ptrace peek address (empty to disable)")
 	flag.StringVar(&c.metrics, "metrics", "", "HTTP observability address serving /metrics and /healthz (empty to disable)")
 	flag.Uint64Var(&c.checkpoint, "checkpoint", 25000, "instructions per time-travel checkpoint (0 disables)")
-	flag.Uint64Var(&c.fromEvent, "from-event", 0, "initial replay position; journal traces seed from the nearest durable checkpoint")
+	flag.Uint64Var(&c.fromEvent, "from-event", 0, "initial replay position; journal traces start from the nearest durable checkpoint")
 	flag.StringVar(&c.restore, "restore", "", "resume from a checkpoint file (written by the debugger's save command)")
 	flag.StringVar(&c.exitSave, "exit-save", "", "on SIGINT/SIGTERM, write a checkpoint before exiting: a file path (single-session), or a file name written into every live session's directory (multi-tenant)")
 	flag.StringVar(&c.dataRoot, "data-root", "", "session storage root; enables the multi-tenant session manager")
@@ -366,10 +366,8 @@ func run(c serveConfig) error {
 		}
 	}
 
-	// Every endpoint reads d.VM under the command lock: a journal-backed
-	// debugger replaces its VM when travel re-seeds from a durable
-	// checkpoint, so caching the heap or VM at startup would serve freed
-	// state.
+	// Every endpoint reads d.VM under the command lock, so no read sees a
+	// step or a travel's checkpoint restore half done.
 	srv := &dbgproto.Server{D: d, Obs: reg}
 
 	// Bind every listener before any of them starts serving. Binding and
@@ -409,7 +407,7 @@ func run(c serveConfig) error {
 	if pl != nil {
 		ps := &ptrace.Server{Obs: reg}
 		// Resolve the live heap under the command lock: the VM must not be
-		// mid-command (or mid-re-seed) when captured.
+		// mid-command when captured.
 		ps.Live = func() (*heap.Heap, ptrace.RootSource) {
 			var h *heap.Heap
 			var r ptrace.RootSource

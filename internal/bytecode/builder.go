@@ -154,11 +154,6 @@ func (mb *MethodBuilder) SpawnM(target *MethodBuilder) *MethodBuilder {
 	return mb.Emit(Spawn, int32(target.m.ID), int32(target.m.NArgs))
 }
 
-// CallNamed emits a virtual call by name with n args including receiver.
-func (mb *MethodBuilder) CallNamed(name string, n int) *MethodBuilder {
-	return mb.Emit(CallV, int32(mb.b.p.StringIndex(name)), int32(n))
-}
-
 // NativeCall emits a native call by name with n args.
 func (mb *MethodBuilder) NativeCall(name string, n int) *MethodBuilder {
 	return mb.Emit(Native, int32(mb.b.p.StringIndex(name)), int32(n))

@@ -674,38 +674,32 @@ func (e *Engine) RecordPos() (nyp uint64, ok bool) {
 // so the countdown the segment's first switch starts shrinks by that much.
 // SeedAt leaves the engine as a fresh engine over the segment is after
 // Begin and this alignment: the seam's switch loaded, switchBit clear, the
-// clock live, no sticky error. It is the one seeding rule, for a fresh
-// engine and for one moved back or forward in place.
+// clock live, no sticky error. It is the one seeding rule, for an engine
+// at event zero and for one moved back or forward in place.
 //
 // A checkpoint that does not fit its segment (boundaryNYP not inside the
 // interval) is refused with the engine untouched. A streaming source cannot
-// seek: it only takes the zero position of an engine that Begin just
-// started, whose prefetched switch is the seam's.
+// seek, so its engine refuses every seam with ErrNotSeekable.
 func (e *Engine) SeedAt(pos trace.ReaderPos, boundaryNYP uint64) error {
 	if e.mode != ModeReplay {
 		return ErrNotReplaying
 	}
-	nyp, pending := e.nyp, e.hasPending
-	sk, seekable := e.r.(traceSeeker)
-	if seekable {
-		cur := sk.Pos()
-		sk.Seek(pos)
-		nyp, pending = e.r.NextSwitch()
-		sk.Seek(cur)
-	} else if pos != (trace.ReaderPos{}) || e.r.EventIndex() != 0 || e.stats.YieldPoints != 0 {
+	sk, ok := e.r.(traceSeeker)
+	if !ok {
 		return ErrNotSeekable
 	}
-	if pending && boundaryNYP > 0 && boundaryNYP >= nyp {
+	cur := sk.Pos()
+	sk.Seek(pos)
+	if nyp, pending := e.r.NextSwitch(); pending && boundaryNYP > 0 && boundaryNYP >= nyp {
+		sk.Seek(cur)
 		return fmt.Errorf("core: checkpoint does not match its segment: checkpoint sits %d yields into a %d-yield switch interval",
 			boundaryNYP, nyp)
 	}
-	if seekable {
-		sk.Seek(pos)
-		e.err = nil
-		e.switchBit, e.liveClock = false, true
-		e.markProgress()
-		e.loadNextSwitch()
-	}
+	sk.Seek(pos)
+	e.err = nil
+	e.switchBit, e.liveClock = false, true
+	e.markProgress()
+	e.loadNextSwitch()
 	if e.hasPending {
 		e.nyp -= boundaryNYP
 	}

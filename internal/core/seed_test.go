@@ -24,6 +24,8 @@ func seamStateOf(e *Engine) seamState {
 // sticky error, exactly as it leaves a freshly begun one. From the zero
 // position it aligns the prefetched first switch; a checkpoint that does
 // not fit the seam's switch interval is refused with the engine untouched.
+// An engine over a streaming source cannot seek and refuses every seam,
+// the zero position of a freshly begun one included.
 func TestSeedAtMatchesFreshEngine(t *testing.T) {
 	rcfg := DefaultConfig(ModeRecord)
 	rcfg.Time = &FakeTime{Base: 10, Step: 5}
@@ -108,4 +110,21 @@ func TestSeedAtMatchesFreshEngine(t *testing.T) {
 	if err := rec.SeedAt(trace.ReaderPos{}, 0); err != ErrNotReplaying {
 		t.Fatalf("SeedAt in record mode: %v", err)
 	}
+	r, err := trace.NewReader(tr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(ModeReplay)
+	cfg.TraceSrc = streamOnly{r}
+	stream, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream.Begin(&fakeHost{})
+	if err := stream.SeedAt(trace.ReaderPos{}, 0); err != ErrNotSeekable {
+		t.Fatalf("SeedAt over a streaming source: %v", err)
+	}
 }
+
+// streamOnly hides a Reader's Pos and Seek, as a streaming source has none.
+type streamOnly struct{ trace.Source }

@@ -37,10 +37,10 @@ const (
 // executing a command is returned as an ERR response instead of killing
 // the process.
 type Server struct {
-	// D is the debugger served, flat or journal-backed. A journal-backed
-	// one re-seeds from durable checkpoints inside D itself, so D stays
-	// valid across travel; its VM is read under the command lock (see
-	// Locked), never cached across commands.
+	// D is the debugger served, flat or journal-backed. D and its VM stay
+	// the same across travel, which restores checkpoints into the VM in
+	// place; the VM is read under the command lock (see Locked), so no
+	// read sees a command half done.
 	D *debugger.Debugger
 
 	// Resolver, when set, switches the server into multi-session mode: a

@@ -13,7 +13,8 @@
 // starts latest at or before the target, restored into the same VM, and
 // re-replays forward from there. That is exact because replay is
 // deterministic, and no travel replays more than the gap between two
-// checkpoints.
+// checkpoints. A debugger keeps its one VM for its whole life: it
+// re-executes in place and is never rebuilt.
 package debugger
 
 import (
@@ -60,11 +61,9 @@ type bpKey struct {
 }
 
 // Debugger wraps one VM (normally replaying) with control and inspection.
-// It is the one stable handle for a debugging session: a re-seed (a
-// journal-backed debugger traveling before the journal suffix its VM
-// replays) replaces VM and World in place and keeps everything else.
-// Callers keep the *Debugger but read VM afresh under the lock that
-// serializes commands, never caching it across commands.
+// It is the one stable handle for a debugging session, and its VM is the
+// same for the debugger's whole life: travel restores checkpoints into it
+// in place.
 type Debugger struct {
 	VM    *vm.VM
 	World *remoteref.World
@@ -84,12 +83,11 @@ type Debugger struct {
 	tainted bool // the user intentionally altered application state
 
 	// journal is the segmented recording a journal-backed debugger replays
-	// (nil for a flat trace), and suffix the part of it VM replays: travel
-	// restores its durable checkpoints into VM in place, and a target
-	// before the suffix re-seeds VM. obs is attached to every engine a
-	// re-seed builds.
+	// (nil for a flat trace), and reader the whole of it, loaded, which VM
+	// replays: travel restores its durable checkpoints into VM in place.
+	// obs counts those restores.
 	journal *trace.Journal
-	suffix  suffix
+	reader  *trace.Reader
 	obs     *obs.Registry
 	reseeds uint64
 	travels uint64
@@ -263,19 +261,15 @@ func (d *Debugger) Continue() (StopReason, error) {
 
 // TravelTo moves execution to the given event count, backward or forward.
 // It restores the latest start at or before event (see restoreNearest)
-// and replays forward from it; a journal-backed debugger re-seeds its VM
-// for a target before the journal suffix the VM replays (see reseed). It
-// lands on the first instruction boundary at or after event, where a Step
-// loop would; only the program end stops it earlier.
+// and replays forward from it. It lands on the first instruction boundary
+// at or after event, where a Step loop would; only the program end stops
+// it earlier.
 func (d *Debugger) TravelTo(event uint64) error {
 	d.travels++
 	if d.journal != nil {
 		// A flight window's events before its origin were evicted and
 		// cannot be reconstructed.
 		event = max(event, d.journal.Origin())
-		if event < d.suffix.start {
-			return d.reseed(event)
-		}
 	}
 	if err := d.restoreNearest(event); err != nil {
 		return err
@@ -285,10 +279,10 @@ func (d *Debugger) TravelTo(event uint64) error {
 
 // restoreNearest moves the VM to the latest start at or before event: the
 // VM's own position, an in-memory checkpoint, or (journal only) a durable
-// checkpoint in the loaded suffix. On equal starts the VM's position beats
-// an in-memory checkpoint, which beats a durable one: no copy beats a
-// memcpy, which beats a file read. A journal-backed debugger with no start
-// at all re-seeds, or refuses if tainted.
+// checkpoint. On equal starts the VM's position beats an in-memory
+// checkpoint, which beats a durable one: no copy beats a memcpy, which
+// beats a file read. With no start at all, as when SetStatic dropped the
+// in-memory checkpoints, travel refuses.
 func (d *Debugger) restoreNearest(event uint64) error {
 	from, have := d.VM.Events(), d.VM.Events() <= event
 	var best *vm.Snapshot
@@ -297,15 +291,18 @@ func (d *Debugger) restoreNearest(event uint64) error {
 			best, from, have = s, s.Events(), true
 		}
 	}
+	restored, err := d.restoreDurable(event, from, have)
 	switch {
-	case d.restoreDurable(event, from, have):
+	case err != nil:
+		return err
+	case restored:
 		return nil
 	case best != nil:
 		return d.VM.Restore(best)
 	case have:
 		return nil
-	case d.journal != nil:
-		return d.reseed(event)
+	case d.tainted:
+		return fmt.Errorf("debugger: session is tainted (state was modified); travel back to event %d would discard the modification", event)
 	default:
 		return fmt.Errorf("debugger: no checkpoint at or before event %d (earliest: %s)", event, d.earliest())
 	}

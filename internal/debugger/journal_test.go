@@ -63,18 +63,15 @@ func TestJournalSessionDurableCheckpointMatchesInMemory(t *testing.T) {
 		t.Fatalf("threads: %v", err)
 	}
 
-	// Durable path: a fresh debugger seeded from the best segment
-	// checkpoint at or before the target, replaying only the suffix.
-	ck := s.Journal().BestCheckpoint(target)
-	if ck == nil || ck.Index == 0 {
-		t.Fatalf("no durable checkpoint covers target %d", target)
-	}
+	// Durable path: a fresh debugger opened at the segment checkpoint
+	// before the target restores it, replaying nothing before it.
+	ck := mid
 	d, err := OpenJournal(prog, fs, ck.VMEvents, nil)
 	if err != nil {
 		t.Fatalf("seed from checkpoint %d: %v", ck.Index, err)
 	}
-	if got := d.VM.Events(); got != ck.VMEvents {
-		t.Fatalf("seeded debugger starts at %d, checkpoint promises %d", got, ck.VMEvents)
+	if got := d.VM.Events(); got != ck.VMEvents || d.Reseeds() != 1 {
+		t.Fatalf("seeded debugger starts at %d after %d durable restores, checkpoint promises %d after one", got, d.Reseeds(), ck.VMEvents)
 	}
 	if err := d.TravelTo(target); err != nil {
 		t.Fatalf("seeded travel: %v", err)
@@ -97,10 +94,9 @@ func TestJournalSessionDurableCheckpointMatchesInMemory(t *testing.T) {
 }
 
 // TestJournalSessionReSeedsPastInMemoryHorizon drives the public TravelTo:
-// a session attached deep into the recording (its in-memory anchor is a
-// durable checkpoint, not event zero) asked to rewind before that anchor
-// must re-seed from an earlier durable checkpoint — the debugger swaps in a
-// fresh VM and still lands on the right state.
+// a session attached deep into the recording, asked to rewind before the
+// first durable checkpoint, restores its anchor at event zero into the
+// same VM and lands on the right state.
 func TestJournalSessionReSeedsPastInMemoryHorizon(t *testing.T) {
 	prog, fs, ref := journalFixture(t)
 	cks := ref.Journal().Manifest.Checkpoints
@@ -114,18 +110,12 @@ func TestJournalSessionReSeedsPastInMemoryHorizon(t *testing.T) {
 		t.Fatalf("session at %d, want at least %d", got, last.VMEvents+5)
 	}
 	early := uint64(10)
-	for _, ck := range s.checkpoints {
-		if ck.Events() <= early {
-			t.Fatal("deep-attached session claims an in-memory path to event 10; test is vacuous")
-		}
-	}
-
 	before := s.VM
 	if err := s.TravelTo(early); err != nil {
-		t.Fatalf("re-seeding travel: %v", err)
+		t.Fatalf("rewinding travel: %v", err)
 	}
-	if s.VM == before || s.Reseeds() != 1 {
-		t.Fatal("travel past the horizon did not re-seed the session")
+	if s.VM != before {
+		t.Fatal("travel before the open position replaced the VM")
 	}
 	// One step can log many events (a native executes its callbacks
 	// nested), so travel lands at the first step boundary at or after the
@@ -134,22 +124,22 @@ func TestJournalSessionReSeedsPastInMemoryHorizon(t *testing.T) {
 		t.Fatalf("session at %d, want >= %d and before checkpoint 1 at %d", got, early, cks[0].VMEvents)
 	}
 	if stack, err := s.StackTrace(0); err != nil || !strings.Contains(stack, "Main.") {
-		t.Fatalf("stack after re-seed: %v\n%s", err, stack)
+		t.Fatalf("stack after rewind: %v\n%s", err, stack)
 	}
 
-	// The re-seeded session must match a from-zero debugger advanced to
-	// the same point, and stays a full debugger: forward travel works.
+	// The rewound session must match a from-zero debugger advanced to the
+	// same point, and stays a full debugger: forward travel works.
 	if err := ref.TravelTo(s.VM.Events()); err != nil {
 		t.Fatalf("reference travel: %v", err)
 	}
 	a, _ := s.StackTrace(0)
 	b, _ := ref.StackTrace(0)
 	if a != b {
-		t.Fatalf("re-seeded stack differs from reference:\n%s\nvs\n%s", a, b)
+		t.Fatalf("rewound stack differs from reference:\n%s\nvs\n%s", a, b)
 	}
 	cur := s.VM.Events()
 	if err := s.TravelTo(cur + 40); err != nil {
-		t.Fatalf("forward travel after re-seed: %v", err)
+		t.Fatalf("forward travel after rewind: %v", err)
 	}
 	if got := s.VM.Events(); got < cur+40 {
 		t.Fatalf("session at %d, want at least %d", got, cur+40)
@@ -157,9 +147,9 @@ func TestJournalSessionReSeedsPastInMemoryHorizon(t *testing.T) {
 }
 
 // TestJournalSessionTaintedRefusesDurableReSeed: once SetStatic has
-// modified state, travel that would re-seed from the durable recording
-// must refuse (it would silently discard the modification), while forward
-// execution of the tainted session keeps working.
+// modified state, travel back, which could only restore the durable
+// recording, must refuse (it would silently discard the modification),
+// while forward execution of the tainted session keeps working.
 func TestJournalSessionTaintedRefusesDurableReSeed(t *testing.T) {
 	_, _, s := journalFixture(t)
 	cks := s.Journal().Manifest.Checkpoints
@@ -174,15 +164,15 @@ func TestJournalSessionTaintedRefusesDurableReSeed(t *testing.T) {
 		t.Fatal("SetStatic did not taint the session")
 	}
 	// SetStatic drops the in-memory checkpoints, so this backward target
-	// must hit the durable path — and be refused.
+	// has only the durable path — and must be refused.
 	err := s.TravelTo(2)
 	if err == nil {
-		t.Fatal("tainted session allowed a durable re-seed")
+		t.Fatal("tainted session allowed a durable restore")
 	}
 	if !strings.Contains(err.Error(), "tainted") {
 		t.Fatalf("refusal does not explain the taint: %v", err)
 	}
-	// Forward travel never needs a re-seed and stays available.
+	// Forward travel starts from the VM's position and stays available.
 	cur := s.VM.Events()
 	if err := s.TravelTo(cur + 20); err != nil {
 		t.Fatalf("forward travel on tainted session: %v", err)
@@ -192,9 +182,10 @@ func TestJournalSessionTaintedRefusesDurableReSeed(t *testing.T) {
 	}
 }
 
-// TestBreakpointsSurviveDurableReseed: a durable re-seed replaces the VM,
-// not the debugger, so a breakpoint set before it still lists afterwards,
-// and a Continue from the re-seeded position stops at it.
+// TestBreakpointsSurviveDurableReseed: a travel from a debugger opened
+// deep in the journal back before its open position keeps the same VM and
+// debugger, so a breakpoint set before it still lists afterwards, and a
+// Continue from the rewound position stops at it.
 func TestBreakpointsSurviveDurableReseed(t *testing.T) {
 	prog, fs, ref := journalFixture(t)
 	cks := ref.Journal().Manifest.Checkpoints
@@ -211,21 +202,22 @@ func TestBreakpointsSurviveDurableReseed(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := d.Breakpoints()
+	before := d.VM
 	if err := d.TravelTo(10); err != nil {
-		t.Fatalf("re-seeding travel: %v", err)
+		t.Fatalf("rewinding travel: %v", err)
 	}
-	if d.Reseeds() != 1 {
-		t.Fatalf("reseeds = %d, want 1; test is vacuous", d.Reseeds())
+	if d.VM != before {
+		t.Fatal("travel before the open position replaced the VM")
 	}
 	if got := d.Breakpoints(); strings.Join(got, ";") != strings.Join(want, ";") {
-		t.Fatalf("breakpoints after re-seed = %q, want %q", got, want)
+		t.Fatalf("breakpoints after rewind = %q, want %q", got, want)
 	}
 	if d.MaxCheckpoints != 7 {
-		t.Fatalf("MaxCheckpoints after re-seed = %d, want 7", d.MaxCheckpoints)
+		t.Fatalf("MaxCheckpoints after rewind = %d, want 7", d.MaxCheckpoints)
 	}
 	reason, err := d.Continue()
 	if err != nil || reason != StopBreakpoint {
-		t.Fatalf("continue after re-seed = %v, %v; want a breakpoint stop", reason, err)
+		t.Fatalf("continue after rewind = %v, %v; want a breakpoint stop", reason, err)
 	}
 	if _, mid, pc, _ := d.VM.CurrentSite(); prog.Methods[mid].FullName() != "Main.main" || pc != 2 {
 		t.Fatalf("stopped at %s pc=%d, want Main.main pc=2", prog.Methods[mid].FullName(), pc)

@@ -63,12 +63,12 @@ func (z *zeroReplay) travel(t *testing.T, event uint64) {
 	}
 }
 
-// journalVM builds a replay VM over the whole journal, as seed does for a
-// from-zero seed, with obs (if set) watching every step. It returns the
-// trace Reader the VM replays too.
+// journalVM builds a replay VM over the whole journal, as OpenJournal
+// does, with obs (if set) watching every step. It returns the trace Reader
+// the VM replays too.
 func journalVM(t *testing.T, prog *bytecode.Program, j *trace.Journal, obs vm.Observer) (*vm.VM, *trace.Reader) {
 	t.Helper()
-	src, err := j.Source(0)
+	src, err := j.Source()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +151,7 @@ func TestJournalTravelOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					vm0 := d.VM
 					z := &zeroReplay{prog: prog, j: d.Journal()}
 					z.travel(t, 1<<62)
 					total := z.m.Events()
@@ -163,8 +164,8 @@ func TestJournalTravelOracle(t *testing.T) {
 						z.travel(t, tgt)
 						sameReplay(t, fmt.Sprintf("travel %d to %d", i, tgt), d.VM, z.m)
 					}
-					if d.suffix.seg != 0 {
-						t.Fatalf("a travel re-seeded the VM over segment %d; every target is in the loaded suffix", d.suffix.seg)
+					if d.VM != vm0 {
+						t.Fatal("a travel replaced the debugger's VM")
 					}
 					durable += d.Reseeds()
 				})
@@ -233,7 +234,7 @@ func observedJournal(t *testing.T, prog *bytecode.Program, fs trace.FS, c *stepC
 	}
 	m, r := journalVM(t, prog, j, c)
 	d := New(m)
-	d.journal, d.suffix = j, suffix{r: r}
+	d.journal, d.reader = j, r
 	d.maybeCheckpoint()
 	return d
 }
@@ -320,17 +321,18 @@ func writeFile(t *testing.T, fs *memfs.MemFS, name string, data []byte) {
 	f.Close()
 }
 
-// TestDurableFallbackLeavesVMUntouched: a durable checkpoint whose file is
-// torn, that the VM refuses (another program, or the older DVCK format), or
-// whose BoundaryNYP does not fit its segment is skipped with the VM untouched, and travel falls back to the next-best
-// start and lands where the from-zero replay does.
-func TestDurableFallbackLeavesVMUntouched(t *testing.T) {
-	prog := workloads.Bank(4, 8, 500)
-	hash := vm.ProgramHash(prog)
-	for _, c := range []struct {
-		name  string
-		spoil func(*testing.T, *memfs.MemFS, trace.CheckpointInfo)
-	}{
+// spoiler makes a durable checkpoint unusable.
+type spoiler struct {
+	name  string
+	spoil func(*testing.T, *memfs.MemFS, trace.CheckpointInfo)
+}
+
+// durableSpoilers are the ways a durable checkpoint of a program with hash
+// hash can be unusable: its file torn, a state the VM refuses (another
+// program, or the older DVCK format), or a BoundaryNYP that does not fit
+// its segment. Travel and seeded replay must both skip each one.
+func durableSpoilers(hash uint64) []spoiler {
+	return []spoiler{
 		{"torn", func(t *testing.T, fs *memfs.MemFS, info trace.CheckpointInfo) {
 			data, _ := fs.ReadFile(info.Name)
 			writeFile(t, fs, info.Name, data[:len(data)/2])
@@ -352,7 +354,16 @@ func TestDurableFallbackLeavesVMUntouched(t *testing.T) {
 				copy(ck.State, "DVCK")
 			})
 		}},
-	} {
+	}
+}
+
+// TestDurableFallbackLeavesVMUntouched: a durable checkpoint spoiled in any
+// of the durableSpoilers ways is skipped with the VM untouched, and travel
+// falls back to the next-best start and lands where the from-zero replay
+// does.
+func TestDurableFallbackLeavesVMUntouched(t *testing.T) {
+	prog := workloads.Bank(4, 8, 500)
+	for _, c := range durableSpoilers(vm.ProgramHash(prog)) {
 		t.Run(c.name, func(t *testing.T) {
 			fs := recordJournal(t, prog, "bank", 4, 3)
 			d, err := OpenJournal(prog, fs, 0, nil)
@@ -374,8 +385,8 @@ func TestDurableFallbackLeavesVMUntouched(t *testing.T) {
 			// VM's position and at or before target.
 			target := (bad.VMEvents + next.VMEvents) / 2
 			before, reseeds := replayState(t, d.VM), d.Reseeds()
-			if d.restoreDurable(target, d.VM.Events(), true) {
-				t.Fatalf("restored spoiled checkpoint %d", bad.Index)
+			if ok, err := d.restoreDurable(target, d.VM.Events(), true); ok || err != nil {
+				t.Fatalf("restored spoiled checkpoint %d: %v", bad.Index, err)
 			}
 			if !bytes.Equal(replayState(t, d.VM), before) || d.Reseeds() != reseeds {
 				t.Fatalf("skipping spoiled checkpoint %d changed the VM", bad.Index)
@@ -395,6 +406,49 @@ func TestDurableFallbackLeavesVMUntouched(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameReplay(t, fmt.Sprintf("rewind to %d past spoiled checkpoint %d", target, bad.Index), d.VM, z.m)
+		})
+	}
+}
+
+// TestSeededReplaySkipsSpoiledCheckpoint: seeded journal replay
+// (replaycheck.ReplayJournalFrom) skips a checkpoint spoiled in any of the
+// durableSpoilers ways just as travel does: it starts from the next-best
+// checkpoint and ends where the from-zero replay ends.
+func TestSeededReplaySkipsSpoiledCheckpoint(t *testing.T) {
+	prog := workloads.Bank(4, 8, 500)
+	for _, c := range durableSpoilers(vm.ProgramHash(prog)) {
+		t.Run(c.name, func(t *testing.T) {
+			fs := recordJournal(t, prog, "bank", 4, 3)
+			zero, j, err := replaycheck.ReplayJournal(prog, fs, replaycheck.Options{})
+			if err != nil || zero.RunErr != nil {
+				t.Fatalf("from-zero replay: %v / %v", err, zero.RunErr)
+			}
+			cks := j.Manifest.Checkpoints
+			if len(cks) < 3 {
+				t.Fatalf("want several durable checkpoints, got %d", len(cks))
+			}
+			i := len(cks) / 2
+			prev, bad := cks[i-1], cks[i]
+			c.spoil(t, fs, bad)
+
+			res, info, err := replaycheck.ReplayJournalFrom(prog, fs, bad.VMEvents, replaycheck.Options{})
+			if err != nil {
+				t.Fatalf("seeded replay past spoiled checkpoint %d: %v", bad.Index, err)
+			}
+			if res.RunErr != nil {
+				t.Fatalf("seeded run past spoiled checkpoint %d: %v", bad.Index, res.RunErr)
+			}
+			if info.Checkpoint == nil || info.Segment != prev.Index || info.VMEvents != prev.VMEvents {
+				t.Fatalf("seeded from %+v, want checkpoint %d at %d events", info, prev.Index, prev.VMEvents)
+			}
+			if res.Events != zero.Events || !bytes.Equal(res.Output, zero.Output) {
+				t.Fatalf("seeded replay ended at %d events, from-zero at %d, or their outputs differ", res.Events, zero.Events)
+			}
+			zh, zu := replaycheck.HeapDigest(zero.VM)
+			sh, su := replaycheck.HeapDigest(res.VM)
+			if zh != sh || zu != su {
+				t.Fatal("seeded replay's final heap differs from the from-zero replay's")
+			}
 		})
 	}
 }

@@ -74,15 +74,6 @@ func New() *MemFS { return &MemFS{files: map[string][]byte{}} }
 // Ops returns the mutation tape accumulated so far.
 func (m *MemFS) Ops() []FSOp { return m.ops }
 
-// TotalUnits returns the tape's total budget cost — the sweep upper bound.
-func TotalUnits(ops []FSOp) int64 {
-	var n int64
-	for _, op := range ops {
-		n += op.Units()
-	}
-	return n
-}
-
 // BuildFS replays the first budget units of tape onto a fresh MemFS: the
 // state a real directory would hold if the recording process were killed
 // at exactly that point (fsynced data only — MemFS models the conservative

@@ -345,13 +345,6 @@ func (r *Ring) Freeze() {
 	r.frozen = true
 }
 
-// Frozen reports whether the ring has been frozen.
-func (r *Ring) Frozen() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.frozen
-}
-
 // Evicted returns how many sealed segments have been dropped.
 func (r *Ring) Evicted() int {
 	r.mu.Lock()

@@ -142,7 +142,7 @@ type minimizer struct {
 
 // Run minimizes the schedule recorded in src against prog. Only src's
 // switch stream is read; src (NewReader over either container kind, or a
-// journal's Journal.Source(0) loaded whole) must come from a from-start
+// journal's Journal.Source loaded whole) must come from a from-start
 // recording of prog.
 func Run(prog *bytecode.Program, src *trace.Reader, o Options) (*Result, error) {
 	if o.Deadline == 0 {

@@ -83,20 +83,17 @@ type Server struct {
 	Roots RootSource
 
 	// Live, when set, resolves the heap and root source per request instead
-	// of the static H/Roots fields. A journal-backed debugger replaces its
-	// VM when time travel re-seeds from a durable checkpoint, so the live
-	// heap is d.VM's, read afresh; a server built over the original VM's
-	// heap would peek freed memory. The callback must be safe to call from
-	// the serve goroutine — dvserve reads d.VM under the debug server's
-	// command lock.
+	// of the static H/Roots fields, so a request never reads the heap while
+	// a command (a step, a travel restoring a checkpoint) rewrites it. The
+	// callback must be safe to call from the serve goroutine — dvserve
+	// reads d.VM under the debug server's command lock.
 	Live func() (*heap.Heap, RootSource)
 
 	// Sessions, when set, switches the server into multi-session mode: a
 	// connection must first attach ('A' | session u64), and every peek or
 	// root request then resolves — and COPIES — the session's heap bytes
-	// under that session's command lock, so a concurrent command, travel
-	// re-seed, or kill can never leave a request reading a mutating or
-	// freed heap. H, Roots, and Live are ignored when Sessions is set.
+	// under that session's command lock, so a concurrent command, travel,
+	// or kill can never leave a request reading a mutating or freed heap. H, Roots, and Live are ignored when Sessions is set.
 	Sessions SessionSource
 
 	// Obs, when set, receives peek-endpoint metrics (connections, requests,
@@ -148,8 +145,8 @@ type SessionSource interface {
 	// WithSession runs f with the heap and root source of the session
 	// debugger's current VM, under the session's command lock and the
 	// pool's worker budget. All heap reads must happen inside f — the
-	// pointers are dead the moment it returns (a travel re-seed replaces
-	// the debugger's VM; a kill drops it).
+	// pointers are dead the moment it returns (a travel rewrites the
+	// heap; a kill drops the debugger and its VM).
 	WithSession(num uint64, f func(h *heap.Heap, roots RootSource) error) error
 }
 
@@ -278,8 +275,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case 'R':
 			// All root/heap access happens inside withLive: in
 			// multi-session mode that is under the session's command lock,
-			// so a concurrent kill or travel re-seed can never race the
-			// read. Only the network write happens outside.
+			// so a concurrent kill or travel can never race the read. Only the network write happens outside.
 			var d, t heap.Addr
 			err := s.withLive(sid, attached, func(_ *heap.Heap, roots RootSource) error {
 				if roots == nil {

@@ -275,12 +275,6 @@ func (m RemoteMethod) NLocals() (int, error) {
 	return int(v), err
 }
 
-// CodeLen reads the instruction count.
-func (m RemoteMethod) CodeLen() (int, error) {
-	v, err := m.Obj.Int(vm.MMethodCodeLen)
-	return int(v), err
-}
-
 // LineNumberAt is the paper's Fig. 3 reflection method: it consults the
 // method's line table — an int array in the remote heap — and returns the
 // source line for offset, or 0 when out of range.

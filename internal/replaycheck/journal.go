@@ -6,6 +6,7 @@ package replaycheck
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"dejavu/internal/bytecode"
 	"dejavu/internal/core"
@@ -44,7 +45,7 @@ func RecordJournal(prog *bytecode.Program, fs trace.FS, o Options) (*Result, err
 
 // SeedInfo says where a journal replay actually started.
 type SeedInfo struct {
-	Segment    int               // first segment replayed
+	Segment    int               // segment whose seam replay started at
 	VMEvents   uint64            // instruction count at the seed point (0 = from zero)
 	Checkpoint *trace.Checkpoint // nil when replay started from zero
 }
@@ -57,11 +58,10 @@ func ReplayJournal(prog *bytecode.Program, fs trace.FS, o Options) (*Result, *tr
 	return res, j, err
 }
 
-// ReplayJournalFrom replays a journal seeded from the best loadable
-// checkpoint at or before target instructions — O(segment) instead of
-// O(trace). Torn or corrupt checkpoint files, and checkpoints the VM
-// refuses, are skipped (earlier ones are tried); with none usable the
-// replay falls back to from-zero.
+// ReplayJournalFrom replays a journal seeded from the newest usable
+// checkpoint at or before target instructions (see RestoreDurable), so it
+// executes O(segment) instructions instead of O(trace); with none usable
+// the replay starts from zero.
 func ReplayJournalFrom(prog *bytecode.Program, fs trace.FS, target uint64, o Options) (*Result, *SeedInfo, error) {
 	res, info, _, err := replayJournal(prog, fs, target, o)
 	return res, info, err
@@ -84,70 +84,78 @@ func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, o Options
 			}
 		}
 	}
-	var d *Digest
-	m, info, err := SeedJournal(j, target, func(src *trace.StreamReader) (m *vm.VM, err error) {
-		m, d, err = newReplay(prog, nil, src, o)
-		return m, err
-	}, nil)
+	src, err := j.Source()
 	if err != nil {
 		return nil, nil, j, err
+	}
+	// From zero, replay streams the journal; a seeded replay loads it
+	// whole, to restore a checkpoint at its segment's seam.
+	var r *trace.Reader
+	var replaySrc trace.Source = src
+	if target > 0 || j.Origin() > 0 {
+		if r, err = src.Load(); err != nil {
+			return nil, nil, j, err
+		}
+		replaySrc = r
+	}
+	m, d, err := newReplay(prog, nil, replaySrc, o)
+	if err != nil {
+		return nil, nil, j, err
+	}
+	info := &SeedInfo{}
+	if r != nil {
+		ck, err := RestoreDurable(m, j, r, 0, target, nil)
+		if err != nil {
+			return nil, nil, j, err
+		}
+		if ck != nil {
+			info = &SeedInfo{Segment: ck.Index, VMEvents: ck.VMEvents, Checkpoint: ck}
+		}
 	}
 	return runReplay(m, d), info, j, nil
 }
 
-// SeedJournal is the one seeding rule for replay over a journal: it opens
-// a replay VM at the best loadable durable checkpoint at or before target
-// (target 0 replays from zero). A flight window (Origin > 0) has no
-// history before its origin, so target is clamped to the origin and the
-// seed refused when no checkpoint covers it: a from-zero replay would
-// silently diverge. open builds a fresh replay VM over the trace suffix
-// src; SeedJournal restores the checkpoint into it and moves its engine to
-// the suffix's first seam (vm.VM.RestoreSeam). When the VM refuses a
-// checkpoint (an older format, a different heap size), refused (if set)
-// hears why, and the next earlier checkpoint is tried, down to zero.
-func SeedJournal(j *trace.Journal, target uint64, open func(src *trace.StreamReader) (*vm.VM, error), refused func(error)) (*vm.VM, *SeedInfo, error) {
+// RestoreDurable is the one seeding rule for replay over a journal. m is
+// a replay VM over r, the whole of journal j loaded (j.Source then Load).
+// RestoreDurable restores into m, in place, the newest usable durable
+// checkpoint of j at or after floor and at or before target instructions,
+// at the seam where its segment starts in r (vm.VM.RestoreSeam), and
+// returns it. It skips a torn or corrupt checkpoint file, a checkpoint the
+// VM refuses (an older format, another heap size) and one that does not
+// fit its seam; RestoreSeam checks both before it changes anything, so a
+// skipped checkpoint leaves m as it was. skipped (if set) hears why each
+// was skipped. With none restored it returns nil and m is untouched; a
+// caller with a VM at event zero then replays from there. A checkpoint
+// file the store cannot read is an error, not a skip.
+//
+// A flight window (Origin > 0) has no history before its origin, so target
+// and floor rise to it, and with nothing restored RestoreDurable fails
+// unless the caller has its own start past the origin (floor > Origin):
+// a replay from zero would silently diverge.
+func RestoreDurable(m *vm.VM, j *trace.Journal, r *trace.Reader, floor, target uint64, skipped func(error)) (*trace.Checkpoint, error) {
 	org := j.Origin()
-	if target < org {
-		target = org
-	}
-	var ck *trace.Checkpoint
-	if target > 0 {
-		ck = j.BestCheckpoint(target)
-	}
-	for {
-		if org > 0 && (ck == nil || ck.VMEvents < org) {
-			return nil, nil, fmt.Errorf("flight journal starts at event %d and has no loadable checkpoint covering it", org)
+	cks := j.Manifest.Checkpoints
+	i := sort.Search(len(cks), func(i int) bool { return cks[i].VMEvents > max(target, org) })
+	for i--; i >= 0 && cks[i].VMEvents >= max(floor, org); i-- {
+		info := cks[i]
+		pos, ok := r.SegmentStart(info.Index)
+		if !ok {
+			continue
 		}
-		info := &SeedInfo{Checkpoint: ck}
-		if ck != nil {
-			info.Segment, info.VMEvents = ck.Index, ck.VMEvents
+		ck, err := j.LoadCheckpoint(info)
+		if err == nil {
+			if err = m.RestoreSeam(ck.State, pos, ck.BoundaryNYP); err == nil {
+				return ck, nil
+			}
+		} else if !errors.Is(err, trace.ErrCheckpoint) {
+			return nil, err
 		}
-		m, err := seedAt(j, info, open)
-		if ck == nil || !errors.Is(err, vm.ErrCheckpointRefused) {
-			return m, info, err
+		if skipped != nil {
+			skipped(fmt.Errorf("checkpoint %d: %w", info.Index, err))
 		}
-		if refused != nil {
-			refused(err)
-		}
-		ck = j.CheckpointBefore(ck)
 	}
-}
-
-// seedAt opens a replay VM over the journal suffix info names and
-// restores its checkpoint, if any, at the suffix's first seam: the zero
-// position of the fresh trace source.
-func seedAt(j *trace.Journal, info *SeedInfo, open func(*trace.StreamReader) (*vm.VM, error)) (*vm.VM, error) {
-	src, err := j.Source(info.Segment)
-	if err != nil {
-		return nil, err
+	if org > 0 && floor <= org {
+		return nil, fmt.Errorf("flight journal starts at event %d and has no loadable checkpoint covering it", org)
 	}
-	m, err := open(src)
-	if err != nil || info.Checkpoint == nil {
-		return m, err
-	}
-	ck := info.Checkpoint
-	if err := m.RestoreSeam(ck.State, trace.ReaderPos{}, ck.BoundaryNYP); err != nil {
-		return nil, fmt.Errorf("seed checkpoint %d: %w", ck.Index, err)
-	}
-	return m, nil
+	return nil, nil
 }

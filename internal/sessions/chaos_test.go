@@ -1,6 +1,6 @@
 // The chaos matrix: every injectable storage fault kind crossed with every
 // lifecycle phase that touches the backing store (create/record, cold
-// attach, durable travel re-seed, flight flush). Each cell asserts the
+// attach, durable checkpoint travel, flight flush). Each cell asserts the
 // containment contract — the process survives, the faulted session
 // quarantines as degraded, siblings' replay digests stay bit-identical to
 // a fault-free run — and that healing the store brings the session back to
@@ -218,16 +218,16 @@ func TestChaosColdAttachDegradesAndRecovers(t *testing.T) {
 	}
 }
 
-// TestChaosTravelReseedDegradesKeepsMemoryServiceAndRecovers: a durable
-// re-seed (travel behind the in-memory window) is the read path's fault
-// point. The faulted travel quarantines, but the resident VM keeps serving
-// in-memory travel read-only; healing restores durable travel and the
-// replay digest.
+// TestChaosTravelReseedDegradesKeepsMemoryServiceAndRecovers: a travel
+// that starts from a durable checkpoint reads it from the store, the read
+// path's fault point. The faulted travel quarantines, but the resident VM
+// keeps serving in-memory travel read-only; healing restores durable
+// travel and the replay digest.
 func TestChaosTravelReseedDegradesKeepsMemoryServiceAndRecovers(t *testing.T) {
 	// Fault-free probe run to learn the workload's event count (recording
 	// is deterministic, so the chaos run matches it exactly). RotateEvents
 	// counts logged trace events, so keep it tiny to force real rotations
-	// (and with them the mid-journal durable checkpoints travel seeds from).
+	// (and with them the mid-journal durable checkpoints travel starts from).
 	probe := newTestManager(t, Config{})
 	pInfo, err := probe.Create(CreateRequest{Program: "workload:fig1ab", Seed: 7, RotateEvents: 2})
 	if err != nil {
@@ -237,9 +237,10 @@ func TestChaosTravelReseedDegradesKeepsMemoryServiceAndRecovers(t *testing.T) {
 	st := chaosfs.New(chaosfs.Fault{Kind: chaosfs.EIO})
 	st.Disarm()
 	m := newTestManager(t, chaosConfig(st, "s1"))
-	// Opening at the journal's end seeds from a mid-journal durable
-	// checkpoint, so traveling to event 1 is behind the seed point and must
-	// re-read the journal from the store.
+	// Opened at the journal's end, the session's in-memory checkpoints are
+	// its anchor at event zero and the VM's position, so traveling just
+	// behind the VM starts from a late durable checkpoint, read from the
+	// store.
 	info, err := m.Create(CreateRequest{
 		Program: "workload:fig1ab", Seed: 7, RotateEvents: 2, FromEvent: pInfo.Events - 1,
 	})
@@ -248,12 +249,12 @@ func TestChaosTravelReseedDegradesKeepsMemoryServiceAndRecovers(t *testing.T) {
 	}
 
 	st.Arm()
-	_, err = m.Travel(info.ID, 1)
+	_, err = m.Travel(info.ID, pInfo.Events-2)
 	wantRefusal(t, err, ReasonDegraded)
 
-	// Read-only service survives quarantine: in-memory travel (at or past
-	// the VM's position) still works, and the session stays degraded.
-	if _, err := m.Travel(info.ID, pInfo.Events-1); err != nil {
+	// Read-only service survives quarantine: in-memory travel (to the VM's
+	// position) still works, and the session stays degraded.
+	if _, err := m.Travel(info.ID, info.Position); err != nil {
 		t.Fatalf("in-memory travel on a degraded session: %v", err)
 	}
 	if got, _ := m.Info(info.ID); got.State != "degraded" {
@@ -308,11 +309,11 @@ func (h *recordingHandle) Exec(f func(*debugger.Debugger) error) error {
 	return err
 }
 
-// TestChaosDbgprotoTravelReseedDegradesAndRecovers is the durable travel
-// re-seed cell with the travel sent as a dbgproto command through
+// TestChaosDbgprotoTravelReseedDegradesAndRecovers is the durable
+// checkpoint travel cell with the travel sent as a dbgproto command through
 // AttachSession instead of the control plane: it is counted the same way,
-// a storage fault during the re-seed still quarantines the session with a
-// degraded refusal, and in-memory travel keeps working until repair.
+// a storage fault reading the checkpoint still quarantines the session with
+// a degraded refusal, and in-memory travel keeps working until repair.
 func TestChaosDbgprotoTravelReseedDegradesAndRecovers(t *testing.T) {
 	probe := newTestManager(t, Config{})
 	pInfo, err := probe.Create(CreateRequest{Program: "workload:fig1ab", Seed: 7, RotateEvents: 2})
@@ -326,8 +327,8 @@ func TestChaosDbgprotoTravelReseedDegradesAndRecovers(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
 	m := newTestManager(t, cfg)
-	// Both sessions open at the journal's end, seeded from a mid-journal
-	// durable checkpoint: travel to event 1 must re-seed from the store.
+	// Both sessions open at the journal's end: travel just behind the VM
+	// starts from a late durable checkpoint, read from the store.
 	deep := CreateRequest{Program: "workload:fig1ab", Seed: 7, RotateEvents: 2, FromEvent: pInfo.Events - 1}
 	info, err := m.Create(deep)
 	if err != nil {
@@ -353,16 +354,18 @@ func TestChaosDbgprotoTravelReseedDegradesAndRecovers(t *testing.T) {
 	travels := reg.Counter("dv_sessions_travels_total")
 	reseeds := reg.Counter("dv_journal_reseeds_total")
 	travels0, reseeds0 := travels.Value(), reseeds.Value()
+	behind := fmt.Sprintf("travel %d", pInfo.Events-2)
 
-	// A healthy re-seed over the wire counts as a travel and a re-seed.
+	// A healthy durable travel over the wire counts as a travel and a
+	// durable restore.
 	if _, err := c.Send("attach " + sibling.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Send("travel 1"); err != nil {
-		t.Fatalf("dbgproto re-seeding travel: %v", err)
+	if _, err := c.Send(behind); err != nil {
+		t.Fatalf("dbgproto durable travel: %v", err)
 	}
-	if got, _ := m.Info(sibling.ID); got.Travels != 1 || got.Reseeds != 1 {
-		t.Fatalf("sibling travels/reseeds = %d/%d, want 1/1", got.Travels, got.Reseeds)
+	if got, _ := m.Info(sibling.ID); got.Travels != 1 || got.Reseeds != sibling.Reseeds+1 {
+		t.Fatalf("sibling travels/reseeds = %d/%d, want 1/%d", got.Travels, got.Reseeds, sibling.Reseeds+1)
 	}
 	if d := reseeds.Value() - reseeds0; d != 1 {
 		t.Fatalf("dv_journal_reseeds_total moved by %d, want 1", d)
@@ -372,7 +375,7 @@ func TestChaosDbgprotoTravelReseedDegradesAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Arm()
-	if _, err := c.Send("travel 1"); err == nil || !strings.Contains(err.Error(), "degraded") {
+	if _, err := c.Send(behind); err == nil || !strings.Contains(err.Error(), "degraded") {
 		t.Fatalf("faulted dbgproto travel = %v, want a degraded refusal", err)
 	}
 	wantRefusal(t, r.lastErr(), ReasonDegraded)
@@ -381,7 +384,7 @@ func TestChaosDbgprotoTravelReseedDegradesAndRecovers(t *testing.T) {
 	}
 
 	// Read-only service survives quarantine: in-memory travel still works.
-	if _, err := c.Send(fmt.Sprintf("travel %d", pInfo.Events-1)); err != nil {
+	if _, err := c.Send(fmt.Sprintf("travel %d", info.Position)); err != nil {
 		t.Fatalf("in-memory dbgproto travel on a degraded session: %v", err)
 	}
 	if got, _ := m.Info(info.ID); got.State != "degraded" || got.Travels != 2 {

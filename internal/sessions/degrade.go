@@ -5,8 +5,8 @@
 // A session in StateDegraded keeps its in-memory VM (when it has one):
 // attach, peek, and travel that the in-memory checkpoints can serve keep
 // working read-only, while anything that needs the backing store —
-// durable re-seeds, flight flushes, drain checkpoints — refuses with a
-// structured Refusal{Reason: ReasonDegraded} carrying retry guidance. A
+// durable checkpoint reads, flight flushes, drain checkpoints — refuses
+// with a structured Refusal{Reason: ReasonDegraded} carrying retry guidance. A
 // per-session supervisor retries repair with capped exponential backoff
 // plus jitter: re-opening the journal reuses the torn-tail salvage scan
 // (OpenJournal's bounded scanner), so a recording cut short

@@ -527,13 +527,13 @@ type CreateRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 	// RotateEvents sets the journal segment-rotation threshold; each
 	// rotation seals a segment and writes a durable checkpoint travel can
-	// re-seed from. <=0 keeps the journal single-segment.
+	// start from. <=0 keeps the journal single-segment.
 	RotateEvents int `json:"rotate_events,omitempty"`
 	// Source, when set, adopts an existing segmented-journal directory in
 	// place instead of recording a fresh one.
 	Source string `json:"source,omitempty"`
-	// FromEvent positions the opened session at this event, seeded from
-	// the nearest durable checkpoint at or before it.
+	// FromEvent positions the opened session at this event, traveling
+	// there from the nearest durable checkpoint at or before it.
 	FromEvent uint64 `json:"from_event,omitempty"`
 	// Optimize runs the certified bytecode optimizer over the program
 	// before recording. A refused pipeline records the input unoptimized;
@@ -574,9 +574,9 @@ type Info struct {
 	Tainted      bool   `json:"tainted,omitempty"`
 	Attaches     uint64 `json:"attaches"`
 	Travels      uint64 `json:"travels"`
-	// Reseeds counts the travels that started from a durable checkpoint:
-	// restored into the session's VM in place, or, for a target before
-	// the journal suffix the VM replays, a re-seeded VM.
+	// Reseeds counts the travels that started from a durable checkpoint
+	// restored into the session's VM in place, the open's travel to
+	// FromEvent included.
 	Reseeds uint64 `json:"reseeds,omitempty"`
 	Created string `json:"created,omitempty"`
 	// Degraded carries the quarantining storage fault while the session is
@@ -944,8 +944,8 @@ func (s *Session) exec(f func(d *debugger.Debugger) error, then func()) error {
 	execErr := f(d)
 	if n := d.Travels() - travels; n > 0 {
 		// Count travel however it was issued (control plane or dbgproto).
-		// A storage fault during a durable re-seed quarantines the session;
-		// in-memory travel keeps working while it is degraded.
+		// A storage fault reading a durable checkpoint quarantines the
+		// session; in-memory travel keeps working while it is degraded.
 		s.travels.Add(n)
 		s.mgr.met.travels.Add(n)
 		if execErr != nil && isStorageErr(execErr) {
@@ -1353,7 +1353,7 @@ func (a *attachment) Detach() {}
 
 // WithSession implements ptrace.SessionSource: f runs with the session's
 // live heap under the session's command lock, so peeks can never race a
-// kill or a travel re-seed.
+// kill or a travel.
 func (m *Manager) WithSession(num uint64, f func(h *heap.Heap, roots ptrace.RootSource) error) error {
 	m.mu.Lock()
 	s := m.byNum[num]

@@ -106,9 +106,6 @@ func (s *Scheduler) Enqueue(t *Thread) {
 	s.readyQ = append(s.readyQ, t.ID)
 }
 
-// ReadyCount returns the ready-queue length.
-func (s *Scheduler) ReadyCount() int { return len(s.readyQ) }
-
 // LiveCount returns the number of non-terminated threads.
 func (s *Scheduler) LiveCount() int {
 	n := 0

@@ -82,6 +82,3 @@ type Thread struct {
 	MirYields uint64
 	MirValid  bool
 }
-
-// Runnable reports whether the thread can be scheduled.
-func (t *Thread) Runnable() bool { return t.State == Ready || t.State == Running }

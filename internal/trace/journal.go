@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 )
 
@@ -196,23 +195,22 @@ func (j *Journal) String() string {
 	return b.String()
 }
 
-// Source returns a replay Source covering segments fromSeg.. in order:
+// Source returns a replay Source covering the whole journal in order:
 // each sealed segment's chunks, then the salvaged tail streams. The reader
 // sees one logical container — segment headers are verified and stripped —
 // and reaches a clean end marker, so a journal cut short replays with the
 // same partial-trace semantics as a RecoverStream salvage. Load on the
 // result yields a seekable Reader and is how callers validate every byte
-// the manifest commits to; that Reader also knows where each later segment
-// starts (Reader.SegmentStart), so checkpoint k+i can seed it in place.
-// fromSeg 0 replays from the beginning; fromSeg k is only coherent seeded
-// with checkpoint k.
-func (j *Journal) Source(fromSeg int) (*StreamReader, error) {
-	if fromSeg < 0 || fromSeg > j.TailIndex || (fromSeg == j.TailIndex && j.TailReport == nil) {
-		return nil, fmt.Errorf("trace: journal has no segment %d", fromSeg)
+// the manifest commits to; that Reader also knows where each segment
+// starts (Reader.SegmentStart), so checkpoint k can be restored in place at
+// segment k's seam.
+func (j *Journal) Source() (*StreamReader, error) {
+	if j.TailIndex == 0 && j.TailReport == nil {
+		return nil, fmt.Errorf("trace: journal has no segment 0")
 	}
 	s := &StreamReader{}
-	cur := fromSeg
-	index := 0 // data events in segments fromSeg..cur-1
+	cur := 0
+	index := 0 // data events in segments 0..cur-1
 	var rc io.ReadCloser
 	var synthetic []streamChunk
 	s.next = func() (streamChunk, error) {
@@ -287,8 +285,8 @@ func (j *Journal) openSegment(i int) (io.ReadCloser, error) {
 	return rc, nil
 }
 
-// LoadCheckpoint reads and verifies checkpoint file info. The returned
-// checkpoint seeds a Source(info.Index) replay.
+// LoadCheckpoint reads and verifies checkpoint file info. A replay over
+// Source restores the returned checkpoint at segment info.Index's seam.
 func (j *Journal) LoadCheckpoint(info CheckpointInfo) (*Checkpoint, error) {
 	raw, err := readAll(j.fs, info.Name)
 	if err != nil {
@@ -307,28 +305,4 @@ func (j *Journal) LoadCheckpoint(info CheckpointInfo) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %s seeds segment %d, which was lost", ErrCheckpoint, info.Name, c.Index)
 	}
 	return &c, nil
-}
-
-// BestCheckpoint walks back from the nearest checkpoint at or before
-// target past any unreadable (torn or corrupt) checkpoint files, returning
-// the latest loadable one. nil means seed from zero — always safe, since
-// sealed segments from 0 are intact.
-func (j *Journal) BestCheckpoint(target uint64) *Checkpoint {
-	cks := j.Manifest.Checkpoints
-	i := sort.Search(len(cks), func(i int) bool { return cks[i].VMEvents > target })
-	for i--; i >= 0; i-- {
-		if c, err := j.LoadCheckpoint(cks[i]); err == nil {
-			return c
-		}
-	}
-	return nil
-}
-
-// CheckpointBefore returns the latest loadable checkpoint taken before c,
-// or nil (seed from zero), for a caller whose VM refused c.
-func (j *Journal) CheckpointBefore(c *Checkpoint) *Checkpoint {
-	if c.VMEvents == 0 {
-		return nil
-	}
-	return j.BestCheckpoint(c.VMEvents - 1)
 }

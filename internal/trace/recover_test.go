@@ -232,7 +232,7 @@ func FuzzRecover(f *testing.F) {
 // TestJournalSourceBitFlipSweep flips one bit in every byte of a small
 // journal's segment files. In a sealed segment (trusted by the manifest,
 // so never salvaged) every flip must surface as an error from draining
-// Journal.Source(0) — the check dvserve ingest relies on. In the unsealed
+// Journal.Source — the check dvserve ingest relies on. In the unsealed
 // tail a flip only shortens the salvage: the journal must still replay an
 // exact prefix of the recording.
 func TestJournalSourceBitFlipSweep(t *testing.T) {
@@ -256,7 +256,7 @@ func TestJournalSourceBitFlipSweep(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		src, err := j.Source(0)
+		src, err := j.Source()
 		if err != nil {
 			return err
 		}
@@ -278,7 +278,7 @@ func TestJournalSourceBitFlipSweep(t *testing.T) {
 			err := drain()
 			fs.CorruptBit(name, i) // flip it back
 			if err == nil {
-				t.Fatalf("bit %d of byte %d flipped in sealed %s, yet Source(0) drained cleanly", i%8, i, name)
+				t.Fatalf("bit %d of byte %d flipped in sealed %s, yet Source drained cleanly", i%8, i, name)
 			}
 		}
 	})

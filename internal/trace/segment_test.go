@@ -49,7 +49,7 @@ func writeJournal(t *testing.T, fs FS, seal bool) (states [][]byte) {
 
 // drainSource consumes a journal source through the public Source surface
 // the engine uses, returning the clock values seen.
-func drainJournalSource(t *testing.T, s *StreamReader) (clocks []int64, switches []uint64, inputs [][]byte) {
+func drainJournalSource(t *testing.T, s Source) (clocks []int64, switches []uint64, inputs [][]byte) {
 	t.Helper()
 	for {
 		k, err := s.Peek()
@@ -113,7 +113,7 @@ func TestSegmentWriterJournalRoundTrip(t *testing.T) {
 		t.Fatalf("events = %d, want 19", ev)
 	}
 
-	src, err := j.Source(0)
+	src, err := j.Source()
 	if err != nil {
 		t.Fatalf("Source: %v", err)
 	}
@@ -141,30 +141,10 @@ func TestSegmentWriterJournalRoundTrip(t *testing.T) {
 			t.Fatalf("checkpoint %d state %q, want %q", i, ck.State, states[i])
 		}
 	}
-	if ck := j.BestCheckpoint(150); ck == nil || ck.VMEvents != 100 || ck.Index != 1 {
-		t.Fatalf("BestCheckpoint(150) = %+v", ck)
-	}
-	if ck := j.BestCheckpoint(99); ck != nil {
-		t.Fatalf("BestCheckpoint(99) should be nil (seed from zero), got %+v", ck)
-	}
-	if ck := j.BestCheckpoint(1 << 40); ck == nil || ck.Index != 2 {
-		t.Fatalf("BestCheckpoint(max) = %+v", ck)
-	}
-
-	// Source from a later segment only sees that suffix.
-	src2, err := j.Source(2)
-	if err != nil {
-		t.Fatalf("Source(2): %v", err)
-	}
-	clocks2, _, _ := drainJournalSource(t, src2)
-	if len(clocks2) != 5 || clocks2[0] != 30 {
-		t.Fatalf("suffix clocks %v", clocks2)
-	}
-
 	// The loaded (seekable) Reader agrees with the chunked source.
-	src0, err := j.Source(0)
+	src0, err := j.Source()
 	if err != nil {
-		t.Fatalf("Source(0): %v", err)
+		t.Fatalf("Source: %v", err)
 	}
 	r, err := src0.Load()
 	if err != nil {
@@ -187,6 +167,18 @@ func TestSegmentWriterJournalRoundTrip(t *testing.T) {
 		if err != nil || v != w {
 			t.Fatalf("flat clock = %d/%v, want %d", v, err, w)
 		}
+	}
+
+	// It knows where each segment starts: from segment 2's seam, replay
+	// sees only that segment.
+	pos, ok := r.SegmentStart(2)
+	if !ok {
+		t.Fatal("loaded journal has no seam for segment 2")
+	}
+	r.Seek(pos)
+	clocks2, switches2, _ := drainJournalSource(t, r)
+	if len(clocks2) != 5 || clocks2[0] != 30 || len(switches2) != 1 || switches2[0] != 30 {
+		t.Fatalf("segment 2 clocks %v, switches %v", clocks2, switches2)
 	}
 }
 
@@ -220,7 +212,7 @@ func TestJournalTailSalvageUnsealed(t *testing.T) {
 	if j.TailReport.Complete {
 		t.Fatal("tail must not have its end marker")
 	}
-	src, err := j.Source(0)
+	src, err := j.Source()
 	if err != nil {
 		t.Fatalf("Source: %v", err)
 	}
@@ -517,7 +509,7 @@ func TestSegmentWriterQuotaRefusal(t *testing.T) {
 	if j.Segments() == 0 {
 		t.Fatal("no sealed segments salvaged before the refusal")
 	}
-	src, err := j.Source(0)
+	src, err := j.Source()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -310,7 +310,7 @@ type Reader struct {
 	index    int
 	decoding Kind // kind whose payload is being decoded, for TruncatedError
 
-	// seams[i] is where segment i+1 of a loaded journal suffix starts
+	// seams[i] is where segment i+1 of a loaded journal starts
 	// (Journal.Source records them; see SegmentStart).
 	seams []ReaderPos
 }
@@ -500,11 +500,11 @@ func (r *Reader) Seek(p ReaderPos) {
 	r.swPos, r.pos, r.index = p.SwPos, p.Pos, p.Index
 }
 
-// SegmentStart returns the position at which the i-th segment of the
-// reader's trace starts, counting its first segment as 0. A Reader loaded
-// from Journal.Source(k) knows where each segment k+i starts: the seams
-// the journal source strips, where segment k+i's checkpoint seeds replay.
-// Any other Reader has only segment 0, at the zero position.
+// SegmentStart returns the position at which segment i of the reader's
+// trace starts. A Reader loaded from Journal.Source knows where every
+// segment starts: the seams the journal source strips, where segment i's
+// checkpoint is restored. Any other Reader has only segment 0, at the zero
+// position.
 func (r *Reader) SegmentStart(i int) (ReaderPos, bool) {
 	switch {
 	case i == 0:

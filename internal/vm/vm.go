@@ -580,14 +580,6 @@ func (vm *VM) StackGrows() uint64 { return vm.stackGrows }
 // Halted reports whether execution finished.
 func (vm *VM) Halted() bool { return vm.halted }
 
-// DictionaryAddr returns the heap address of the VM_Dictionary (the ref
-// array of VM_Class mirrors) — the initial mapped object for remote
-// reflection.
-func (vm *VM) DictionaryAddr() heap.Addr { return vm.dict }
-
-// ThreadsAddr returns the heap address of the VM_Thread mirror array.
-func (vm *VM) ThreadsAddr() heap.Addr { return vm.threadsArr }
-
 // MirrorTypeIDs returns the runtime type IDs of (VM_Class, VM_Method,
 // VM_Thread) for tools that interpret raw memory.
 func (vm *VM) MirrorTypeIDs() (class, method, thread int) {
@@ -596,9 +588,6 @@ func (vm *VM) MirrorTypeIDs() (class, method, thread int) {
 
 // NumUserClasses reports how many type IDs belong to program classes.
 func (vm *VM) NumUserClasses() int { return vm.numClasses }
-
-// StaticsTypeID maps a class ID to the type ID of its statics object.
-func (vm *VM) StaticsTypeID(classID int) int { return vm.staticsType[classID] }
 
 type outputSink struct {
 	buf  []byte
