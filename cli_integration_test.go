@@ -262,3 +262,28 @@ func TestExamplesRun(t *testing.T) {
 		})
 	}
 }
+
+// TestCLIRefusesUnverifiableProgram: `dejavu run` on a program that fails
+// verification exits non-zero with the verifier's method and pc, and
+// `dejavu record` refuses it the same way before writing a trace.
+func TestCLIRefusesUnverifiableProgram(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	bin := buildTools(t)
+	dir := t.TempDir()
+	src := filepath.Join(dir, "bad.dvs")
+	if err := os.WriteFile(src, []byte("program bad\nclass Main {\n  method main 0 0 {\n    add\n    halt\n  }\n}\nentry Main.main\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr := filepath.Join(dir, "bad.dvt")
+	for _, args := range [][]string{{"run", "-seed", "1", src}, {"record", "-seed", "1", "-o", tr, src}} {
+		out, err := exec.Command(filepath.Join(bin, "dejavu"), args...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "verify: Main.main pc=0:") {
+			t.Fatalf("dejavu %s: err %v, output %q; want a non-zero exit naming Main.main pc=0", args[0], err, out)
+		}
+	}
+	if _, err := os.Stat(tr); !os.IsNotExist(err) {
+		t.Fatalf("refused record left %s behind (stat: %v)", tr, err)
+	}
+}

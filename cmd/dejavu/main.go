@@ -142,6 +142,12 @@ func cmdRun(args []string, mode core.Mode) error {
 			return err
 		}
 	}
+	// A program that fails verification is refused here, before any
+	// output exists.
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		return err
+	}
 	// Record mode streams chunks to the output file as it runs, so the
 	// trace never lives in memory; -flat restores the old buffered path and
 	// -segment-* rotates the stream into a checkpointed journal directory.
@@ -150,7 +156,7 @@ func cmdRun(args []string, mode core.Mode) error {
 	var journal *trace.SegmentWriter
 	var ring *flightrec.Ring
 	if *flight {
-		ring, err = flightrec.NewRing(vm.ProgramHash(prog), flightrec.Options{
+		ring, err = flightrec.NewRing(img.Hash(), flightrec.Options{
 			WindowEvents: *flightEvents,
 			WindowBytes:  *flightBytes,
 			Obs:          reg,
@@ -164,7 +170,7 @@ func cmdRun(args []string, mode core.Mode) error {
 		if err != nil {
 			return err
 		}
-		journal, err = trace.NewSegmentWriter(dfs, vm.ProgramHash(prog), trace.SegmentOptions{
+		journal, err = trace.NewSegmentWriter(dfs, img.Hash(), trace.SegmentOptions{
 			StreamOptions: trace.StreamOptions{Sync: flags.Sync, Obs: flags.Obs},
 			RotateEvents:  *segEvents,
 			RotateBytes:   *segBytes,
@@ -174,13 +180,13 @@ func cmdRun(args []string, mode core.Mode) error {
 		}
 		flags.TraceSink = journal
 	} else if mode == core.ModeRecord && !*flat {
-		sink, out, err = flags.OpenTraceSink(*traceOut, vm.ProgramHash(prog))
+		sink, out, err = flags.OpenTraceSink(*traceOut, img.Hash())
 		if err != nil {
 			return err
 		}
 		defer out.Close()
 	}
-	eng, stop, err := cli.BuildEngine(prog, flags)
+	eng, stop, err := cli.BuildEngine(img, flags)
 	if err != nil {
 		return err
 	}
@@ -201,7 +207,7 @@ func cmdRun(args []string, mode core.Mode) error {
 			vcfg.SyncHook = rd
 		}
 	}
-	m, err := vm.New(prog, vcfg)
+	m, err := vm.Load(img, vcfg)
 	if err != nil {
 		return err
 	}
@@ -285,6 +291,10 @@ func cmdReplay(args []string) error {
 		return err
 	}
 	reportOptimize(optRes)
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		return err
+	}
 	flags := cli.EngineFlags{Mode: core.ModeReplay, PartialTrace: *partial, Deadline: *deadline}
 	flags.Obs = reg
 	var j *trace.Journal
@@ -299,7 +309,7 @@ func cmdReplay(args []string) error {
 		if j, err = trace.OpenJournal(dfs); err != nil {
 			return err
 		}
-		if h := vm.ProgramHash(prog); j.ProgHash() != h {
+		if h := img.Hash(); j.ProgHash() != h {
 			return fmt.Errorf("journal %s was recorded from program %x, not %x", *traceIn, j.ProgHash(), h)
 		}
 		if j.Origin() > 0 {
@@ -338,7 +348,7 @@ func cmdReplay(args []string) error {
 		br := bufio.NewReader(f)
 		magic, _ := br.Peek(4)
 		if trace.IsStream(magic) {
-			src, err := trace.NewStreamReader(br, vm.ProgramHash(prog))
+			src, err := trace.NewStreamReader(br, img.Hash())
 			if err != nil {
 				return err
 			}
@@ -377,13 +387,13 @@ func cmdReplay(args []string) error {
 		}
 		cfg.SyncHook = multi
 	}
-	eng, stop, err := cli.BuildEngine(prog, flags)
+	eng, stop, err := cli.BuildEngine(img, flags)
 	if err != nil {
 		return err
 	}
 	defer stop()
 	cfg.Engine = eng
-	m, err := vm.New(prog, cfg)
+	m, err := vm.Load(img, cfg)
 	if err != nil {
 		return err
 	}
@@ -665,13 +675,17 @@ func replaySalvage(progArg string, salvaged []byte, rep *trace.RecoverReport, he
 	if err != nil {
 		return err
 	}
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		return err
+	}
 	flags := cli.EngineFlags{Mode: core.ModeReplay, TraceIn: salvaged, PartialTrace: !rep.EndEvent}
-	eng, stop, err := cli.BuildEngine(prog, flags)
+	eng, stop, err := cli.BuildEngine(img, flags)
 	if err != nil {
 		return err
 	}
 	defer stop()
-	m, err := vm.New(prog, vm.Config{Engine: eng, Stdout: os.Stdout, HeapBytes: heapBytes})
+	m, err := vm.Load(img, vm.Config{Engine: eng, Stdout: os.Stdout, HeapBytes: heapBytes})
 	if err != nil {
 		return err
 	}

@@ -80,15 +80,19 @@ func localREPL(progArg, traceIn string) error {
 	if err != nil {
 		return err
 	}
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		return err
+	}
 	traceBytes, err := os.ReadFile(traceIn)
 	if err != nil {
 		return err
 	}
-	eng, _, err := cli.BuildEngine(prog, cli.EngineFlags{Mode: core.ModeReplay, TraceIn: traceBytes})
+	eng, _, err := cli.BuildEngine(img, cli.EngineFlags{Mode: core.ModeReplay, TraceIn: traceBytes})
 	if err != nil {
 		return err
 	}
-	m, err := vm.New(prog, vm.Config{Engine: eng})
+	m, err := vm.Load(img, vm.Config{Engine: eng})
 	if err != nil {
 		return err
 	}

@@ -311,6 +311,10 @@ func run(c serveConfig) error {
 	if err != nil {
 		return err
 	}
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		return err
+	}
 	reg := obs.NewRegistry()
 
 	// The trace argument selects the session shape: a directory is a
@@ -325,7 +329,7 @@ func run(c serveConfig) error {
 		if err != nil {
 			return err
 		}
-		if d, err = debugger.OpenJournal(prog, fs, c.fromEvent, reg); err != nil {
+		if d, err = debugger.OpenJournal(img, fs, c.fromEvent, reg); err != nil {
 			return err
 		}
 		state := "complete"
@@ -338,11 +342,11 @@ func run(c serveConfig) error {
 		if err != nil {
 			return err
 		}
-		eng, _, err := cli.BuildEngine(prog, cli.EngineFlags{Mode: core.ModeReplay, TraceIn: traceBytes, Obs: reg})
+		eng, _, err := cli.BuildEngine(img, cli.EngineFlags{Mode: core.ModeReplay, TraceIn: traceBytes, Obs: reg})
 		if err != nil {
 			return err
 		}
-		m, err := vm.New(prog, vm.Config{Engine: eng, Stdout: os.Stdout})
+		m, err := vm.Load(img, vm.Config{Engine: eng, Stdout: os.Stdout})
 		if err != nil {
 			return err
 		}

@@ -107,15 +107,19 @@ func CheckReplay(prog *Program, o Options) (rec, rep *Result, err error) {
 // NewReplayVM builds a VM replaying the given trace, for step-wise control
 // (e.g. under a Debugger).
 func NewReplayVM(prog *Program, traceBytes []byte, cfg VMConfig) (*VM, error) {
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		return nil, err
+	}
 	ecfg := core.DefaultConfig(core.ModeReplay)
-	ecfg.ProgHash = vm.ProgramHash(prog)
+	ecfg.ProgHash = img.Hash()
 	ecfg.TraceIn = traceBytes
 	eng, err := core.NewEngine(ecfg)
 	if err != nil {
 		return nil, err
 	}
 	cfg.Engine = eng
-	return vm.New(prog, cfg)
+	return vm.Load(img, cfg)
 }
 
 // NewDebugger wraps a VM (normally one from NewReplayVM) with breakpoints,

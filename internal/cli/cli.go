@@ -168,14 +168,14 @@ func RecordJournalProgramOptions(prog *bytecode.Program, fs trace.FS, o replaych
 	}, nil
 }
 
-// RecordFlightProgram records prog through sink — a flight-recorder ring
+// RecordFlightProgram records img's program through sink — a flight-recorder ring
 // (trace.Sink, and vm.JournalSink for rotation) — seeded with seed and
 // otherwise default options. Unlike the journal path, a faulting run is not
 // a failure here: the fault is precisely what the flight recorder exists to
 // capture, so the run error comes back in JournalRecording.RunErr and only
 // setup errors are returned. The caller owns flushing the ring.
-func RecordFlightProgram(prog *bytecode.Program, sink trace.Sink, seed int64) (*JournalRecording, error) {
-	res, err := replaycheck.RecordSink(prog, sink, replaycheck.Options{Seed: seed})
+func RecordFlightProgram(img *vm.Image, sink trace.Sink, seed int64) (*JournalRecording, error) {
+	res, err := replaycheck.RecordSink(img.Program(), sink, replaycheck.Options{Seed: seed, Image: img})
 	if err != nil {
 		return nil, err
 	}
@@ -203,16 +203,17 @@ func Preflight(prog *bytecode.Program) error {
 	return nil
 }
 
-// BuildEngine constructs an engine (and a stopper for any host timer).
-func BuildEngine(prog *bytecode.Program, f EngineFlags) (*core.Engine, func(), error) {
+// BuildEngine constructs an engine for img's program (and a stopper for
+// any host timer).
+func BuildEngine(img *vm.Image, f EngineFlags) (*core.Engine, func(), error) {
 	cfg := core.DefaultConfig(f.Mode)
 	cfg.PreflightAnalysis = f.Preflight
 	if f.Preflight && f.Mode == core.ModeRecord {
-		if err := Preflight(prog); err != nil {
+		if err := Preflight(img.Program()); err != nil {
 			return nil, nil, err
 		}
 	}
-	cfg.ProgHash = vm.ProgramHash(prog)
+	cfg.ProgHash = img.Hash()
 	cfg.TraceIn = f.TraceIn
 	cfg.TraceSink = f.TraceSink
 	cfg.TraceSrc = f.TraceSrc

@@ -68,14 +68,17 @@ func TestLoadProgramAssemblyAndImage(t *testing.T) {
 }
 
 func TestBuildEngineModes(t *testing.T) {
-	p := bytecode.MustAssemble(tinySrc)
+	p, err := vm.NewImage(bytecode.MustAssemble(tinySrc))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Seeded record engine.
 	eng, stop, err := BuildEngine(p, EngineFlags{Mode: core.ModeRecord, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop()
-	m, err := vm.New(p, vm.Config{Engine: eng})
+	m, err := vm.Load(p, vm.Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestBuildEngineModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop2()
-	m2, err := vm.New(p, vm.Config{Engine: reng})
+	m2, err := vm.Load(p, vm.Config{Engine: reng})
 	if err != nil {
 		t.Fatal(err)
 	}

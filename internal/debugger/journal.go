@@ -8,7 +8,6 @@ package debugger
 import (
 	"fmt"
 
-	"dejavu/internal/bytecode"
 	"dejavu/internal/core"
 	"dejavu/internal/obs"
 	"dejavu/internal/replaycheck"
@@ -16,8 +15,9 @@ import (
 	"dejavu/internal/vm"
 )
 
-// OpenJournal opens the journal on fs and starts a debugger over it,
-// positioned at the given event count. It anchors an in-memory checkpoint
+// OpenJournal opens the journal on fs and starts a debugger over it, a VM
+// loaded from img (the journal's program), positioned at the given event
+// count. It anchors an in-memory checkpoint
 // at event zero (a flight window's at its origin checkpoint) and travels
 // to event, which starts from the nearest durable checkpoint at or before
 // it: attaching deep into a long recording replays one segment, not the
@@ -26,12 +26,12 @@ import (
 // diverging. reg, when set, is attached to the replay engine; metrics are
 // excluded from engine snapshots, so a debugger with a registry replays
 // identically to one without.
-func OpenJournal(prog *bytecode.Program, fs trace.FS, event uint64, reg *obs.Registry) (*Debugger, error) {
+func OpenJournal(img *vm.Image, fs trace.FS, event uint64, reg *obs.Registry) (*Debugger, error) {
 	j, err := trace.OpenJournal(fs)
 	if err != nil {
 		return nil, err
 	}
-	if h := vm.ProgramHash(prog); j.ProgHash() != h {
+	if h := img.Hash(); j.ProgHash() != h {
 		return nil, fmt.Errorf("debugger: journal program hash mismatch: journal %x, program %x", j.ProgHash(), h)
 	}
 	src, err := j.Source()
@@ -43,7 +43,7 @@ func OpenJournal(prog *bytecode.Program, fs trace.FS, event uint64, reg *obs.Reg
 		return nil, fmt.Errorf("debugger: %w", err)
 	}
 	ecfg := core.DefaultConfig(core.ModeReplay)
-	ecfg.ProgHash = vm.ProgramHash(prog)
+	ecfg.ProgHash = img.Hash()
 	ecfg.TraceSrc = r
 	ecfg.PartialTrace = !j.Complete()
 	ecfg.Obs = reg
@@ -51,7 +51,7 @@ func OpenJournal(prog *bytecode.Program, fs trace.FS, event uint64, reg *obs.Reg
 	if err != nil {
 		return nil, err
 	}
-	m, err := vm.New(prog, vm.Config{Engine: eng})
+	m, err := vm.Load(img, vm.Config{Engine: eng})
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"dejavu/internal/faults/memfs"
 	"dejavu/internal/replaycheck"
 	"dejavu/internal/trace"
+	"dejavu/internal/vm"
 	"dejavu/internal/workloads"
 )
 
@@ -25,7 +26,7 @@ func journalFixture(t *testing.T) (*bytecode.Program, trace.FS, *Debugger) {
 	if err != nil || rec.RunErr != nil {
 		t.Fatalf("record journal: %v / %v", err, rec.RunErr)
 	}
-	s, err := OpenJournal(prog, fs, 0, nil)
+	s, err := OpenJournal(mustImage(t, prog), fs, 0, nil)
 	if err != nil {
 		t.Fatalf("open session: %v", err)
 	}
@@ -66,7 +67,7 @@ func TestJournalSessionDurableCheckpointMatchesInMemory(t *testing.T) {
 	// Durable path: a fresh debugger opened at the segment checkpoint
 	// before the target restores it, replaying nothing before it.
 	ck := mid
-	d, err := OpenJournal(prog, fs, ck.VMEvents, nil)
+	d, err := OpenJournal(mustImage(t, prog), fs, ck.VMEvents, nil)
 	if err != nil {
 		t.Fatalf("seed from checkpoint %d: %v", ck.Index, err)
 	}
@@ -102,7 +103,7 @@ func TestJournalSessionReSeedsPastInMemoryHorizon(t *testing.T) {
 	cks := ref.Journal().Manifest.Checkpoints
 	last := cks[len(cks)-1]
 
-	s, err := OpenJournal(prog, fs, last.VMEvents+5, nil)
+	s, err := OpenJournal(mustImage(t, prog), fs, last.VMEvents+5, nil)
 	if err != nil {
 		t.Fatalf("open at %d: %v", last.VMEvents+5, err)
 	}
@@ -191,7 +192,7 @@ func TestBreakpointsSurviveDurableReseed(t *testing.T) {
 	cks := ref.Journal().Manifest.Checkpoints
 	last := cks[len(cks)-1]
 
-	d, err := OpenJournal(prog, fs, last.VMEvents+5, nil)
+	d, err := OpenJournal(mustImage(t, prog), fs, last.VMEvents+5, nil)
 	if err != nil {
 		t.Fatalf("open at %d: %v", last.VMEvents+5, err)
 	}
@@ -222,4 +223,14 @@ func TestBreakpointsSurviveDurableReseed(t *testing.T) {
 	if _, mid, pc, _ := d.VM.CurrentSite(); prog.Methods[mid].FullName() != "Main.main" || pc != 2 {
 		t.Fatalf("stopped at %s pc=%d, want Main.main pc=2", prog.Methods[mid].FullName(), pc)
 	}
+}
+
+// mustImage loads prog for OpenJournal.
+func mustImage(t testing.TB, prog *bytecode.Program) *vm.Image {
+	t.Helper()
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }

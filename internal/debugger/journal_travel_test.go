@@ -147,7 +147,7 @@ func TestJournalTravelOracle(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/seed%d/rot%d", name, seed, rotate), func(t *testing.T) {
 					prog := corpus[name]()
 					fs := recordJournal(t, prog, name, seed, rotate)
-					d, err := OpenJournal(prog, fs, 0, nil)
+					d, err := OpenJournal(mustImage(t, prog), fs, 0, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -366,7 +366,7 @@ func TestDurableFallbackLeavesVMUntouched(t *testing.T) {
 	for _, c := range durableSpoilers(vm.ProgramHash(prog)) {
 		t.Run(c.name, func(t *testing.T) {
 			fs := recordJournal(t, prog, "bank", 4, 3)
-			d, err := OpenJournal(prog, fs, 0, nil)
+			d, err := OpenJournal(mustImage(t, prog), fs, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -19,8 +19,12 @@ import (
 // policy). The VM drives rotation, so every segment boundary carries a
 // checkpoint taken at an instruction boundary.
 func RecordJournal(prog *bytecode.Program, fs trace.FS, o Options) (*Result, error) {
+	o, err := o.withImage(prog)
+	if err != nil {
+		return nil, err
+	}
 	o = o.fill()
-	sw, err := trace.NewSegmentWriter(fs, vm.ProgramHash(prog), trace.SegmentOptions{
+	sw, err := trace.NewSegmentWriter(fs, o.Image.Hash(), trace.SegmentOptions{
 		StreamOptions:   trace.StreamOptions{ChunkBytes: o.ChunkBytes, Sync: o.Sync},
 		RotateEvents:    o.RotateEvents,
 		RotateBytes:     o.RotateBytes,
@@ -36,7 +40,7 @@ func RecordJournal(prog *bytecode.Program, fs trace.FS, o Options) (*Result, err
 		}
 		cfg.Journal = sw
 	}
-	res, err := record(prog, o, sw)
+	res, err := record(o, sw)
 	if cerr := sw.Close(); cerr != nil && err == nil {
 		return res, fmt.Errorf("record journal: %w", cerr)
 	}
@@ -68,11 +72,15 @@ func ReplayJournalFrom(prog *bytecode.Program, fs trace.FS, target uint64, o Opt
 }
 
 func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, o Options) (*Result, *SeedInfo, *trace.Journal, error) {
+	o, err := o.withImage(prog)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	j, err := trace.OpenJournal(fs)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if h := vm.ProgramHash(prog); j.ProgHash() != h {
+	if h := o.Image.Hash(); j.ProgHash() != h {
 		return nil, nil, j, fmt.Errorf("replaycheck: journal program hash mismatch: journal %x, program %x", j.ProgHash(), h)
 	}
 	if !j.Complete() {
@@ -98,7 +106,7 @@ func replayJournal(prog *bytecode.Program, fs trace.FS, target uint64, o Options
 		}
 		replaySrc = r
 	}
-	m, d, err := newReplay(prog, nil, replaySrc, o)
+	m, d, err := newReplay(nil, replaySrc, o)
 	if err != nil {
 		return nil, nil, j, err
 	}

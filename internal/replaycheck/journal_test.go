@@ -299,7 +299,7 @@ func TestJournalRefusedCheckpointFallsBack(t *testing.T) {
 		t.Fatal("fallback replay diverged from from-zero replay")
 	}
 
-	d, err := debugger.OpenJournal(prog, fs, last.VMEvents, nil)
+	d, err := debugger.OpenJournal(mustImage(t, prog), fs, last.VMEvents, nil)
 	if err != nil {
 		t.Fatalf("debugger at a refused checkpoint: %v", err)
 	}
@@ -367,4 +367,14 @@ func TestReplayWatchdogArmedButQuiet(t *testing.T) {
 	if err := replaycheck.CompareRuns(rec, rep); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// mustImage loads prog for debugger.OpenJournal.
+func mustImage(t testing.TB, prog *bytecode.Program) *vm.Image {
+	t.Helper()
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
 }

@@ -103,7 +103,7 @@ func TestObsRegistrySharedAcrossServices(t *testing.T) {
 	if _, err := replaycheck.RecordJournal(workloads.Events(200), fs, replaycheck.Options{Seed: 5, HostRand: 5, RotateEvents: 50}); err != nil {
 		t.Fatal(err)
 	}
-	d, err := debugger.OpenJournal(workloads.Events(200), fs, 0, reg)
+	d, err := debugger.OpenJournal(mustImage(t, workloads.Events(200)), fs, 0, reg)
 	if err != nil {
 		t.Fatal(err)
 	}

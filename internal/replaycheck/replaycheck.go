@@ -73,6 +73,27 @@ type Options struct {
 	TweakEngine func(*core.Config)
 	// TweakVM mutates the VM config (e.g. to install a MemHook).
 	TweakVM func(*vm.Config)
+
+	// Image, when set, is the loaded prog (vm.NewImage) every VM of the
+	// run is built from, and its hash names the trace; callers that run
+	// one program many times build it once. Its Program must be prog.
+	// Without it each call loads prog once.
+	Image *vm.Image
+}
+
+// withImage returns o with Image set to prog's image: o.Image when it is
+// prog's, or a new one.
+func (o Options) withImage(prog *bytecode.Program) (Options, error) {
+	if o.Image == nil {
+		img, err := vm.NewImage(prog)
+		if err != nil {
+			return o, err
+		}
+		o.Image = img
+	} else if o.Image.Program() != prog {
+		return o, fmt.Errorf("replaycheck: Options.Image was built from program %q, not %q", o.Image.Program().Name, prog.Name)
+	}
+	return o, nil
 }
 
 func (o Options) fill() Options {
@@ -117,10 +138,10 @@ type Result struct {
 	RunTime time.Duration
 }
 
-// newVM builds a VM for one run, with a digest observing it. The digest
-// keeps o.KeepEvents events; it is set before vm.New, which decides from
-// it whether the VM folds the digest in place.
-func (o Options) newVM(prog *bytecode.Program, eng *core.Engine) (*vm.VM, *Digest, error) {
+// newVM builds a VM for one run from o.Image, with a digest observing
+// it. The digest keeps o.KeepEvents events; it is set before vm.Load,
+// which decides from it whether the VM folds the digest in place.
+func (o Options) newVM(eng *core.Engine) (*vm.VM, *Digest, error) {
 	d := NewDigest()
 	d.KeepEvents = o.KeepEvents
 	cfg := vm.Config{
@@ -135,7 +156,7 @@ func (o Options) newVM(prog *bytecode.Program, eng *core.Engine) (*vm.VM, *Diges
 	if o.TweakVM != nil {
 		o.TweakVM(&cfg)
 	}
-	m, err := vm.New(prog, cfg)
+	m, err := vm.Load(o.Image, cfg)
 	return m, d, err
 }
 
@@ -145,7 +166,11 @@ var runVM = (*vm.VM).Run
 
 // Record executes prog in record mode and returns the run plus its trace.
 func Record(prog *bytecode.Program, o Options) (*Result, error) {
-	return record(prog, o, nil)
+	o, err := o.withImage(prog)
+	if err != nil {
+		return nil, err
+	}
+	return record(o, nil)
 }
 
 // RecordTo is Record with the trace streamed incrementally to dst instead
@@ -153,12 +178,16 @@ func Record(prog *bytecode.Program, o Options) (*Result, error) {
 // trace in memory. The stream is finalized (flushed, end marker written)
 // before RecordTo returns; dst itself is left open for the caller.
 func RecordTo(prog *bytecode.Program, dst io.Writer, o Options) (*Result, error) {
-	sink, err := trace.NewStreamWriter(dst, vm.ProgramHash(prog),
+	o, err := o.withImage(prog)
+	if err != nil {
+		return nil, err
+	}
+	sink, err := trace.NewStreamWriter(dst, o.Image.Hash(),
 		trace.StreamOptions{ChunkBytes: o.ChunkBytes, Sync: o.Sync})
 	if err != nil {
 		return nil, err
 	}
-	res, err := record(prog, o, sink)
+	res, err := record(o, sink)
 	if cerr := sink.Close(); cerr != nil && err == nil {
 		return res, fmt.Errorf("record trace stream: %w", cerr)
 	}
@@ -170,6 +199,10 @@ func RecordTo(prog *bytecode.Program, dst io.Writer, o Options) (*Result, error)
 // and checkpoint capture), the VM drives it exactly like a segmented
 // journal. The caller owns sealing or flushing the sink afterward.
 func RecordSink(prog *bytecode.Program, sink trace.Sink, o Options) (*Result, error) {
+	o, err := o.withImage(prog)
+	if err != nil {
+		return nil, err
+	}
 	if js, ok := sink.(vm.JournalSink); ok {
 		tweak := o.TweakVM
 		o.TweakVM = func(cfg *vm.Config) {
@@ -179,13 +212,15 @@ func RecordSink(prog *bytecode.Program, sink trace.Sink, o Options) (*Result, er
 			cfg.Journal = js
 		}
 	}
-	return record(prog, o, sink)
+	return record(o, sink)
 }
 
-func record(prog *bytecode.Program, o Options, sink trace.Sink) (*Result, error) {
+// record runs o.Image in record mode, logging into sink (nil keeps the
+// trace in memory).
+func record(o Options, sink trace.Sink) (*Result, error) {
 	o = o.fill()
 	ecfg := core.DefaultConfig(core.ModeRecord)
-	ecfg.ProgHash = vm.ProgramHash(prog)
+	ecfg.ProgHash = o.Image.Hash()
 	ecfg.Time = o.timeSource()
 	ecfg.TraceSink = sink
 	if o.NoPreempt {
@@ -203,7 +238,7 @@ func record(prog *bytecode.Program, o Options, sink trace.Sink) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	m, d, err := o.newVM(prog, eng)
+	m, d, err := o.newVM(eng)
 	if err != nil {
 		return nil, err
 	}
@@ -228,34 +263,43 @@ func record(prog *bytecode.Program, o Options, sink trace.Sink) (*Result, error)
 // whole and checksum-verifies before the run. ReplayFrom reads DVS1
 // incrementally instead.
 func Replay(prog *bytecode.Program, traceBytes []byte, o Options) (*Result, error) {
-	return replay(prog, traceBytes, nil, o)
+	o, err := o.withImage(prog)
+	if err != nil {
+		return nil, err
+	}
+	return replay(traceBytes, nil, o)
 }
 
 // ReplayFrom is Replay over a streaming trace container read incrementally
 // from src (e.g. a file recorded by RecordTo), without materializing the
 // trace in memory.
 func ReplayFrom(prog *bytecode.Program, src io.Reader, o Options) (*Result, error) {
-	sr, err := trace.NewStreamReader(src, vm.ProgramHash(prog))
+	o, err := o.withImage(prog)
 	if err != nil {
 		return nil, err
 	}
-	return replay(prog, nil, sr, o)
+	sr, err := trace.NewStreamReader(src, o.Image.Hash())
+	if err != nil {
+		return nil, err
+	}
+	return replay(nil, sr, o)
 }
 
-// replay runs prog against a trace from event zero.
-func replay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Options) (*Result, error) {
-	m, d, err := newReplay(prog, traceBytes, src, o)
+// replay runs o.Image against a trace from event zero.
+func replay(traceBytes []byte, src trace.Source, o Options) (*Result, error) {
+	m, d, err := newReplay(traceBytes, src, o)
 	if err != nil {
 		return nil, err
 	}
 	return runReplay(m, d), nil
 }
 
-// newReplay builds a replay VM over a trace, with a digest observing it.
-func newReplay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Options) (*vm.VM, *Digest, error) {
+// newReplay builds a replay VM of o.Image over a trace, with a digest
+// observing it.
+func newReplay(traceBytes []byte, src trace.Source, o Options) (*vm.VM, *Digest, error) {
 	o = o.fill()
 	ecfg := core.DefaultConfig(core.ModeReplay)
-	ecfg.ProgHash = vm.ProgramHash(prog)
+	ecfg.ProgHash = o.Image.Hash()
 	ecfg.TraceIn = traceBytes
 	ecfg.TraceSrc = src
 	ecfg.ProgressDeadline = o.ProgressDeadline
@@ -269,7 +313,7 @@ func newReplay(prog *bytecode.Program, traceBytes []byte, src trace.Source, o Op
 	if err != nil {
 		return nil, nil, err
 	}
-	return o.newVM(prog, eng)
+	return o.newVM(eng)
 }
 
 // runReplay runs a replay VM built by newReplay (and possibly seeded) to
@@ -294,7 +338,9 @@ func runReplay(m *vm.VM, d *Digest) *Result {
 // image, and per-thread logical clocks. It returns the two results for
 // further inspection.
 func CheckReplay(prog *bytecode.Program, o Options) (rec, rep *Result, err error) {
-	rec, err = Record(prog, o)
+	if o, err = o.withImage(prog); err == nil {
+		rec, err = Record(prog, o)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("record setup: %w", err)
 	}
@@ -367,6 +413,10 @@ func HeapDigest(m *vm.VM) (uint64, int) {
 // preemption, producing the same schedule as a Record run without any
 // logging — the uninstrumented baseline for overhead measurements.
 func RunOff(prog *bytecode.Program, o Options) (*Result, error) {
+	o, err := o.withImage(prog)
+	if err != nil {
+		return nil, err
+	}
 	o = o.fill()
 	ecfg := core.DefaultConfig(core.ModeOff)
 	ecfg.Time = o.timeSource()
@@ -385,7 +435,7 @@ func RunOff(prog *bytecode.Program, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, d, err := o.newVM(prog, eng)
+	m, d, err := o.newVM(eng)
 	if err != nil {
 		return nil, err
 	}

@@ -238,7 +238,9 @@ func runVerifyJob(j VerifyJob, pm poolMetrics) (run VerifyRun) {
 // record streams the trace out chunk by chunk, replay streams it back in.
 func checkReplayStream(prog *bytecode.Program, o Options) (rec, rep *Result, err error) {
 	var buf bytes.Buffer
-	rec, err = RecordTo(prog, &buf, o)
+	if o, err = o.withImage(prog); err == nil {
+		rec, err = RecordTo(prog, &buf, o)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("record setup: %w", err)
 	}

@@ -460,3 +460,57 @@ func TestChaosFlightCreateTornFlushRepairsFromResidentWindow(t *testing.T) {
 		t.Fatalf("repaired flight replay = %q, %v; want a digest", dig, err)
 	}
 }
+
+// TestChaosRepairKeepsDebugger: a storage fault during a durable travel
+// leaves the session's debugger untouched, so repair keeps it: the
+// session comes back as the same *Debugger, with its breakpoints, its
+// position and its checkpoint cadence.
+func TestChaosRepairKeepsDebugger(t *testing.T) {
+	st := chaosfs.New(chaosfs.Fault{Kind: chaosfs.EIO})
+	st.Disarm()
+	m := newTestManager(t, chaosConfig(st, "s1"))
+	info, err := m.Create(CreateRequest{Program: "workload:fig1ab", Seed: 7, RotateEvents: 2, FromEvent: 216})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := m.lookup(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	d := s.d
+	entry := d.VM.Program().EntryMethod().FullName()
+	if _, err := d.BreakAt(entry, 1); err != nil {
+		s.mu.Unlock()
+		t.Fatal(err)
+	}
+	d.CheckpointEvery = 777
+	pos, bps := d.VM.Events(), d.Breakpoints()
+	s.mu.Unlock()
+	if pos != 216 {
+		t.Fatalf("session opened at event %d, want 216", pos)
+	}
+
+	// Just behind the VM, travel starts from a durable checkpoint: the
+	// faulted read quarantines the session and restores nothing.
+	st.Arm()
+	_, err = m.Travel(info.ID, pos-1)
+	wantRefusal(t, err, ReasonDegraded)
+	st.Disarm()
+	waitState(t, m, info.ID, "active", 10*time.Second)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.d != d {
+		t.Fatal("repair replaced the debugger")
+	}
+	if got := d.VM.Events(); got != pos {
+		t.Fatalf("position after repair = %d, want %d", got, pos)
+	}
+	if got := d.Breakpoints(); fmt.Sprint(got) != fmt.Sprint(bps) || len(got) != 1 {
+		t.Fatalf("breakpoints after repair = %v, want %v", got, bps)
+	}
+	if d.CheckpointEvery != 777 {
+		t.Fatalf("CheckpointEvery after repair = %d, want 777", d.CheckpointEvery)
+	}
+}

@@ -154,20 +154,27 @@ func jitterDuration(d time.Duration, rnd *rand.Rand) time.Duration {
 
 // repairLocked is one repair attempt. Caller holds s.mu and the session is
 // degraded. Repair re-derives the program if needed, re-flushes a resident
-// flight window whose first flush tore, re-opens the journal (salvaging a
-// torn tail via the bounded recover scanner), and completes any meta.json
-// write the fault interrupted. Success leaves s.d serving again.
+// flight window whose first flush tore, and completes any meta.json write
+// the fault interrupted. A debugger that survived the fault is kept, with
+// its breakpoints, position and checkpoint cadence: no storage fault after
+// create touches its VM (a failed durable read restores nothing), so the
+// store is only re-probed. A new debugger is opened (salvaging a torn
+// journal tail via the bounded recover scanner) only when there is none,
+// or when the window was re-flushed under it. Success leaves s.d serving
+// again.
 func (s *Session) repairLocked() error {
 	var err error
-	if s.prog == nil {
-		if s.prog, s.meta.OptVerdict, err = s.resolveProgram(); err != nil {
+	if s.img == nil {
+		if s.meta.OptVerdict, err = s.resolveProgram(); err != nil {
 			return err
 		}
 	}
+	reflushed := false
 	if s.meta.Flight && s.ring != nil {
 		// The create-time flush may have died half-written (its temp dir
 		// never published). The window is still resident: re-flush it.
 		if s.fs == nil || !journalOpens(s.fs) {
+			reflushed = true
 			jdir := filepath.Join(s.dir, "journal")
 			info, ferr := s.flushRingLocked(jdir, s.meta.FlightReason)
 			if ferr != nil {
@@ -184,15 +191,21 @@ func (s *Session) repairLocked() error {
 	if s.fs == nil {
 		return fmt.Errorf("sessions: %s: no journal storage to repair", s.id)
 	}
-	d, err := s.openLocked(0)
-	if err != nil {
-		return err
+	if s.d != nil && !reflushed {
+		if _, err := trace.OpenJournal(s.fs); err != nil {
+			return err
+		}
+	} else {
+		d, err := s.openLocked(0)
+		if err != nil {
+			return err
+		}
+		s.d = d
 	}
-	s.d = d
 	if s.meta.Events == 0 {
 		// The recording died before its stats were known; report what the
 		// salvaged journal actually holds.
-		s.meta.Events = uint64(d.Journal().Events())
+		s.meta.Events = uint64(s.d.Journal().Events())
 	}
 	if !s.metaWritten {
 		if err := s.writeMetaLocked(); err != nil {

@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"dejavu/internal/debugger"
@@ -166,5 +169,39 @@ func TestHTTPDrainingRefusal(t *testing.T) {
 	code := call(t, "POST", ts.URL+"/v1/sessions", CreateRequest{Program: "workload:fig1ab"}, &refusal)
 	if code != http.StatusServiceUnavailable || refusal.Reason != ReasonDraining {
 		t.Fatalf("draining create: %d %+v, want 503/draining", code, refusal)
+	}
+}
+
+// unverifiableSrc fails verification at Main.main pc=0: add on an empty
+// operand stack.
+const unverifiableSrc = `program bad
+class Main {
+  method main 0 0 {
+    add
+    halt
+  }
+}
+entry Main.main
+`
+
+// TestCreateRefusesUnverifiableProgram: a create whose program fails
+// verification answers 400 with the verifier's method and pc, records
+// nothing and leaves no session directory.
+func TestCreateRefusesUnverifiableProgram(t *testing.T) {
+	m, ts := startControlPlane(t, Config{MaxSessions: 1})
+	src := filepath.Join(t.TempDir(), "bad.dvs")
+	if err := os.WriteFile(src, []byte(unverifiableSrc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var body errorBody
+	code := call(t, "POST", ts.URL+"/v1/sessions", CreateRequest{Program: src, Seed: 1}, &body)
+	if code != http.StatusBadRequest || !strings.Contains(body.Error, "verify: Main.main pc=0:") {
+		t.Fatalf("create: %d %q, want 400 naming Main.main pc=0", code, body.Error)
+	}
+	if n, _ := os.ReadDir(filepath.Join(m.cfg.DataRoot, "sessions")); len(n) != 0 {
+		t.Fatalf("refused create left %d session dirs", len(n))
+	}
+	if len(m.List()) != 0 {
+		t.Fatalf("refused create left sessions %+v", m.List())
 	}
 }

@@ -484,6 +484,7 @@ type Session struct {
 
 	mu          sync.Mutex // command lock: serializes open/exec/kill/drain
 	prog        *bytecode.Program
+	img         *vm.Image // prog loaded once: every VM the session builds
 	d           *debugger.Debugger
 	retrying    bool // a repair supervisor goroutine is live; guarded by mu
 	metaWritten bool // meta.json is durable; guarded by mu
@@ -699,7 +700,7 @@ func (m *Manager) build(s *Session, req CreateRequest) (*Info, error) {
 	// pristine input when the pipeline was refused. Program resolution
 	// failures never quarantine: a bad spec is the caller's error, not the
 	// store's.
-	if s.prog, s.meta.OptVerdict, err = s.resolveProgram(); err != nil {
+	if s.meta.OptVerdict, err = s.resolveProgram(); err != nil {
 		return nil, fmt.Errorf("sessions: %s: %w", s.id, err)
 	}
 	switch {
@@ -724,6 +725,7 @@ func (m *Manager) build(s *Session, req CreateRequest) (*Info, error) {
 		rec, err := cli.RecordJournalProgramOptions(s.prog, s.fs, replaycheck.Options{
 			Seed: req.Seed, RotateEvents: req.RotateEvents,
 			MaxJournalBytes: m.cfg.MaxSessionBytes,
+			Image:           s.img,
 		})
 		if err != nil {
 			if errors.Is(err, trace.ErrJournalQuota) {
@@ -760,9 +762,9 @@ func (m *Manager) build(s *Session, req CreateRequest) (*Info, error) {
 // — as the session's journal. A faulting run (trap, stall, budget,
 // divergence) is the expected outcome, not a create failure: its class
 // becomes the flush reason and the debugger opens over the window leading
-// into it. Caller holds s.mu and has s.prog set.
+// into it. Caller holds s.mu and has s.img set.
 func (s *Session) recordFlightLocked(req CreateRequest) error {
-	ring, err := flightrec.NewRing(vm.ProgramHash(s.prog), flightrec.Options{
+	ring, err := flightrec.NewRing(s.img.Hash(), flightrec.Options{
 		WindowEvents: req.FlightEvents,
 		WindowBytes:  req.FlightBytes,
 		Obs:          s.mgr.cfg.Obs,
@@ -770,7 +772,7 @@ func (s *Session) recordFlightLocked(req CreateRequest) error {
 	if err != nil {
 		return fmt.Errorf("sessions: %s: flight ring: %w", s.id, err)
 	}
-	rec, err := cli.RecordFlightProgram(s.prog, ring, req.Seed)
+	rec, err := cli.RecordFlightProgram(s.img, ring, req.Seed)
 	if err != nil {
 		return fmt.Errorf("sessions: %s: flight record: %w", s.id, err)
 	}
@@ -838,13 +840,19 @@ func (s *Session) flushRingLocked(dir, reason string) (*flightrec.FlushInfo, err
 
 // resolveProgram resolves the session's program spec, running the
 // certified optimizer pipeline when the session was created with
-// Optimize. Returns the program to execute and the certifier verdict
+// Optimize, and loads it (s.prog, s.img): a program that fails
+// verification is refused here. Returns the certifier verdict
 // ("certified", "refused", or "" when optimization was not requested).
-func (s *Session) resolveProgram() (*bytecode.Program, string, error) {
+func (s *Session) resolveProgram() (string, error) {
 	prog, res, err := cli.LoadProgramOptimized(s.meta.Program, s.meta.Optimize, s.mgr.cfg.Obs)
 	if err != nil {
-		return nil, "", err
+		return "", err
 	}
+	img, err := vm.NewImage(prog)
+	if err != nil {
+		return "", err
+	}
+	s.prog, s.img = prog, img
 	verdict := ""
 	if res != nil {
 		verdict = "refused"
@@ -852,13 +860,13 @@ func (s *Session) resolveProgram() (*bytecode.Program, string, error) {
 			verdict = "certified"
 		}
 	}
-	return prog, verdict, nil
+	return verdict, nil
 }
 
 // openLocked builds the session's journal-backed debugger. Caller holds
-// s.mu and has s.prog and s.fs set.
+// s.mu and has s.img and s.fs set.
 func (s *Session) openLocked(fromEvent uint64) (*debugger.Debugger, error) {
-	d, err := debugger.OpenJournal(s.prog, s.fs, fromEvent, s.mgr.cfg.Obs)
+	d, err := debugger.OpenJournal(s.img, s.fs, fromEvent, s.mgr.cfg.Obs)
 	if err != nil {
 		return nil, fmt.Errorf("sessions: %s: open journal: %w", s.id, err)
 	}
@@ -887,11 +895,11 @@ func (s *Session) ensureOpenLocked() error {
 	}
 	start := time.Now()
 	var err error
-	if s.prog == nil {
+	if s.img == nil {
 		// Cold re-attach re-derives the recorded build: the optimizer is
 		// deterministic, so an optimized session resolves to the identical
 		// program the journal was recorded from.
-		if s.prog, _, err = s.resolveProgram(); err != nil {
+		if _, err = s.resolveProgram(); err != nil {
 			return fmt.Errorf("sessions: %s: reopen program %q: %w", s.id, s.meta.Program, err)
 		}
 	}
@@ -1072,7 +1080,7 @@ func (m *Manager) Kill(id string, purge bool) error {
 	already := s.State() == StateKilled
 	s.state.Store(int32(StateKilled))
 	s.d = nil
-	s.prog = nil
+	s.prog, s.img = nil, nil
 	s.ring = nil
 	if !already && s.stop != nil {
 		close(s.stop) // ends the repair supervisor, if one is running
@@ -1252,9 +1260,9 @@ func (m *Manager) VerifyReplay(id string) (*Info, string, error) {
 		s.mu.Unlock()
 		return nil, "", rerr
 	}
-	prog, fs, info := s.prog, s.fs, s.infoLocked()
+	prog, img, fs, info := s.prog, s.img, s.fs, s.infoLocked()
 	s.mu.Unlock()
-	res, _, err := replaycheck.ReplayJournal(prog, fs, replaycheck.Options{})
+	res, _, err := replaycheck.ReplayJournal(prog, fs, replaycheck.Options{Image: img})
 	if err != nil {
 		if isStorageErr(err) {
 			s.mu.Lock()

@@ -34,7 +34,7 @@ func (vm *VM) AppendCheckpoint(buf []byte) ([]byte, error) {
 	if err != nil {
 		return buf, err
 	}
-	return s.appendCheckpoint(buf, vm.progHash, vm.h), nil
+	return s.appendCheckpoint(buf, vm.img.hash, vm.h), nil
 }
 
 // Encode returns the snapshot as checkpoint bytes, the bytes
@@ -164,8 +164,8 @@ func (vm *VM) decodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("vm: bad checkpoint magic")
 	}
 	h := binary.LittleEndian.Uint64(data[4:12])
-	if h != vm.progHash {
-		return nil, fmt.Errorf("vm: checkpoint is for program %x, this VM runs %x", h, vm.progHash)
+	if h != vm.img.hash {
+		return nil, fmt.Errorf("vm: checkpoint is for program %x, this VM runs %x", h, vm.img.hash)
 	}
 	data = data[12:]
 

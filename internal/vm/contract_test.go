@@ -8,7 +8,6 @@ package vm
 // and must still run bit-identically under every driver.
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -232,12 +231,7 @@ func TestHandlerContract(t *testing.T) {
 
 // unverifiedSrc fails VerifyProgram: every loop iteration leaves one more
 // value on the operand stack, so the depth at the loop head is not
-// fixed. The operand stack outgrows the fallback frame reservation and
-// the 16-slot initial segment, so the stack grows at instruction
-// boundaries, where backedge yield points can switch threads. The
-// iteration's deepest boundary, where the growth comes first, is the
-// one inside the Load+Add pair the fused stream would make of
-// "load 0; add": a run that fused it would grow one instruction late.
+// fixed.
 const unverifiedSrc = `program unverified
 class Main {
   method pile 1 2 {
@@ -282,69 +276,11 @@ class Main {
 entry Main.main
 `
 
-// TestUnverifiedProgramGrowsAtBoundaries: a program that fails
-// verification runs unfused, with its stack growth checked at every
-// instruction boundary. Run, RunUntil stopping at many targets, and a
-// Step loop must record the same trace bytes, digest, stack growth count
-// and final snapshot, and a replay under each must match them too.
-func TestUnverifiedProgramGrowsAtBoundaries(t *testing.T) {
-	prog := bytecode.MustAssemble(unverifiedSrc)
-	if _, err := VerifyProgram(prog); err == nil {
-		t.Fatal("program verifies; it must not")
-	}
-	type outcome struct {
-		trace  []byte
-		digest uint64
-		grows  uint64
-		snap   []byte
-	}
-	finish := func(t *testing.T, m *VM, dig *Digest, drive string) outcome {
-		t.Helper()
-		if err := driveVM(m, drive); err != nil {
-			t.Fatalf("%s: %v", drive, err)
-		}
-		if m.frameNeed != nil {
-			t.Fatal("unverified program got a frame reservation")
-		}
-		ck, err := m.AppendCheckpoint(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return outcome{m.Engine().End(), dig.Sum(), m.StackGrows(), ck}
-	}
-	for _, seed := range []int64{1, 4, 9} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			var want outcome
-			for i, drive := range digestDrives {
-				dig := NewDigest()
-				got := finish(t, recordVM(t, prog, seed, "", Config{Observer: dig, StackSlots: 16}), dig, drive)
-				if i == 0 {
-					want = got
-					if got.grows == 0 {
-						t.Fatal("no stack growth: the boundary check is not exercised")
-					}
-					continue
-				}
-				if !bytes.Equal(got.trace, want.trace) || got.digest != want.digest ||
-					got.grows != want.grows || !bytes.Equal(got.snap, want.snap) {
-					t.Fatalf("record under %s differs from run: digest %x vs %x, grows %d vs %d, trace equal %v, snapshot equal %v",
-						drive, got.digest, want.digest, got.grows, want.grows,
-						bytes.Equal(got.trace, want.trace), bytes.Equal(got.snap, want.snap))
-				}
-			}
-			for _, drive := range digestDrives {
-				dig := NewDigest()
-				m := replayVM(t, prog, want.trace, Config{Observer: dig, StackSlots: 16}, nil)
-				if err := driveVM(m, drive); err != nil {
-					t.Fatalf("replay under %s: %v", drive, err)
-				}
-				if dig.Sum() != want.digest || m.StackGrows() != want.grows {
-					t.Fatalf("replay under %s: digest %x grows %d, recorded %x %d",
-						drive, dig.Sum(), m.StackGrows(), want.digest, want.grows)
-				}
-			}
-		})
-	}
+// TestUnverifiedProgramRefused: a program whose loop leaves its operand
+// depth unfixed never loads: the verifier refuses the backedge that
+// reaches the loop head at another depth.
+func TestUnverifiedProgramRefused(t *testing.T) {
+	checkRefused(t, bytecode.MustAssemble(unverifiedSrc), "Main.pile", 14)
 }
 
 // nativeLoopSrc is clockLoopSrc with the clock read replaced by another

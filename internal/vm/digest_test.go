@@ -131,7 +131,8 @@ func recordVM(t *testing.T, prog *bytecode.Program, seed int64, input string, cf
 // digest, and the dispatch-site OnStep reports to the event count, over
 // the golden workloads and seeds (plus a stack-growing hashy), the same
 // runs cut short by a MaxEvents budget, the trap-parity programs, a
-// callback-heavy native program, and a run whose stack growth fails.
+// callback-heavy native program, and a run whose stack growth fails;
+// the trap programs the verifier refuses must not load.
 func TestDigestPathsAgree(t *testing.T) {
 	progs := map[string]func() *bytecode.Program{
 		"hashy": func() *bytecode.Program { return workloads.Hashy(20, 25) },
@@ -161,6 +162,11 @@ func TestDigestPathsAgree(t *testing.T) {
 			checkDigestPaths(t, func(t *testing.T, obs Observer) *VM {
 				return trapParityVM(t, tc.src, tc.tool, obs)
 			})
+		})
+	}
+	for _, tc := range refusedTrapCases {
+		t.Run("trap/"+tc.name, func(t *testing.T) {
+			checkRefused(t, asm(t, tc.src), tc.method, tc.pc)
 		})
 	}
 	t.Run("callbacks", func(t *testing.T) {
@@ -207,16 +213,32 @@ entry Main.main
 		}
 	})
 	t.Run("failed stack growth", func(t *testing.T) {
-		// The loop pushes without popping, so the program does not verify
-		// and the stack grows at instruction boundaries until the heap
-		// cap refuses a growth.
-		p := asm(t, `
+		// A loop that pushes without popping fails verification, so it
+		// never loads. Stack growth fails in a verified program too: at a
+		// call, when the heap cap refuses a deep recursion's frame.
+		checkRefused(t, asm(t, `
 program pusher
 class Main {
   method main 0 0 {
   loop:
     iconst 1
     jmp loop
+  }
+}
+entry Main.main
+`), "Main.main", 1)
+		p := asm(t, `
+program recurse
+class Main {
+  method f 1 1 {
+    iconst 1
+    call Main.f
+    ret
+  }
+  method main 0 0 {
+    iconst 1
+    call Main.f
+    halt
   }
 }
 entry Main.main

@@ -15,8 +15,9 @@ import (
 // Both drivers dispatch through it:
 //
 //   - Run (and runSlice) executes whole scheduling slices over a
-//     per-VM decoded stream — operands pre-resolved, common pairs fused
-//     into superinstructions — with the current method, code and pc
+//     per-VM copy of the image's decoded stream — operands
+//     pre-resolved, common pairs fused into superinstructions — with
+//     the current method, code and pc
 //     cached in Go locals instead of re-read from the heap frame every
 //     instruction.
 //   - RunUntil is Run with a resumable stop at the first outer
@@ -34,20 +35,20 @@ import (
 //   - Event accounting: every component of a fused pair counts its own
 //     event in note, which also folds its own original (pc, opcode)
 //     into the replay digest when the VM carries one in place (vm.dig:
-//     a *Digest observer with KeepEvents == 0, decided by New). Every
+//     a *Digest observer with KeepEvents == 0, decided by Load). Every
 //     other Observer gets OnStep at the two dispatch sites, right
-//     before the handler runs and after the headroom growth: execOne,
+//     before the handler runs: execOne (after its headroom check),
 //     and runSlice's boundary block, which budgetAt sends every
 //     instruction through while such an observer is set, on the
 //     unfused stream, so each component still reports itself, in
 //     order. The MaxEvents budget runs at every component boundary,
 //     exactly like Step's per-instruction check. The stack headroom
-//     Step checks before every instruction needs no check here: a
-//     verified program reserves it at frame entry (pushFrame), and an
-//     unverified one runs unfused with its growth checked at every
-//     boundary. Yield points (method prologues, taken backward
-//     branches) fire from the same helpers (doCall, branch), so the
-//     logical clock, trace bytes and switch schedule cannot shift.
+//     Step checks before every instruction needs no check here: every
+//     program that loads is verified, and pushFrame reserves its
+//     frame's verified footprint at entry. Yield points (method
+//     prologues, taken backward branches) fire from the same helpers
+//     (doCall, branch), so the logical clock, trace bytes and switch
+//     schedule cannot shift.
 //   - Control checks: the engine error, the halt and the thread state
 //     are looked at only after a handler returns ctrlCall or
 //     ctrlSwitch. A handler returns ctrlNext or ctrlJump only while its
@@ -76,7 +77,9 @@ import (
 //   - Inline caches (CallV target, GetF/PutF field refness, SConst
 //     intern index, native ids) key on program identity — class layout,
 //     string pool and native registry are immutable per program — and
-//     are never invalidated by replay state.
+//     are never invalidated by replay state. The image resolves what
+//     the program alone decides (Aux); the rest fill at run time, in
+//     the VM's own copy of the stream, never in the shared image.
 //   - Journal rotation: Step polls RotatePending at every instruction
 //     boundary, but the answer can only turn true after the engine
 //     writes to the trace. Within a slice the only such writes that do
@@ -169,7 +172,7 @@ func init() {
 }
 
 // missingHandlers lists the tokens — valid opcodes and fused pairs — that
-// have no handler in tab. vm.New validates every program, so a token
+// have no handler in tab. NewImage validates every program, so a token
 // outside this set never reaches the dispatch loops.
 func missingHandlers(tab []fastFn) []int {
 	var missing []int
@@ -218,9 +221,8 @@ var (
 // fpush writes val at t.SP and bumps it. It skips push's mid-
 // instruction overflow assertion: handlers run under the headroom
 // guarantee (opHeadroom free slots at every instruction and pair
-// boundary: reserved at frame entry for a verified program, checked at
-// every boundary for any other), which covers any single instruction's
-// pushes.
+// boundary, reserved at frame entry), which covers any single
+// instruction's pushes.
 func (vm *VM) fpush(t *threads.Thread, val uint64, isRef bool) {
 	vm.h.StoreWord(t.StackSeg, t.SP, val)
 	t.Tags[t.SP] = isRef
@@ -251,9 +253,9 @@ func (e *boundaryErr) Unwrap() error { return e.err }
 // pairBoundary runs the instruction-boundary check between the two
 // components of a fused pair: the MaxEvents budget, exactly as the
 // dispatch loop runs it before every instruction. There is no headroom
-// check: only verified programs run fused (see run), and pushFrame
-// reserved their frame's verified footprint plus opHeadroom on entry, so
-// their stack never needs to grow at an instruction boundary.
+// check: every program that loads is verified, and pushFrame reserved
+// its frame's verified footprint plus opHeadroom on entry, so its stack
+// never needs to grow at an instruction boundary.
 func (vm *VM) pairBoundary() error {
 	if vm.cfg.MaxEvents > 0 && vm.events >= vm.cfg.MaxEvents {
 		return ErrEventBudget
@@ -261,45 +263,15 @@ func (vm *VM) pairBoundary() error {
 	return nil
 }
 
-// decodeStream builds a per-VM decoded stream (fused or not) and
-// pre-resolves the identity-pure caches the bytecode layer cannot know:
-// SConst intern indexes and native ids.
-func (vm *VM) decodeStream(fuse bool) *bytecode.DecodedProgram {
-	dp := bytecode.DecodeProgram(vm.prog, fuse)
-	for mi := range dp.Methods {
-		code := dp.Methods[mi].Code
-		for i := range code {
-			d := &code[i]
-			switch d.Op {
-			case bytecode.SConst:
-				if idx, ok := vm.internIdx[vm.prog.Strings[d.A]]; ok {
-					d.Aux = int32(idx)
-				}
-			case bytecode.Native:
-				d.Aux = int32(nativeID(vm.prog.Strings[d.A]))
-			case bytecode.GetS, bytecode.PutS:
-				// Static-slot refness is a pure function of the program, so
-				// it is resolved once here instead of through two dependent
-				// table loads on every access (Aux defaults to -1).
-				d.Aux = 0
-				if vm.prog.Classes[d.A].Statics[d.B].IsRef {
-					d.Aux = 1
-				}
-			}
-		}
-	}
-	return dp
-}
-
 // plainCode returns method mid's unfused decoded stream, the one
-// execOne runs. Its pcs index the same instructions as the fused
-// stream's, so a slice can switch between the two at any instruction
-// boundary.
+// execOne runs, copying the image's on first use. Its pcs index the
+// same instructions as the fused stream's, so a slice can switch between
+// the two at any instruction boundary.
 func (vm *VM) plainCode(mid int) []bytecode.DInstr {
 	if vm.plain == nil {
-		vm.plain = vm.decodeStream(false)
+		vm.plain = vm.img.plainStream().copyOut()
 	}
-	return vm.plain.Methods[mid].Code
+	return vm.plain[mid]
 }
 
 // Run executes until the program halts or errs: dispatch a thread, then
@@ -339,10 +311,7 @@ func (vm *VM) RunUntil(event uint64) (done bool, err error) {
 // run is the dispatch-and-slice loop Run and RunUntil share.
 func (vm *VM) run() (done bool, err error) {
 	if vm.decoded == nil {
-		// A program that failed verification has no frame-entry headroom
-		// reservation, so its stack may have to grow at any instruction
-		// boundary; it runs unfused, leaving no boundary inside a handler.
-		vm.decoded = vm.decodeStream(vm.frameNeed != nil)
+		vm.decoded = vm.img.fused.copyOut()
 	}
 	for {
 		// A RunUntil target reached by a slice's last instruction: stop
@@ -378,7 +347,7 @@ func (vm *VM) run() (done bool, err error) {
 func (vm *VM) runSlice(t *threads.Thread) error {
 	h := vm.h
 	m := vm.frameMethod(t)
-	code := vm.decoded.Methods[m.ID].Code
+	code := vm.decoded[m.ID]
 	pc := int(int64(h.LoadWord(t.StackSeg, t.FP+FramePC)))
 
 	stop := func(next int) {
@@ -399,9 +368,8 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 
 	for {
 		// One compare covers the event budget and a pending journal poll
-		// (checkAt is 0 while pollDue is set); journal-less runs of a
-		// verified program without a per-event observer only ever see the
-		// budget here.
+		// (checkAt is 0 while pollDue is set); journal-less runs without
+		// a per-event observer only ever see the budget here.
 		if vm.events >= vm.checkAt {
 			if vm.stopAt > 0 && vm.events >= vm.stopAt {
 				stop(pc) // RunUntil's target: resumable, so no vm.err
@@ -410,7 +378,7 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 			if head {
 				head = false // the slice's entry boundary: Step polled before dispatch
 			} else if vm.pollDue {
-				code = vm.decoded.Methods[m.ID].Code // back to the fused stream
+				code = vm.decoded[m.ID] // back to the fused stream
 				if vm.rotationDue() {
 					stop(pc) // the checkpoint must see the flushed frame pc and mirrors
 					if err := vm.rotateJournal(); err != nil {
@@ -429,18 +397,6 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 				// Step loop has too, never between a fused pair's
 				// components.
 				code = vm.plainCode(m.ID)
-			}
-			// Unverified programs land here at every boundary (budgetAt
-			// pins checkAt to 0): they grow their stack at the boundary, as
-			// execOne does, and before a per-event observer sees the step,
-			// so a failed growth reports none. For a verified program the
-			// frame-entry reservation keeps this from ever firing.
-			if vm.h.Len(t.StackSeg)-t.SP < opHeadroom {
-				if err := vm.growAt(t, pc); err != nil {
-					stop(pc)
-					vm.err = err
-					return vm.err
-				}
 			}
 			if vm.stepObs != nil {
 				// A per-event observer (budgetAt pins checkAt to 0 here too)
@@ -484,7 +440,7 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 		case ctrlCall:
 			// Frame changed (call or return): re-cache the method.
 			m = vm.frameMethod(t)
-			code = vm.decoded.Methods[m.ID].Code
+			code = vm.decoded[m.ID]
 		}
 		// A control change (ctrlCall, ctrlSwitch): the only outcomes after
 		// which the engine can have failed, the program halted or the
@@ -512,15 +468,6 @@ func (vm *VM) runSlice(t *threads.Thread) error {
 			return nil
 		}
 	}
-}
-
-// growAt grows t's stack at the instruction boundary before pc in a
-// slice. The abandoned segment stays in the heap image until a
-// collection reclaims it; its header must hold the same pc Step would
-// have flushed.
-func (vm *VM) growAt(t *threads.Thread, pc int) error {
-	vm.flushFramePC(t, pc)
-	return vm.growStack(t, opHeadroom+12)
 }
 
 // --- plain handlers ---

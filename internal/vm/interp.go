@@ -97,11 +97,10 @@ func (vm *VM) rotationDue() bool {
 // budgetAt is the event count at which runSlice's boundary compare must
 // leave the hot path: where the MaxEvents budget runs out, or one event
 // before a RunUntil stop, whichever comes first. A per-event observer
-// and a program that failed verification pin it at 0, so every boundary
-// takes the slow block, which reports the step to the observer and grows
-// the unverified program's stack where execOne would.
+// pins it at 0, so every boundary takes the slow block, which reports the
+// step to the observer.
 func (vm *VM) budgetAt() uint64 {
-	if vm.stepObs != nil || vm.frameNeed == nil {
+	if vm.stepObs != nil {
 		return 0
 	}
 	at := uint64(math.MaxUint64)

@@ -189,7 +189,36 @@ entry Main.main
 	}
 }
 
+// TestCallVErrors: a callv whose selector no class defines, or whose
+// argument count no definition takes, is refused at load; a null
+// receiver, or one whose class lacks a selector another class defines,
+// traps at run time.
 func TestCallVErrors(t *testing.T) {
+	checkRefused(t, asm(t, `
+program p
+class A { field x }
+class Main {
+  method main 0 1 {
+    new A
+    callv "nosuch" 1
+    halt
+  }
+}
+entry Main.main`), "Main.main", 1)
+	checkRefused(t, asm(t, `
+program p
+class A {
+  field x
+  method f 2 2 { ret }
+}
+class Main {
+  method main 0 1 {
+    new A
+    callv "f" 1
+    halt
+  }
+}
+entry Main.main`), "Main.main", 1)
 	cases := []struct{ name, src, want string }{
 		{"null receiver", `
 program p
@@ -205,19 +234,9 @@ entry Main.main`, "null or primitive receiver"},
 		{"missing method", `
 program p
 class A { field x }
-class Main {
-  method main 0 1 {
-    new A
-    callv "nosuch" 1
-    halt
-  }
-}
-entry Main.main`, "no method"},
-		{"arity mismatch", `
-program p
-class A {
-  field x
-  method f 2 2 { ret }
+class B {
+  field y
+  method f 1 1 { ret }
 }
 class Main {
   method main 0 1 {
@@ -226,7 +245,7 @@ class Main {
     halt
   }
 }
-entry Main.main`, "expected"},
+entry Main.main`, "no method"},
 	}
 	for _, tc := range cases {
 		_, err := runMain(t, tc.src)
@@ -453,16 +472,6 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "bad array length 268435457"},
-	{"newarr reference length", `
-program p
-class Main {
-  method main 0 0 {
-    null
-    newarr ref   # trap
-    halt
-  }
-}
-entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
 	{"astore reference into int array", `
 program p
 class Main {
@@ -528,19 +537,6 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 4, "heap: index 5 out of bounds (length 2)"},
-	{"astore reference index", `
-program p
-class Main {
-  method main 0 0 {
-    iconst 2
-    newarr int
-    null
-    iconst 1
-    astore   # trap
-    halt
-  }
-}
-entry Main.main`, false, "Main.main", 4, "type error: expected primitive, found reference"},
 	{"astore on null", `
 program p
 class Main {
@@ -553,15 +549,6 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 3, "null reference"},
-	{"astore underflow", `
-program p
-class Main {
-  method main 0 0 {
-    astore   # trap
-    halt
-  }
-}
-entry Main.main`, false, "Main.main", 0, "operand stack underflow"},
 	{"astore on stub", `
 program p
 class Main {
@@ -577,39 +564,6 @@ class Main {
   }
 }
 entry Main.main`, true, "Main.tool", 3, "remote objects are read-only (astore on stub)"},
-	{"instof on primitive", `
-program p
-class A { field x }
-class Main {
-  method main 0 0 {
-    iconst 3
-    instof A   # trap
-    halt
-  }
-}
-entry Main.main`, false, "Main.main", 1, "type error: expected reference, found primitive"},
-	{"spawn underflow", `
-program p
-class Main {
-  method w 1 1 {
-    ret
-  }
-  method main 0 0 {
-    spawn Main.w   # trap
-    halt
-  }
-}
-entry Main.main`, false, "Main.main", 0, "operand stack underflow"},
-	{"sleep on reference", `
-program p
-class Main {
-  method main 0 0 {
-    null
-    sleep   # trap
-    halt
-  }
-}
-entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
 	{"blocking sleep inside a callback", `
 program p
 class Main {
@@ -638,16 +592,6 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "interrupt of unknown thread 99"},
-	{"interrupt reference", `
-program p
-class Main {
-  method main 0 0 {
-    null
-    interrupt   # trap
-    halt
-  }
-}
-entry Main.main`, false, "Main.main", 1, "type error: expected primitive, found reference"},
 	{"prints on non-string", `
 program p
 class Main {
@@ -669,6 +613,91 @@ class Main {
   }
 }
 entry Main.main`, false, "Main.main", 1, "null reference"},
+}
+
+// refusedTrapCases are trap programs the verifier rejects: NewImage
+// refuses each at the instruction whose dynamic check would trap.
+var refusedTrapCases = []struct {
+	name   string
+	src    string
+	method string
+	pc     int
+}{
+	{"newarr reference length", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    newarr ref   # trap
+    halt
+  }
+}
+entry Main.main`, "Main.main", 1},
+	{"astore reference index", `
+program p
+class Main {
+  method main 0 0 {
+    iconst 2
+    newarr int
+    null
+    iconst 1
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, "Main.main", 4},
+	{"astore underflow", `
+program p
+class Main {
+  method main 0 0 {
+    astore   # trap
+    halt
+  }
+}
+entry Main.main`, "Main.main", 0},
+	{"instof on primitive", `
+program p
+class A { field x }
+class Main {
+  method main 0 0 {
+    iconst 3
+    instof A   # trap
+    halt
+  }
+}
+entry Main.main`, "Main.main", 1},
+	{"spawn underflow", `
+program p
+class Main {
+  method w 1 1 {
+    ret
+  }
+  method main 0 0 {
+    spawn Main.w   # trap
+    halt
+  }
+}
+entry Main.main`, "Main.main", 0},
+	{"sleep on reference", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    sleep   # trap
+    halt
+  }
+}
+entry Main.main`, "Main.main", 1},
+	{"interrupt reference", `
+program p
+class Main {
+  method main 0 0 {
+    null
+    interrupt   # trap
+    halt
+  }
+}
+entry Main.main`, "Main.main", 1},
 	{"prints primitive", `
 program p
 class Main {
@@ -678,7 +707,7 @@ class Main {
     halt
   }
 }
-entry Main.main`, false, "Main.main", 1, "type error: expected reference, found primitive"},
+entry Main.main`, "Main.main", 1},
 }
 
 // trapParityVM builds the VM a trap case drives, with obs observing it:
@@ -763,6 +792,15 @@ func TestTrapParity(t *testing.T) {
 		if !tc.tool && len(ckpts) == 2 && !bytes.Equal(ckpts[0], ckpts[1]) {
 			t.Errorf("%s: Run and Step leave different checkpoints after the trap (%d vs %d bytes)",
 				tc.name, len(ckpts[0]), len(ckpts[1]))
+		}
+	}
+	// Neither driver ever runs a program the verifier refuses: it is
+	// refused at load, at the instruction that would trap.
+	for _, tc := range refusedTrapCases {
+		for _, drive := range []string{"run", "step"} {
+			t.Run(tc.name+"/"+drive, func(t *testing.T) {
+				checkRefused(t, asm(t, tc.src), tc.method, tc.pc)
+			})
 		}
 	}
 }

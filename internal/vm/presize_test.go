@@ -34,8 +34,9 @@ func deepExprProgram(width, calls int) *bytecode.Program {
 
 // TestFramePresizing proves pushFrame consumes the verifier's MaxStack:
 // with pre-sizing, a wide-operand-stack method reserves its whole frame in
-// one step; with the fallback heuristic the interpreter must grow the
-// stack repeatedly as the operand stack deepens.
+// one step; with a flat reservation (header + locals + 8) the interpreter
+// must grow the stack repeatedly as the operand stack deepens. Only Step
+// checks the headroom before every instruction, so the flat run steps.
 func TestFramePresizing(t *testing.T) {
 	prog := deepExprProgram(200, 5)
 
@@ -47,10 +48,16 @@ func TestFramePresizing(t *testing.T) {
 		if m.frameNeed == nil {
 			t.Fatal("verified program should have frameNeed populated")
 		}
+		drive := (*VM).Run
 		if !presize {
-			m.frameNeed = nil // white-box: force the fallback heuristic
+			// White-box: a flat reservation instead of the image's.
+			m.frameNeed = make([]int, len(prog.Methods))
+			for i, mm := range prog.Methods {
+				m.frameNeed[i] = FrameHeader + mm.NLocals + 8
+			}
+			drive = stepToEnd
 		}
-		if err := m.Run(); err != nil {
+		if err := drive(m); err != nil {
 			t.Fatal(err)
 		}
 		return m.StackGrows()

@@ -118,14 +118,9 @@ func (vm *VM) growStack(t *threads.Thread, minFree int) error {
 // callee's locals and logically popped (SavedSP = argStart).
 func (vm *VM) pushFrame(t *threads.Thread, m *bytecode.Method, argStart int) error {
 	// Reserve the verifier-proven frame footprint (header + locals +
-	// MaxStack + headroom) in one step; the flat constant is the fallback
-	// for unverifiable programs. Either way the reservation is the same
-	// deterministic function of the program in record and replay.
-	slots := FrameHeader + m.NLocals + 8
-	if vm.frameNeed != nil {
-		slots = vm.frameNeed[m.ID]
-	}
-	need := t.SP + slots
+	// MaxStack + headroom) in one step, the same deterministic function
+	// of the program in record and replay.
+	need := t.SP + vm.frameNeed[m.ID]
 	if need > vm.h.Len(t.StackSeg) {
 		if err := vm.growStack(t, need-t.SP); err != nil {
 			return err

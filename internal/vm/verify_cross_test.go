@@ -103,11 +103,15 @@ func TestVerifierSoundAgainstInterpreter(t *testing.T) {
 }
 
 // TestInterpreterTrapsWhereVerifierRejects spot-checks the inverse
-// direction on programs with definite kind errors: the dynamic checks
-// catch what the verifier catches.
+// direction on programs with definite kind errors: the verifier refuses
+// them at load, at the instruction whose dynamic check would trap, so
+// the interpreter never runs them.
 func TestInterpreterTrapsWhereVerifierRejects(t *testing.T) {
-	srcs := []string{
-		`program p
+	srcs := []struct {
+		src string
+		pc  int
+	}{
+		{`program p
 class Main {
   method main 0 0 {
     null
@@ -116,8 +120,8 @@ class Main {
     halt
   }
 }
-entry Main.main`,
-		`program p
+entry Main.main`, 2},
+		{`program p
 class Main {
   method main 0 0 {
     iconst 3
@@ -125,19 +129,9 @@ class Main {
     halt
   }
 }
-entry Main.main`,
+entry Main.main`, 1},
 	}
-	for _, src := range srcs {
-		p := bytecode.MustAssemble(src)
-		if _, err := VerifyProgram(p); err == nil {
-			t.Fatal("verifier accepted a kind error")
-		}
-		m, err := New(p, Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Run(); err == nil || !strings.Contains(err.Error(), "type error") {
-			t.Fatalf("interpreter missed the kind error: %v", err)
-		}
+	for _, tc := range srcs {
+		checkRefused(t, bytecode.MustAssemble(tc.src), "Main.main", tc.pc)
 	}
 }

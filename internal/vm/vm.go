@@ -104,7 +104,7 @@ type Config struct {
 	StackSlots   int // initial stack segment slots per thread (default 128)
 
 	Engine *core.Engine // nil means an Off-mode engine
-	// Observer sees every step, switch and output. New reads it once: a
+	// Observer sees every step, switch and output. Load reads it once: a
 	// *Digest that keeps no tail (KeepEvents == 0 by then) is folded in
 	// place at near-counter cost; any other observer is called per
 	// instruction, and Run executes the unfused stream while it is set.
@@ -123,12 +123,6 @@ type Config struct {
 	// unchanged because GC is transparent. 0 disables.
 	GCStress int
 
-	// Verify runs the static bytecode verifier at load time and refuses
-	// programs that fail it (the interpreter's dynamic checks still run
-	// either way). Without it, a program that fails verification still
-	// runs, unfused and with a stack check at every instruction boundary.
-	Verify bool
-
 	// Journal, when set on a recording VM, drives segmented-journal
 	// rotation: the VM polls RotatePending at instruction boundaries and
 	// answers with Rotate. Step polls at every boundary; Run polls only
@@ -142,9 +136,9 @@ type Config struct {
 
 // VM is one virtual machine instance executing one program.
 type VM struct {
-	prog     *bytecode.Program
-	progHash uint64
-	cfg      Config
+	img  *Image
+	prog *bytecode.Program
+	cfg  Config
 
 	h     *heap.Heap
 	sched *threads.Scheduler
@@ -172,12 +166,11 @@ type VM struct {
 	out     outputSink
 	rngHost *rand.Rand
 
-	// frameNeed caches, per method ID, the stack slots pushFrame must
-	// reserve: header + locals + verified MaxStack + interpreter headroom.
-	// nil when the program did not verify (a fallback heuristic applies).
+	// frameNeed is the image's, per method ID: the stack slots pushFrame
+	// reserves (header + locals + verified MaxStack + headroom).
 	frameNeed []int
 
-	// Config.Observer, split by New: dig is a *Digest that keeps no
+	// Config.Observer, split by Load: dig is a *Digest that keeps no
 	// tail, folded in place by note; stepObs is any other observer,
 	// served OnStep at dispatch (execOne, runSlice's boundary block).
 	dig     *Digest
@@ -195,17 +188,17 @@ type VM struct {
 	// RunUntil and Step execute under containCorruption.
 	restoredBytes bool
 
-	// decoded is the fused token-threaded instruction stream, built
-	// lazily on the first Run. It is per-VM (inline caches are warmed in
-	// place) and derived purely from program identity, so it is never
-	// invalidated by replay state.
-	decoded *bytecode.DecodedProgram
-	// plain is the unfused decoded stream, built on first use: execOne
-	// (Step, native callbacks) runs every instruction from it, and Run
-	// runs a slice's first instruction from it when a journal poll must
-	// land between the components of a fused pair, as RunUntil does the
-	// instruction before its stop.
-	plain *bytecode.DecodedProgram
+	// decoded is the fused token-threaded instruction stream per method
+	// ID, copied from the image on the first Run. It is per-VM (inline
+	// caches are warmed in place) and derived purely from program
+	// identity, so it is never invalidated by replay state.
+	decoded [][]bytecode.DInstr
+	// plain is the unfused stream, copied from the image on first use:
+	// execOne (Step, native callbacks) runs every instruction from it, and
+	// Run runs a slice's first instruction from it when a journal poll
+	// must land between the components of a fused pair, as RunUntil does
+	// the instruction before its stop.
+	plain [][]bytecode.DInstr
 
 	// checkAt is the event count at which the fast loop's per-instruction
 	// boundary compare leaves the hot path: the MaxEvents budget or one
@@ -241,33 +234,23 @@ func ProgramHash(p *bytecode.Program) uint64 {
 	return h.Sum64()
 }
 
-// New loads prog into a fresh VM: builds the runtime type table, allocates
-// every mirror and interned string ("pre-loading all classes", §2.4 — class
-// loading is symmetric by construction because it happens entirely during
-// initialization), lets the DejaVu engine perform its symmetric setup, and
-// spawns the main thread at the program entry.
+// New loads prog into a fresh VM: NewImage, then Load. Callers that build
+// more than one VM from a program should build its Image once.
 func New(prog *bytecode.Program, cfg Config) (*VM, error) {
-	if err := prog.Validate(); err != nil {
+	img, err := NewImage(prog)
+	if err != nil {
 		return nil, err
 	}
-	if prog.EntryMethod().NArgs != 0 {
-		return nil, fmt.Errorf("vm: entry method %s must take no arguments", prog.EntryMethod().FullName())
-	}
-	// Verification also yields per-method MaxStack facts, which pre-size
-	// activation frames so call-heavy code rarely grows its stack
-	// mid-method. Sizing is a pure function of the program, so record and
-	// replay reserve identically and growth points stay symmetric.
-	facts, verr := VerifyProgram(prog)
-	if cfg.Verify && verr != nil {
-		return nil, fmt.Errorf("vm: %w", verr)
-	}
-	var frameNeed []int
-	if verr == nil {
-		frameNeed = make([]int, len(prog.Methods))
-		for i, m := range prog.Methods {
-			frameNeed[i] = FrameHeader + m.NLocals + facts[i].MaxStack + opHeadroom
-		}
-	}
+	return Load(img, cfg)
+}
+
+// Load builds a fresh VM from img: builds the runtime type table,
+// allocates every mirror and interned string ("pre-loading all classes",
+// §2.4 — class loading is symmetric by construction because it happens
+// entirely during initialization), lets the DejaVu engine perform its
+// symmetric setup, and spawns the main thread at the program entry.
+func Load(img *Image, cfg Config) (*VM, error) {
+	prog := img.prog
 	if cfg.HeapBytes == 0 {
 		cfg.HeapBytes = 1 << 20
 	}
@@ -281,12 +264,12 @@ func New(prog *bytecode.Program, cfg Config) (*VM, error) {
 		cfg.IdleSleep = 100 * time.Microsecond
 	}
 	vm := &VM{
+		img:       img,
 		prog:      prog,
-		progHash:  ProgramHash(prog),
 		cfg:       cfg,
-		frameNeed: frameNeed,
+		frameNeed: img.frameNeed,
 		sched:     threads.NewScheduler(),
-		internIdx: map[string]int{},
+		internIdx: make(map[string]int, len(prog.Strings)+len(prog.Methods)+len(prog.Classes)),
 		rngHost:   rand.New(rand.NewSource(cfg.HostRand + 1)),
 	}
 	vm.out.echo = cfg.Stdout
@@ -565,7 +548,7 @@ func (vm *VM) Engine() *core.Engine { return vm.eng }
 func (vm *VM) Program() *bytecode.Program { return vm.prog }
 
 // Hash returns the program identity hash.
-func (vm *VM) Hash() uint64 { return vm.progHash }
+func (vm *VM) Hash() uint64 { return vm.img.hash }
 
 // Output returns everything the program printed.
 func (vm *VM) Output() []byte { return vm.out.buf }

@@ -721,6 +721,8 @@ entry Main.main
 	}
 }
 
+// TestVerifyAtLoad: a program that fails verification never loads; the
+// refusal names the method, the pc and the verifier's reason.
 func TestVerifyAtLoad(t *testing.T) {
 	bad := asm(t, `
 program bad
@@ -732,16 +734,9 @@ class Main {
 }
 entry Main.main
 `)
-	if _, err := New(bad, Config{Verify: true}); err == nil || !strings.Contains(err.Error(), "underflow") {
+	checkRefused(t, bad, "Main.main", 0)
+	if _, err := New(bad, Config{}); err == nil || !strings.Contains(err.Error(), "underflow") {
 		t.Fatalf("verify-at-load missed: %v", err)
-	}
-	// Without the flag, the program loads (and traps dynamically).
-	m, err := New(bad, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Run(); err == nil {
-		t.Fatal("expected dynamic trap")
 	}
 }
 
