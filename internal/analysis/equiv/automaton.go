@@ -54,9 +54,11 @@ func (n *nfa) edge(from, to int, sym string, pc int) {
 	n.trans[from] = append(n.trans[from], nfaTrans{sym: sym, to: to, pc: pc})
 }
 
-// buildNFA extracts the observable-event automaton of one method.
-func buildNFA(p *bytecode.Program, m *bytecode.Method, racy map[string]bool) *nfa {
+// buildNFA extracts the observable-event automaton of one method. facts
+// is the method's verifier result with InKinds recorded.
+func buildNFA(p *bytecode.Program, m *bytecode.Method, facts *bytecode.MethodFacts, racy map[string]bool) *nfa {
 	g := analysis.BuildCFG(m)
+	consts := branchConsts(p, m, g, facts.InKinds)
 	n := &nfa{}
 	entry := n.newState(0)
 	_ = entry // state 0 is the start by construction
@@ -77,6 +79,15 @@ func buildNFA(p *bytecode.Program, m *bytecode.Method, racy map[string]bool) *nf
 		}
 	}
 	n.accept = n.newState(-1)
+	// jump wires a taken branch from state cur at pc to target: a
+	// backward one ticks the clock, so its edge carries the yield.
+	jump := func(cur, pc, target int) {
+		if target <= pc {
+			n.edge(cur, blockState[g.BlockOf[target]], "yield", pc)
+		} else {
+			n.edge(cur, blockState[g.BlockOf[target]], "", -1)
+		}
+	}
 
 	for bi := range g.Blocks {
 		if !g.Reachable(bi) {
@@ -103,41 +114,22 @@ func buildNFA(p *bytecode.Program, m *bytecode.Method, racy map[string]bool) *nf
 				n.edge(cur, n.accept, "halt", pc)
 				terminated = true
 			case bytecode.Jmp:
-				tgt := blockState[g.BlockOf[in.A]]
-				if int(in.A) <= pc {
-					n.edge(cur, tgt, "yield", pc) // taken backward branch ticks the clock
-				} else {
-					n.edge(cur, tgt, "", -1)
-				}
+				jump(cur, pc, int(in.A))
 				terminated = true
 			case bytecode.Jz, bytecode.Jnz:
-				if v, ok := manifestConst(p, m, b, pc); ok {
-					// The branch condition is pinned by the instruction
-					// before it: only one edge is feasible. Pruning the dead
-					// edge here — identically on both sides — is what lets
-					// the optimizer's constant-branch folding certify: the
-					// runtime never takes (and never yields on) that edge.
-					if taken := (in.Op == bytecode.Jz) == (v == 0); taken {
-						tgt := blockState[g.BlockOf[in.A]]
-						if int(in.A) <= pc {
-							n.edge(cur, tgt, "yield", pc)
-						} else {
-							n.edge(cur, tgt, "", -1)
-						}
-					} else {
-						n.edge(cur, blockState[g.BlockOf[pc+1]], "", -1)
-					}
-					terminated = true
-					continue
+				// When the condition is the same constant on every feasible
+				// path (branchConsts), only one edge is feasible. Pruning
+				// the dead edge, identically on both sides, is what lets
+				// the optimizer's branch folding certify: the runtime never
+				// takes (and never yields on) that edge. Successor order
+				// per BuildCFG: fallthrough first, then taken.
+				v, known := consts[pc]
+				taken := (in.Op == bytecode.Jz) == (v == 0)
+				if !known || !taken {
+					n.edge(cur, blockState[g.BlockOf[pc+1]], "", -1)
 				}
-				// Successor order per BuildCFG: fallthrough first, then taken.
-				fall := blockState[g.BlockOf[pc+1]]
-				n.edge(cur, fall, "", -1)
-				tgt := blockState[g.BlockOf[in.A]]
-				if int(in.A) <= pc {
-					n.edge(cur, tgt, "yield", pc)
-				} else {
-					n.edge(cur, tgt, "", -1)
+				if !known || taken {
+					jump(cur, pc, int(in.A))
 				}
 				terminated = true
 			}
@@ -231,24 +223,6 @@ func instrEvents(p *bytecode.Program, in bytecode.Instr, racy map[string]bool) [
 		}
 	}
 	return nil
-}
-
-// manifestConst returns the value feeding a conditional branch at pc when
-// it is pinned by the immediately preceding instruction of the same block
-// (nothing can enter between the two: the branch is never a leader). The
-// optimizer folds exactly this shape, so the automaton must resolve it
-// the same way.
-func manifestConst(p *bytecode.Program, m *bytecode.Method, b *analysis.Block, pc int) (int64, bool) {
-	if pc <= b.Start {
-		return 0, false
-	}
-	switch prev := m.Code[pc-1]; prev.Op {
-	case bytecode.IConst:
-		return int64(prev.A), true
-	case bytecode.LConst:
-		return p.Ints[prev.A], true
-	}
-	return 0, false
 }
 
 func staticSlotName(p *bytecode.Program, in bytecode.Instr) string {

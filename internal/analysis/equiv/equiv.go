@@ -53,7 +53,9 @@ func Check(a, b *bytecode.Program, natives bytecode.NativeSig) *Result {
 		Findings: []analysis.Finding{},
 	}}
 
-	if !verifySide(res.Report, a, natives, "left") || !verifySide(res.Report, b, natives, "right") {
+	fa, oka := verifySide(res.Report, a, natives, "left")
+	fb, okb := verifySide(res.Report, b, natives, "right")
+	if !oka || !okb {
 		return res
 	}
 	if !checkStructure(res.Report, a, b) {
@@ -79,32 +81,34 @@ func Check(a, b *bytecode.Program, natives bytecode.NativeSig) *Result {
 	for _, name := range names {
 		ma, _ := a.MethodByName(name)
 		mb, _ := b.MethodByName(name)
-		da := determinize(buildNFA(a, ma, racy))
-		db := determinize(buildNFA(b, mb, racy))
+		da := determinize(buildNFA(a, ma, &fa[ma.ID], racy))
+		db := determinize(buildNFA(b, mb, &fb[mb.ID], racy))
 		res.EventsChecked += compareDFA(res.Report, ma, mb, da, db)
 	}
 	res.Equivalent = res.Report.Clean()
 	return res
 }
 
-// verifySide validates and verifies one program, reporting a rejection as
-// an AVerify finding tagged with the side.
-func verifySide(r *analysis.Report, p *bytecode.Program, natives bytecode.NativeSig, side string) bool {
+// verifySide validates and verifies one program, with operand kinds
+// recorded, reporting a rejection as an AVerify finding tagged with the
+// side.
+func verifySide(r *analysis.Report, p *bytecode.Program, natives bytecode.NativeSig, side string) ([]bytecode.MethodFacts, bool) {
 	if err := p.Validate(); err != nil {
 		r.Findings = append(r.Findings, analysis.Finding{
 			Analysis: analysis.AVerify,
 			Message:  fmt.Sprintf("%s program rejected: %v", side, err),
 		})
-		return false
+		return nil, false
 	}
-	if _, err := bytecode.Verify(p, bytecode.VerifyConfig{Natives: natives}); err != nil {
+	facts, err := bytecode.Verify(p, bytecode.VerifyConfig{Natives: natives, RecordKinds: true})
+	if err != nil {
 		r.Findings = append(r.Findings, analysis.Finding{
 			Analysis: analysis.AVerify,
 			Message:  fmt.Sprintf("%s program does not verify: %v", side, err),
 		})
-		return false
+		return nil, false
 	}
-	return true
+	return facts, true
 }
 
 // checkStructure proves the two programs agree on the shape equivalence

@@ -1,6 +1,7 @@
 package equiv_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -274,5 +275,52 @@ func TestVerifyGate(t *testing.T) {
 	}
 	if res.Report.Findings[0].Analysis != "verify" {
 		t.Fatalf("expected verify finding, got %+v", res.Report.Findings[0])
+	}
+}
+
+// joinSrc stores first and then second into local 1 on the two arms of
+// an unknown branch, then skips an allocation when local 1 is non-zero.
+func joinSrc(first, second int, alloc bool) string {
+	body := "    new Main\n    pop\n"
+	if !alloc {
+		body = ""
+	}
+	return fmt.Sprintf(`program join
+class Main {
+  method main 0 2 {
+    native "random" 0
+    jz other
+    iconst %d
+    store 1
+    jmp join
+  other:
+    iconst %d
+    store 1
+  join:
+    load 1
+    jnz skip
+%s  skip:
+    halt
+  }
+}
+entry Main.main
+`, first, second, body)
+}
+
+// TestBranchPruningFollowsEveryFeasiblePath: the certifier prunes a
+// branch edge only when the condition is the same constant on every
+// feasible path into it. Dropping the allocation behind the branch is
+// equivalent when both arms store 1, and refused when either stores 0.
+func TestBranchPruningFollowsEveryFeasiblePath(t *testing.T) {
+	for _, tc := range []struct {
+		first, second int
+		equivalent    bool
+	}{{1, 1, true}, {1, 0, false}, {0, 1, false}, {0, 0, false}} {
+		a := bytecode.MustAssemble(joinSrc(tc.first, tc.second, true))
+		b := bytecode.MustAssemble(joinSrc(tc.first, tc.second, false))
+		if res := check(t, a, b); res.Equivalent != tc.equivalent {
+			t.Errorf("arms store %d and %d: equivalent %v, want %v\n%s",
+				tc.first, tc.second, res.Equivalent, tc.equivalent, res.Report.Text())
+		}
 	}
 }

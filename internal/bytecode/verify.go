@@ -525,7 +525,8 @@ func verifyMethod(p *Program, m *Method, cfg VerifyConfig, returns []int, byName
 		f.InKinds = make([][]VKind, len(m.Code))
 		for pc, st := range inStates {
 			if st != nil {
-				f.InKinds[pc] = append([]VKind(nil), st.stack...)
+				// Non-nil even when empty: nil marks an unreachable pc.
+				f.InKinds[pc] = append(make([]VKind, 0, len(st.stack)), st.stack...)
 			}
 		}
 	}

@@ -213,21 +213,11 @@ func (r *Ring) Stats() trace.Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := trace.Stats{Events: map[trace.Kind]int{}, BytesByKind: map[trace.Kind]int{}}
-	addStats(&out, r.agg)
+	out.Add(r.agg)
 	if r.cur != nil {
-		addStats(&out, r.cur.Stats())
+		out.Add(r.cur.Stats())
 	}
 	return out
-}
-
-func addStats(into *trace.Stats, s trace.Stats) {
-	for k, v := range s.Events {
-		into.Events[k] += v
-	}
-	for k, v := range s.BytesByKind {
-		into.BytesByKind[k] += v
-	}
-	into.TotalBytes += s.TotalBytes
 }
 
 // RotatePending implements vm.JournalSink: the ring asks for a boundary
@@ -279,7 +269,7 @@ func (r *Ring) Rotate(state []byte, vmEvents, boundaryNYP uint64) error {
 func (r *Ring) sealCurLocked() {
 	r.setErr(r.cur.Close())
 	st := r.cur.Stats()
-	addStats(&r.agg, st)
+	r.agg.Add(st)
 	events := 0
 	for k, v := range st.Events {
 		if k != trace.EvSwitch {

@@ -1,7 +1,7 @@
 package opt
 
 // Differential fuzz of the interpreter's arithmetic against the
-// optimizer's constant folder. foldBinop must agree bit for bit with
+// optimizer's constant folder. FoldBinop must agree bit for bit with
 // vm's arith on everything it folds — two's-complement wrap, shift
 // counts masked to 6 bits, signed compares — and must refuse to fold
 // anything whose trap position is replay-observable (Div/Mod). The
@@ -58,7 +58,7 @@ func runDispatch(t *testing.T, p *bytecode.Program, step bool) (string, error) {
 }
 
 // checkArithDifferential runs one (a, b, op) case through the four
-// executions and cross-checks them plus foldBinop's prediction.
+// executions and cross-checks them plus FoldBinop's prediction.
 func checkArithDifferential(t *testing.T, a, b int64, op bytecode.Opcode) {
 	t.Helper()
 	rawOut, rawErr := runDispatch(t, binopProg(a, b, op), false)
@@ -81,14 +81,14 @@ func checkArithDifferential(t *testing.T, a, b int64, op bytecode.Opcode) {
 			op, a, b, rawOut, rawErr, optOut, optErr)
 	}
 
-	if r, ok := foldBinop(op, a, b); ok {
+	if r, ok := bytecode.FoldBinop(op, a, b); ok {
 		// Foldable: the interpreter must agree with the folder exactly,
 		// and the fold must actually have removed the runtime op.
 		if rawErr != nil {
-			t.Fatalf("%v %d,%d: foldBinop folds but the VM traps: %v", op, a, b, rawErr)
+			t.Fatalf("%v %d,%d: FoldBinop folds but the VM traps: %v", op, a, b, rawErr)
 		}
 		if want := fmt.Sprintf("%d\n", r); rawOut != want {
-			t.Fatalf("%v %d,%d: VM computed %q, foldBinop %q", op, a, b, rawOut, want)
+			t.Fatalf("%v %d,%d: VM computed %q, FoldBinop %q", op, a, b, rawOut, want)
 		}
 		if opCount(res.Program, op) != 0 {
 			t.Fatalf("%v %d,%d: foldable op survived optimization", op, a, b)

@@ -74,51 +74,6 @@ func constInstr(p *bytecode.Program, v int64) bytecode.Instr {
 	return bytecode.Instr{Op: bytecode.LConst, A: int32(len(p.Ints) - 1)}
 }
 
-// foldBinop evaluates a OP b with the interpreter's exact semantics:
-// int64 two's-complement wrap, shift counts masked to 6 bits, signed
-// compares pushing 1/0. Div and Mod are never folded — they can trap,
-// and a trap's position is replay-observable.
-func foldBinop(op bytecode.Opcode, a, b int64) (int64, bool) {
-	switch op {
-	case bytecode.Add:
-		return a + b, true
-	case bytecode.Sub:
-		return a - b, true
-	case bytecode.Mul:
-		return a * b, true
-	case bytecode.And:
-		return a & b, true
-	case bytecode.Or:
-		return a | b, true
-	case bytecode.Xor:
-		return a ^ b, true
-	case bytecode.Shl:
-		return a << uint(b&63), true
-	case bytecode.Shr:
-		return a >> uint(b&63), true
-	case bytecode.CmpEq:
-		return b2i(a == b), true
-	case bytecode.CmpNe:
-		return b2i(a != b), true
-	case bytecode.CmpLt:
-		return b2i(a < b), true
-	case bytecode.CmpLe:
-		return b2i(a <= b), true
-	case bytecode.CmpGt:
-		return b2i(a > b), true
-	case bytecode.CmpGe:
-		return b2i(a >= b), true
-	}
-	return 0, false
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // pureProducer: pushes one value, reads no stack, emits no event, cannot
 // trap. SConst qualifies because string constants are pre-interned — the
 // push allocates nothing.
@@ -169,7 +124,7 @@ func constFold(p *bytecode.Program, m *bytecode.Method, _ *bytecode.MethodFacts)
 			if !ok {
 				continue
 			}
-			if r, ok := foldBinop(m.Code[pc+2].Op, v, w); ok {
+			if r, ok := bytecode.FoldBinop(m.Code[pc+2].Op, v, w); ok {
 				rw.replace(pc, constInstr(p, r))
 				rw.delete(pc + 1)
 				rw.delete(pc + 2)
@@ -385,7 +340,10 @@ func branchSimplify(p *bytecode.Program, m *bytecode.Method, facts *bytecode.Met
 // dropUnreachable deletes code in CFG-unreachable blocks. The certifier
 // builds automata over reachable blocks only, so this is equivalence-
 // trivial; no reachable branch can target the deleted range (that would
-// make it reachable).
+// make it reachable). Ret and RetV stay: the verifier reads a method's
+// return shape off every return in its code, reachable or not, so
+// deleting a method's only dead RetV would turn it void and leave its
+// call sites one operand short.
 func dropUnreachable(p *bytecode.Program, m *bytecode.Method, _ *bytecode.MethodFacts) bool {
 	g := analysis.BuildCFG(m)
 	rw := newRewriter(m)
@@ -394,7 +352,9 @@ func dropUnreachable(p *bytecode.Program, m *bytecode.Method, _ *bytecode.Method
 			continue
 		}
 		for pc := g.Blocks[bi].Start; pc < g.Blocks[bi].End; pc++ {
-			rw.delete(pc)
+			if op := m.Code[pc].Op; op != bytecode.Ret && op != bytecode.RetV {
+				rw.delete(pc)
+			}
 		}
 	}
 	return rw.apply()
@@ -427,8 +387,8 @@ func popSink(p *bytecode.Program, m *bytecode.Method, facts *bytecode.MethodFact
 				rw.delete(pc)
 				rw.delete(pc + 1)
 				pc++
-			case func() bool { _, ok := foldBinop(in.Op, 0, 0); return ok }():
-				// Arithmetic-safe binop (foldBinop's domain), but the VM
+			case func() bool { _, ok := bytecode.FoldBinop(in.Op, 0, 0); return ok }():
+				// Arithmetic-safe binop (FoldBinop's domain), but the VM
 				// still kind-traps: arith and ordered compares pop via
 				// popPrim (trap on refs); CmpEq/CmpNe trap on a mixed
 				// ref/prim pair. Replacing with plain Pops elides those

@@ -581,21 +581,11 @@ func (s *SegmentWriter) End() {
 // Stats implements Sink: totals across sealed segments plus the current one.
 func (s *SegmentWriter) Stats() Stats {
 	out := Stats{Events: map[Kind]int{}, BytesByKind: map[Kind]int{}}
-	mergeStats(&out, s.agg)
+	out.Add(s.agg)
 	if s.cur != nil {
-		mergeStats(&out, s.cur.Stats())
+		out.Add(s.cur.Stats())
 	}
 	return out
-}
-
-func mergeStats(into *Stats, s Stats) {
-	for k, v := range s.Events {
-		into.Events[k] += v
-	}
-	for k, v := range s.BytesByKind {
-		into.BytesByKind[k] += v
-	}
-	into.TotalBytes += s.TotalBytes
 }
 
 // RotatePending reports whether a rotation policy threshold has been
@@ -620,7 +610,7 @@ func (s *SegmentWriter) seal() {
 	st := s.cur.Stats()
 	s.setErr(s.curFile.Sync())
 	s.setErr(s.curFile.Close())
-	mergeStats(&s.agg, st)
+	s.agg.Add(st)
 	events := 0
 	for k, v := range st.Events {
 		if k != EvSwitch {

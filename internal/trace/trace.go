@@ -60,6 +60,18 @@ type Stats struct {
 	TotalBytes  int
 }
 
+// Add adds o's counts to s, whose maps must be non-nil: the totals of
+// a recording kept in several segments.
+func (s *Stats) Add(o Stats) {
+	for k, v := range o.Events {
+		s.Events[k] += v
+	}
+	for k, v := range o.BytesByKind {
+		s.BytesByKind[k] += v
+	}
+	s.TotalBytes += o.TotalBytes
+}
+
 // Sink is the recording surface shared by Writer (in-memory container)
 // and StreamWriter (incremental container to an io.Writer). The engine
 // logs through this interface so record mode is independent of where the

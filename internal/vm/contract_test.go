@@ -1,11 +1,10 @@
 package vm
 
-// Tests for the checks runSlice no longer runs per instruction. The
-// stack headroom of a verified program is reserved at frame entry, and
-// the engine-error, halt and thread-state checks run only after a
-// control change, so every handler must keep the contract those moves
-// rely on. Programs that fail verification keep a boundary growth check,
-// and must still run bit-identically under every driver.
+// Tests for the checks the interpreter does not run. Every program that
+// loads is verified, so no handler checks operand depth or stack
+// headroom, and the engine-error, halt and thread-state checks run only
+// after a control change. Every handler must keep the contract those
+// omissions rely on, under every driver.
 
 import (
 	"errors"
@@ -25,6 +24,7 @@ import (
 type contractViolations struct {
 	n     int
 	first []string
+	kinds map[*bytecode.Program][]bytecode.MethodFacts
 }
 
 func (c *contractViolations) add(format string, args ...any) {
@@ -34,12 +34,36 @@ func (c *contractViolations) add(format string, args ...any) {
 	}
 }
 
+// take returns the violations seen so far and clears them.
+func (c *contractViolations) take() (int, []string) {
+	n, first := c.n, c.first
+	c.n, c.first = 0, nil
+	return n, first
+}
+
+// inKinds returns the verifier's operand kinds on entry to each pc of
+// prog, verified once per program.
+func (c *contractViolations) inKinds(prog *bytecode.Program) []bytecode.MethodFacts {
+	facts, ok := c.kinds[prog]
+	if !ok {
+		var err error
+		facts, err = bytecode.Verify(prog, bytecode.VerifyConfig{Natives: NativeSignature, RecordKinds: true})
+		if err != nil {
+			panic(fmt.Sprintf("a loaded program fails verification: %v", err))
+		}
+		c.kinds[prog] = facts
+	}
+	return facts
+}
+
 // checkHandlerContract wraps every fastTab entry in a shim that checks
 // the handler contract, and restores the table when the test ends:
 //
-//   - before the handler, a verified program has opHeadroom free stack
-//     slots, also at a fused pair's inner boundary, which sits one slot
-//     higher when the first component pushes (Load, IConst);
+//   - before the handler, the operand depth SP - (FP + FrameHeader +
+//     NLocals) equals the verifier's depth at the pc, and every slot the
+//     verifier types VRef or VPrim carries that tag. This is the oracle
+//     for the depth checks no handler runs: a handler that pushes or
+//     pops one slot too many or too few breaks it at the next pc;
 //   - after a ctrlNext or ctrlJump return the thread still runs, the
 //     program has not halted and the engine has not failed.
 //
@@ -49,7 +73,7 @@ func checkHandlerContract(t *testing.T) *contractViolations {
 	t.Helper()
 	saved := fastTab
 	t.Cleanup(func() { fastTab = saved })
-	bad := &contractViolations{}
+	bad := &contractViolations{kinds: map[*bytecode.Program][]bytecode.MethodFacts{}}
 	fastTab = make([]fastFn, len(saved))
 	for tok, fn := range saved {
 		if fn == nil {
@@ -57,15 +81,7 @@ func checkHandlerContract(t *testing.T) *contractViolations {
 		}
 		fn := fn
 		fastTab[tok] = func(vm *VM, th *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
-			if vm.frameNeed != nil {
-				need := opHeadroom
-				if int(d.Next) > int(d.PC)+1 && (d.Op == bytecode.Load || d.Op == bytecode.IConst) {
-					need++
-				}
-				if free := vm.h.Len(th.StackSeg) - th.SP; free < need {
-					bad.add("%s pc %d (%v %v): %d free stack slots, want %d", m.FullName(), d.PC, d.Op, d.Op2, free, need)
-				}
-			}
+			bad.checkOperands(vm, th, m, int(d.PC))
 			ctrl, next, err := fn(vm, th, m, d)
 			if err == nil && (ctrl == ctrlNext || ctrl == ctrlJump) &&
 				(th.State != threads.Running || vm.halted || vm.eng.Err() != nil) {
@@ -76,6 +92,26 @@ func checkHandlerContract(t *testing.T) *contractViolations {
 		}
 	}
 	return bad
+}
+
+// checkOperands holds th's operand stack on entry to pc of m to the
+// verifier's kind vector there.
+func (c *contractViolations) checkOperands(vm *VM, th *threads.Thread, m *bytecode.Method, pc int) {
+	want := c.inKinds(vm.prog)[m.ID].InKinds[pc]
+	if want == nil {
+		c.add("%s pc %d: reached a pc the verifier found unreachable", m.FullName(), pc)
+		return
+	}
+	base := th.FP + FrameHeader + m.NLocals
+	if depth := th.SP - base; depth != len(want) {
+		c.add("%s pc %d (%v): operand depth %d, verified %d", m.FullName(), pc, m.Code[pc].Op, depth, len(want))
+		return
+	}
+	for i, k := range want {
+		if tag := th.Tags[base+i]; (k == bytecode.VRef && !tag) || (k == bytecode.VPrim && tag) {
+			c.add("%s pc %d (%v): operand %d tagged ref=%v, verified %v", m.FullName(), pc, m.Code[pc].Op, i, tag, k)
+		}
+	}
 }
 
 // driveVM runs m to the end with Run, with RunUntil legs of varying
@@ -142,25 +178,41 @@ entry Main.main
 `
 
 // TestHandlerContract runs the golden workloads and seeds plus a
-// stack-growing hashy, recorded and replayed, under Run, RunUntil and a
-// Step loop, with every handler checked against the contract. Failing
-// replays follow: a watchdog stall, which trips at a yield point that
-// need not switch, and a clock read past the end of a trace cut short,
-// which fails inside a native.
+// stack-growing hashy, and generated programs, recorded and replayed,
+// under Run, RunUntil and a Step loop, with every handler checked
+// against the contract. Failing replays follow: a watchdog stall, which
+// trips at a yield point that need not switch, and a clock read past the
+// end of a trace cut short, which fails inside a native.
 func TestHandlerContract(t *testing.T) {
 	bad := checkHandlerContract(t)
+	check := func(t *testing.T, what string) {
+		t.Helper()
+		if n, first := bad.take(); n > 0 {
+			t.Errorf("%s: %d contract violations, first: %q", what, n, first)
+		}
+	}
+	recordReplay := func(t *testing.T, prog *bytecode.Program, seed int64, input string) {
+		var tr []byte
+		for _, drive := range digestDrives {
+			rec := recordVM(t, prog, seed, input, Config{})
+			if err := driveVM(rec, drive); err != nil {
+				t.Fatalf("record under %s: %v", drive, err)
+			}
+			tr = rec.Engine().End()
+			check(t, "record under "+drive)
+		}
+		for _, drive := range digestDrives {
+			if err := driveVM(replayVM(t, prog, tr, Config{}, nil), drive); err != nil {
+				t.Fatalf("replay under %s: %v", drive, err)
+			}
+			check(t, "replay under "+drive)
+		}
+	}
 	progs := map[string]func() *bytecode.Program{
 		"hashy": func() *bytecode.Program { return workloads.Hashy(20, 25) },
 	}
 	for name, prog := range workloads.Registry {
 		progs[name] = prog
-	}
-	check := func(t *testing.T, what string) {
-		t.Helper()
-		if bad.n > 0 {
-			t.Errorf("%s: %d contract violations, first: %q", what, bad.n, bad.first)
-			*bad = contractViolations{}
-		}
 	}
 	for _, name := range append(workloads.Names(), "hashy") {
 		input := ""
@@ -169,27 +221,14 @@ func TestHandlerContract(t *testing.T) {
 		}
 		for _, seed := range []int64{1, 4, 9} {
 			t.Run(fmt.Sprintf("%s/seed%d", name, seed), func(t *testing.T) {
-				prog := progs[name]()
-				var tr []byte
-				for _, drive := range digestDrives {
-					rec := recordVM(t, prog, seed, input, Config{})
-					if rec.frameNeed == nil {
-						t.Fatal("corpus program failed verification: the headroom check would be vacuous")
-					}
-					if err := driveVM(rec, drive); err != nil {
-						t.Fatalf("record under %s: %v", drive, err)
-					}
-					tr = rec.Engine().End()
-					check(t, "record under "+drive)
-				}
-				for _, drive := range digestDrives {
-					if err := driveVM(replayVM(t, prog, tr, Config{}, nil), drive); err != nil {
-						t.Fatalf("replay under %s: %v", drive, err)
-					}
-					check(t, "replay under "+drive)
-				}
+				recordReplay(t, progs[name](), seed, input)
 			})
 		}
+	}
+	for seed := int64(1); seed <= 19; seed++ {
+		t.Run(fmt.Sprintf("random/seed%d", seed), func(t *testing.T) {
+			recordReplay(t, workloads.RandomProgram(seed), seed, "")
+		})
 	}
 
 	t.Run("stall", func(t *testing.T) {

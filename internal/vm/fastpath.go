@@ -37,15 +37,15 @@ import (
 //     into the replay digest when the VM carries one in place (vm.dig:
 //     a *Digest observer with KeepEvents == 0, decided by Load). Every
 //     other Observer gets OnStep at the two dispatch sites, right
-//     before the handler runs: execOne (after its headroom check),
-//     and runSlice's boundary block, which budgetAt sends every
+//     before the handler runs: execOne and runSlice's boundary
+//     block, which budgetAt sends every
 //     instruction through while such an observer is set, on the
 //     unfused stream, so each component still reports itself, in
 //     order. The MaxEvents budget runs at every component boundary,
-//     exactly like Step's per-instruction check. The stack headroom
-//     Step checks before every instruction needs no check here: every
-//     program that loads is verified, and pushFrame reserves its
-//     frame's verified footprint at entry. Yield points (method
+//     exactly like Step's per-instruction check. Neither driver checks
+//     stack depth or headroom: every program that loads is verified,
+//     and pushFrame reserves its frame's verified footprint at entry,
+//     the only place a stack grows. Yield points (method
 //     prologues, taken backward branches) fire from the same helpers
 //     (doCall, branch), so the logical clock, trace bytes and switch
 //     schedule cannot shift.
@@ -201,44 +201,37 @@ func (vm *VM) note(t *threads.Thread, mid, pc int, op bytecode.Opcode) {
 	}
 }
 
-// --- inlinable stack primitives ---
+// --- the stack primitives ---
 //
-// The shared push/pop helpers in stack.go construct formatted errors in
-// their failure paths, which keeps the compiler from inlining them, so
-// every fast handler would pay a function call per stack access — plus
-// push's per-call segment header decode for its overflow assertion.
-// These variants inline; error construction stays in the (cold) caller
-// branches. The error text matches the shared helpers byte for byte
-// (natives and callNested still use those).
+// fpush and fpop are the interpreter's only push and pop: handlers,
+// natives and callNested all use them, and both inline. Neither checks
+// depth. Every program that loads is verified, so the operand depth at
+// each pc is exact and no pop can underflow; pushFrame reserves the
+// frame's verified footprint at entry, so no push within the frame can
+// overflow, and the stack grows nowhere else. The kind checks stay
+// with the callers: the verifier admits VUnknown operands, so those
+// traps are live.
 
 var (
-	errUnderflow = errors.New("operand stack underflow")
-	errWantPrim  = errors.New("type error: expected primitive, found reference")
-	errWantRef   = errors.New("type error: expected reference, found primitive")
-	errNullRef   = errors.New("null reference")
+	errWantPrim = errors.New("type error: expected primitive, found reference")
+	errWantRef  = errors.New("type error: expected reference, found primitive")
+	errNullRef  = errors.New("null reference")
 )
 
-// fpush writes val at t.SP and bumps it. It skips push's mid-
-// instruction overflow assertion: handlers run under the headroom
-// guarantee (opHeadroom free slots at every instruction and pair
-// boundary, reserved at frame entry), which covers any single
-// instruction's pushes.
+// fpush writes val at t.SP and bumps it.
 func (vm *VM) fpush(t *threads.Thread, val uint64, isRef bool) {
 	vm.h.StoreWord(t.StackSeg, t.SP, val)
 	t.Tags[t.SP] = isRef
 	t.SP++
 }
 
-// fpop pops the top slot; ok is false on operand stack underflow.
-func (vm *VM) fpop(t *threads.Thread) (val uint64, isRef, ok bool) {
-	if t.SP <= t.FP+FrameHeader {
-		return 0, false, false
-	}
+// fpop pops the top slot and clears its tag.
+func (vm *VM) fpop(t *threads.Thread) (val uint64, isRef bool) {
 	t.SP--
 	val = vm.h.LoadWord(t.StackSeg, t.SP)
 	isRef = t.Tags[t.SP]
 	t.Tags[t.SP] = false
-	return val, isRef, true
+	return val, isRef
 }
 
 // boundaryErr marks an error raised at the instruction boundary between
@@ -252,10 +245,8 @@ func (e *boundaryErr) Unwrap() error { return e.err }
 
 // pairBoundary runs the instruction-boundary check between the two
 // components of a fused pair: the MaxEvents budget, exactly as the
-// dispatch loop runs it before every instruction. There is no headroom
-// check: every program that loads is verified, and pushFrame reserved
-// its frame's verified footprint plus opHeadroom on entry, so its stack
-// never needs to grow at an instruction boundary.
+// dispatch loop runs it before every instruction. Like the dispatch
+// loops, it checks no stack headroom (see fpush).
 func (vm *VM) pairBoundary() error {
 	if vm.cfg.MaxEvents > 0 && vm.events >= vm.cfg.MaxEvents {
 		return ErrEventBudget
@@ -507,17 +498,12 @@ func fpNull(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 
 func fpPop(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	if _, _, ok := vm.fpop(t); !ok {
-		return 0, 0, errUnderflow
-	}
+	vm.fpop(t)
 	return ctrlNext, 0, nil
 }
 
 func fpDup(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	if t.SP <= t.FP+FrameHeader {
-		return 0, 0, errUnderflow
-	}
 	v, tag := vm.slot(t, t.SP-1)
 	vm.fpush(t, v, tag)
 	return ctrlNext, 0, nil
@@ -525,14 +511,8 @@ func fpDup(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (c
 
 func fpSwap(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	b, tb, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	b, tb := vm.fpop(t)
+	a, ta := vm.fpop(t)
 	vm.fpush(t, b, tb)
 	vm.fpush(t, a, ta)
 	return ctrlNext, 0, nil
@@ -547,10 +527,7 @@ func fpLoad(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 
 func fpStore(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	v, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	v, tag := vm.fpop(t)
 	vm.setSlot(t, t.FP+FrameHeader+int(d.A), v, tag)
 	return ctrlNext, 0, nil
 }
@@ -559,17 +536,11 @@ func fpArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	// Tag checks interleave with the pops exactly as two popPrim calls
 	// would: a malformed program must surface the same error.
-	b, tb, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	b, tb := vm.fpop(t)
 	if tb {
 		return 0, 0, errWantPrim
 	}
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	a, ta := vm.fpop(t)
 	if ta {
 		return 0, 0, errWantPrim
 	}
@@ -583,10 +554,7 @@ func fpArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 
 func fpNeg(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	a, ta := vm.fpop(t)
 	if ta {
 		return 0, 0, errWantPrim
 	}
@@ -596,10 +564,7 @@ func fpNeg(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (c
 
 func fpNot(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	a, ta := vm.fpop(t)
 	if ta {
 		return 0, 0, errWantPrim
 	}
@@ -609,14 +574,8 @@ func fpNot(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (c
 
 func fpCmpRef(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	b, tb, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	b, tb := vm.fpop(t)
+	a, ta := vm.fpop(t)
 	if ta != tb {
 		return 0, 0, fmt.Errorf("type error: comparing reference with primitive")
 	}
@@ -643,17 +602,11 @@ func cmpOrd(op bytecode.Opcode, a, b int64) bool {
 
 func fpCmpOrd(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	b, tb, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	b, tb := vm.fpop(t)
 	if tb {
 		return 0, 0, errWantPrim
 	}
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	a, ta := vm.fpop(t)
 	if ta {
 		return 0, 0, errWantPrim
 	}
@@ -668,10 +621,7 @@ func fpJmp(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (c
 
 func fpJzJnz(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if tag {
 		return 0, 0, errWantPrim
 	}
@@ -693,16 +643,9 @@ func fpRet(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (c
 	var rv uint64
 	var rtag bool
 	if d.Op == bytecode.RetV {
-		var ok bool
-		rv, rtag, ok = vm.fpop(t)
-		if !ok {
-			return 0, 0, errUnderflow
-		}
+		rv, rtag = vm.fpop(t)
 	}
-	done, resume, err := vm.popFrame(t)
-	if err != nil {
-		return 0, 0, err
-	}
+	done, resume := vm.popFrame(t)
 	if done {
 		vm.sched.Terminate(t)
 		return ctrlSwitch, 0, nil
@@ -734,9 +677,6 @@ func fpCallV(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 	nargs := int(d.B)
 	if nargs < 1 {
 		return 0, 0, fmt.Errorf("callv needs a receiver")
-	}
-	if t.SP-nargs < t.FP+FrameHeader {
-		return 0, 0, fmt.Errorf("operand stack underflow")
 	}
 	rv, rtag := vm.slot(t, t.SP-nargs)
 	if !rtag || rv == 0 {
@@ -790,13 +730,17 @@ func fpNative(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 	// Clock, native, input and callback events all go through here (and
 	// nested callbacks may log switches), so a journal poll follows.
 	vm.journalLogged()
-	ctrl, next, err := vm.doNativeID(t, id, int(d.B))
-	if err == nil && vm.eng.Err() != nil {
+	v, isRef, err := vm.doNativeID(t, id)
+	if err != nil {
+		return 0, 0, err
+	}
+	vm.fpush(t, v, isRef)
+	if vm.eng.Err() != nil {
 		// A failed engine call (a diverged or stalled replay) leaves the
 		// native's result in place; the dispatch loop reports the failure.
 		return ctrlSwitch, int(d.PC) + 1, nil
 	}
-	return ctrl, next, err
+	return ctrlNext, 0, nil
 }
 
 func fpNew(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
@@ -828,10 +772,7 @@ func (vm *VM) fieldRefnessCached(obj heap.Addr, d *bytecode.DInstr) (bool, error
 
 func fpGetF(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, otag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, otag := vm.fpop(t)
 	if !otag {
 		return 0, 0, errWantRef
 	}
@@ -862,14 +803,8 @@ func fpGetF(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 
 func fpPutF(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	v, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
-	ow, otag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	v, tag := vm.fpop(t)
+	ow, otag := vm.fpop(t)
 	if !otag {
 		return 0, 0, errWantRef
 	}
@@ -909,10 +844,7 @@ func fpGetS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 
 func fpPutS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	v, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	v, tag := vm.fpop(t)
 	isRef := d.Aux != 0 // refness pre-resolved at decode time
 	if isRef != tag {
 		return 0, 0, fmt.Errorf("type error: storing %s into %s static", valKind(tag), valKind(isRef))
@@ -934,10 +866,7 @@ func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 	}
 	wakeAt := int64(-1)
 	if d.Op == bytecode.TimedWait {
-		mw, mtag, ok := vm.fpop(t)
-		if !ok {
-			return 0, 0, errUnderflow
-		}
+		mw, mtag := vm.fpop(t)
 		if mtag {
 			return 0, 0, errWantPrim
 		}
@@ -947,10 +876,7 @@ func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 		}
 		wakeAt = vm.readClock() + millis
 	}
-	w, otag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, otag := vm.fpop(t)
 	if !otag {
 		return 0, 0, errWantRef
 	}
@@ -965,10 +891,7 @@ func fpWait(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (
 
 func fpNotify(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, otag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, otag := vm.fpop(t)
 	if !otag {
 		return 0, 0, errWantRef
 	}
@@ -989,10 +912,7 @@ func fpNotify(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 
 func fpMonEnter(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, otag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, otag := vm.fpop(t)
 	if !otag {
 		return 0, 0, errWantRef
 	}
@@ -1017,10 +937,7 @@ func fpMonEnter(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInst
 
 func fpMonExit(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, otag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, otag := vm.fpop(t)
 	if !otag {
 		return 0, 0, errWantRef
 	}
@@ -1040,18 +957,12 @@ func fpMonExit(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr
 func fpALoad(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	h := vm.h
-	iw, itag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	iw, itag := vm.fpop(t)
 	if itag {
 		return 0, 0, errWantPrim
 	}
 	idx := int64(iw)
-	aw, atag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	aw, atag := vm.fpop(t)
 	if !atag {
 		return 0, 0, errWantRef
 	}
@@ -1091,10 +1002,7 @@ func fpALoad(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 
 func fpArrLen(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	aw, atag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	aw, atag := vm.fpop(t)
 	if !atag {
 		return 0, 0, errWantRef
 	}
@@ -1119,10 +1027,7 @@ func fpArrLen(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 
 func fpNewArr(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if tag {
 		return 0, 0, errWantPrim
 	}
@@ -1150,22 +1055,13 @@ func fpNewArr(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 func fpAStore(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	h := vm.h
-	v, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
-	iw, itag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	v, tag := vm.fpop(t)
+	iw, itag := vm.fpop(t)
 	if itag {
 		return 0, 0, errWantPrim
 	}
 	idx := int(int64(iw))
-	aw, atag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	aw, atag := vm.fpop(t)
 	if !atag {
 		return 0, 0, errWantRef
 	}
@@ -1206,10 +1102,7 @@ func fpAStore(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 
 func fpInstOf(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if !tag {
 		return 0, 0, errWantRef
 	}
@@ -1227,9 +1120,6 @@ func fpInstOf(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 func fpSpawn(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
 	nargs := int(d.B)
-	if t.SP-nargs < t.FP+FrameHeader {
-		return 0, 0, errUnderflow
-	}
 	nt, err := vm.spawnThread(vm.prog.Methods[d.A].ID, t, t.SP-nargs)
 	if err != nil {
 		return 0, 0, err
@@ -1258,10 +1148,7 @@ func fpSleep(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 	if vm.nestedDepth > 0 {
 		return 0, 0, fmt.Errorf("blocking sleep inside a native callback")
 	}
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if tag {
 		return 0, 0, errWantPrim
 	}
@@ -1275,10 +1162,7 @@ func fpSleep(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 
 func fpInterrupt(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if tag {
 		return 0, 0, errWantPrim
 	}
@@ -1299,10 +1183,7 @@ func fpThreadID(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInst
 
 func fpPrint(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if tag {
 		return 0, 0, errWantPrim
 	}
@@ -1312,10 +1193,7 @@ func fpPrint(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) 
 
 func fpPrintS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if !tag {
 		return 0, 0, errWantRef
 	}
@@ -1342,10 +1220,7 @@ func fpPrintS(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr)
 
 func fpAssert(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr) (control, int, error) {
 	vm.note(t, m.ID, int(d.PC), d.Op)
-	w, tag, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, errUnderflow
-	}
+	w, tag := vm.fpop(t)
 	if tag {
 		return 0, 0, errWantPrim
 	}
@@ -1396,12 +1271,9 @@ func fpLoadArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DIns
 	if tag {
 		// The loaded value is the arith's top operand; it is popped
 		// first, so the kind trap fires on it first.
-		return 0, 0, vm.pairErr(t, m, d, fmt.Errorf("type error: expected primitive, found reference"))
+		return 0, 0, vm.pairErr(t, m, d, errWantPrim)
 	}
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, vm.pairErr(t, m, d, errUnderflow)
-	}
+	a, ta := vm.fpop(t)
 	if ta {
 		return 0, 0, vm.pairErr(t, m, d, errWantPrim)
 	}
@@ -1420,10 +1292,7 @@ func fpIConstArith(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DI
 	}
 	vm.h.StoreWord(t.StackSeg, t.SP, uint64(d.Imm)) // elided push: keep bytes identical
 	vm.note(t, m.ID, int(d.PC)+1, d.Op2)
-	a, ta, ok := vm.fpop(t)
-	if !ok {
-		return 0, 0, vm.pairErr(t, m, d, errUnderflow)
-	}
+	a, ta := vm.fpop(t)
 	if ta {
 		return 0, 0, vm.pairErr(t, m, d, errWantPrim)
 	}
@@ -1477,14 +1346,8 @@ func fpCmpJump(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr
 	var r uint64
 	switch d.Op {
 	case bytecode.CmpEq, bytecode.CmpNe:
-		b, tb, ok := vm.fpop(t)
-		if !ok {
-			return 0, 0, errUnderflow
-		}
-		a, ta, ok := vm.fpop(t)
-		if !ok {
-			return 0, 0, errUnderflow
-		}
+		b, tb := vm.fpop(t)
+		a, ta := vm.fpop(t)
 		if ta != tb {
 			return 0, 0, fmt.Errorf("type error: comparing reference with primitive")
 		}
@@ -1493,17 +1356,11 @@ func fpCmpJump(vm *VM, t *threads.Thread, m *bytecode.Method, d *bytecode.DInstr
 			r = boolWord(a != b)
 		}
 	default:
-		b, tb, ok := vm.fpop(t)
-		if !ok {
-			return 0, 0, errUnderflow
-		}
+		b, tb := vm.fpop(t)
 		if tb {
 			return 0, 0, errWantPrim
 		}
-		a, ta, ok := vm.fpop(t)
-		if !ok {
-			return 0, 0, errUnderflow
-		}
+		a, ta := vm.fpop(t)
 		if ta {
 			return 0, 0, errWantPrim
 		}

@@ -17,7 +17,7 @@ type Image struct {
 	hash uint64
 
 	// frameNeed is, per method ID, the stack slots pushFrame reserves:
-	// header + locals + verified MaxStack + interpreter headroom.
+	// header + locals + verified MaxStack + opHeadroom.
 	frameNeed []int
 	// internIdx is, per string-pool entry, its index among the VM's
 	// interned strings. loadMirrors interns the pool first and in order,
@@ -31,6 +31,12 @@ type Image struct {
 	plainOnce sync.Once
 	plain     stream
 }
+
+// opHeadroom is the slack each frame reserves beyond its verified
+// footprint. No instruction needs it (MaxStack covers every push), but
+// it is part of every frame's size, so it fixes where stacks grow and
+// with them heap addresses and checkpoint bytes.
+const opHeadroom = 4
 
 // stream is a decoded program laid out flat: method i's code is
 // code[start[i]:start[i+1]].

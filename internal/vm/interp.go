@@ -230,25 +230,12 @@ const (
 	ctrlSwitch                // current thread gave up the CPU; pc set explicitly
 )
 
-// opHeadroom is the operand-stack margin guaranteed before each
-// instruction: no opcode pushes more than this many values net, so the
-// stack never grows (and the collector never runs) in the middle of an
-// instruction while object addresses sit in interpreter locals.
-const opHeadroom = 4
-
 // execOne runs a single instruction of t — one "event" in the paper's
 // model — for Step and for native callbacks (callNested). It takes the
 // instruction from the unfused decoded stream, runs it through the same
 // fastTab handler Run uses, and then writes back what Run defers: the
 // frame's resume pc and the thread mirrors.
 func (vm *VM) execOne(t *threads.Thread) error {
-	if vm.h.Len(t.StackSeg)-t.SP < opHeadroom {
-		// Grow at the instruction boundary, where every live value is in
-		// a tagged slot the collector can see and update.
-		if err := vm.growStack(t, opHeadroom+12); err != nil {
-			return err
-		}
-	}
 	m := vm.frameMethod(t)
 	pc := int(int64(vm.h.LoadWord(t.StackSeg, t.FP+FramePC)))
 	d := &vm.plainCode(m.ID)[pc]
@@ -328,9 +315,6 @@ func (vm *VM) branch(t *threads.Thread, pc, target int, taken bool) (control, in
 // doCall pushes the callee frame; method entry is a yield point (method
 // prologue placement).
 func (vm *VM) doCall(t *threads.Thread, pc int, target *bytecode.Method, nargs int) (control, int, error) {
-	if t.SP-nargs < t.FP+FrameHeader {
-		return 0, 0, fmt.Errorf("operand stack underflow")
-	}
 	// The caller's pc (the call site) is already flushed in its header.
 	if err := vm.pushFrame(t, target, t.SP-nargs); err != nil {
 		return 0, 0, err

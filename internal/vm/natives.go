@@ -87,43 +87,44 @@ func nativeID(name string) int {
 	return -1
 }
 
-// doNativeID dispatches a Native instruction by its registry id. Recorded
-// natives return their results through the VM's scratch buffer: the trace
-// sink encodes the slice before returning, so nothing retains it.
-func (vm *VM) doNativeID(t *threads.Thread, id, nargs int) (control, int, error) {
+// doNativeID runs the native with registry id id, popping its operands,
+// and returns its one result for fpNative to push. Recorded natives
+// return their results through the VM's scratch buffer: the trace sink
+// encodes the slice before returning, so nothing retains it.
+func (vm *VM) doNativeID(t *threads.Thread, id int) (val uint64, isRef bool, err error) {
 	switch id {
 	case natClock:
 		// Wall-clock reads use the dedicated clock channel shared with the
 		// scheduler's timer machinery.
-		return ctrlNext, 0, vm.push(t, uint64(vm.readClock()), false)
+		return uint64(vm.readClock()), false, nil
 
 	case natNanotime:
 		vals := vm.eng.NativeCall(id, func() []int64 {
 			vm.natBuf[0] = time.Now().UnixNano()
 			return vm.natBuf[:]
 		})
-		return vm.pushNativeResult(t, vals)
+		return vm.nativeResult(vals)
 
 	case natRandom:
 		vals := vm.eng.NativeCall(id, func() []int64 {
 			vm.natBuf[0] = vm.rngHost.Int63()
 			return vm.natBuf[:]
 		})
-		return vm.pushNativeResult(t, vals)
+		return vm.nativeResult(vals)
 
 	case natRandRange:
 		n, err := vm.popPrim(t)
 		if err != nil {
-			return 0, 0, err
+			return 0, false, err
 		}
 		if n <= 0 {
-			return 0, 0, fmt.Errorf("randrange bound %d must be positive", n)
+			return 0, false, fmt.Errorf("randrange bound %d must be positive", n)
 		}
 		vals := vm.eng.NativeCall(id, func() []int64 {
 			vm.natBuf[0] = vm.rngHost.Int63n(n)
 			return vm.natBuf[:]
 		})
-		return vm.pushNativeResult(t, vals)
+		return vm.nativeResult(vals)
 
 	case natReadLine:
 		// The recorded artifact is the byte payload; the array holding it
@@ -131,10 +132,10 @@ func (vm *VM) doNativeID(t *threads.Thread, id, nargs int) (control, int, error)
 		b := vm.eng.ReadLine()
 		a, err := vm.allocArray(heap.KindByteArr, len(b))
 		if err != nil {
-			return 0, 0, err
+			return 0, false, err
 		}
 		copy(vm.h.Bytes(a), b)
-		return ctrlNext, 0, vm.push(t, uint64(a), true)
+		return uint64(a), true, nil
 
 	case natIDHash:
 		// Deterministic precisely because DejaVu keeps allocation (and
@@ -142,62 +143,62 @@ func (vm *VM) doNativeID(t *threads.Thread, id, nargs int) (control, int, error)
 		// property the symmetric-allocation ablation breaks.
 		a, err := vm.popRef(t)
 		if err != nil {
-			return 0, 0, err
+			return 0, false, err
 		}
-		return ctrlNext, 0, vm.push(t, uint64(a), false)
+		return uint64(a), false, nil
 
 	case natGC:
 		vm.GC()
-		return ctrlNext, 0, vm.push(t, 0, false)
+		return 0, false, nil
 
 	case natHeapUsed:
-		return ctrlNext, 0, vm.push(t, uint64(vm.h.Used()), false)
+		return uint64(vm.h.Used()), false, nil
 
 	case natInterrupted:
 		v := boolWord(t.Interrupted)
 		t.Interrupted = false
-		return ctrlNext, 0, vm.push(t, v, false)
+		return v, false, nil
 
 	case natStrlen:
 		a, err := vm.popObj(t)
 		if err != nil {
-			return 0, 0, err
+			return 0, false, err
 		}
 		if vm.isStub(a) {
 			b, err := vm.remoteBytes(a)
 			if err != nil {
-				return 0, 0, err
+				return 0, false, err
 			}
-			return ctrlNext, 0, vm.push(t, uint64(len(b)), false)
+			return uint64(len(b)), false, nil
 		}
 		if vm.h.KindOf(a) != heap.KindByteArr {
-			return 0, 0, fmt.Errorf("strlen on non-string")
+			return 0, false, fmt.Errorf("strlen on non-string")
 		}
-		return ctrlNext, 0, vm.push(t, uint64(vm.h.Len(a)), false)
+		return uint64(vm.h.Len(a)), false, nil
 
 	case natParseInt:
 		a, err := vm.popObj(t)
 		if err != nil {
-			return 0, 0, err
+			return 0, false, err
 		}
 		var text string
 		if vm.isStub(a) {
 			b, err := vm.remoteBytes(a)
 			if err != nil {
-				return 0, 0, err
+				return 0, false, err
 			}
 			text = string(b)
 		} else {
 			if vm.h.KindOf(a) != heap.KindByteArr {
-				return 0, 0, fmt.Errorf("parseint on non-string")
+				return 0, false, fmt.Errorf("parseint on non-string")
 			}
 			text = string(vm.h.Bytes(a))
 		}
 		v, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return 0, 0, fmt.Errorf("parseint: %v", err)
+			return 0, false, fmt.Errorf("parseint: %v", err)
 		}
-		return ctrlNext, 0, vm.push(t, uint64(v), false)
+		return uint64(v), false, nil
 
 	case natPollEvents:
 		return vm.nativePollEvents(t, id)
@@ -212,21 +213,22 @@ func (vm *VM) doNativeID(t *threads.Thread, id, nargs int) (control, int, error)
 	case natIsRemote:
 		return vm.nativeIsRemote(t)
 	}
-	return 0, 0, fmt.Errorf("native %q not dispatched", nativeNames[id])
+	return 0, false, fmt.Errorf("native %q not dispatched", nativeNames[id])
 }
 
-func (vm *VM) pushNativeResult(t *threads.Thread, vals []int64) (control, int, error) {
+// nativeResult is a recorded native's one primitive result.
+func (vm *VM) nativeResult(vals []int64) (uint64, bool, error) {
 	if vm.eng.Err() != nil {
 		// A failed engine call (a diverged or stalled replay) has no
 		// result. A zero stands in for it, as a failed clock read leaves
 		// its value, and fpNative hands the failure to the dispatch loop,
 		// which reports it as the run's divergence, not as a trap.
-		return ctrlNext, 0, vm.push(t, 0, false)
+		return 0, false, nil
 	}
 	if len(vals) != 1 {
-		return 0, 0, fmt.Errorf("native returned %d results, expected 1", len(vals))
+		return 0, false, fmt.Errorf("native returned %d results, expected 1", len(vals))
 	}
-	return ctrlNext, 0, vm.push(t, uint64(vals[0]), false)
+	return uint64(vals[0]), false, nil
 }
 
 // nativePollEvents demonstrates JNI callbacks: it polls a (simulated)
@@ -236,25 +238,25 @@ func (vm *VM) pushNativeResult(t *threads.Thread, vals []int64) (control, int, e
 // trace at the same execution point and the source is never consulted.
 //
 // Stack: [handlerName(ref), max(prim)] -> eventCount(prim).
-func (vm *VM) nativePollEvents(t *threads.Thread, id int) (control, int, error) {
+func (vm *VM) nativePollEvents(t *threads.Thread, id int) (uint64, bool, error) {
 	maxEv, err := vm.popPrim(t)
 	if err != nil {
-		return 0, 0, err
+		return 0, false, err
 	}
 	nameRef, err := vm.popObj(t)
 	if err != nil {
-		return 0, 0, err
+		return 0, false, err
 	}
 	if vm.h.KindOf(nameRef) != heap.KindByteArr {
-		return 0, 0, fmt.Errorf("pollevents handler name must be a string")
+		return 0, false, fmt.Errorf("pollevents handler name must be a string")
 	}
 	handlerName := string(vm.h.Bytes(nameRef))
 	handler, ok := vm.prog.MethodByName(handlerName)
 	if !ok {
-		return 0, 0, fmt.Errorf("pollevents: no method %q", handlerName)
+		return 0, false, fmt.Errorf("pollevents: no method %q", handlerName)
 	}
 	if handler.NArgs != 2 {
-		return 0, 0, fmt.Errorf("pollevents handler %q must take 2 args", handlerName)
+		return 0, false, fmt.Errorf("pollevents handler %q must take 2 args", handlerName)
 	}
 	if maxEv < 0 {
 		maxEv = 0
@@ -289,9 +291,9 @@ func (vm *VM) nativePollEvents(t *threads.Thread, id int) (control, int, error) 
 	// A callback cut short by an engine failure is reported as that
 	// failure, like any recorded native's, not as a callback error.
 	if cbErr != nil && vm.eng.Err() == nil {
-		return 0, 0, cbErr
+		return 0, false, cbErr
 	}
-	return vm.pushNativeResult(t, vals)
+	return vm.nativeResult(vals)
 }
 
 // callNested runs a method to completion on the current thread, re-entering
@@ -303,9 +305,7 @@ func (vm *VM) callNested(t *threads.Thread, m *bytecode.Method, params []int64) 
 	baseFP := t.FP
 	baseSP := t.SP
 	for _, p := range params {
-		if err := vm.push(t, uint64(p), false); err != nil {
-			return err
-		}
+		vm.fpush(t, uint64(p), false)
 	}
 	if err := vm.pushFrame(t, m, t.SP-len(params)); err != nil {
 		return err

@@ -33,42 +33,32 @@ func deepExprProgram(width, calls int) *bytecode.Program {
 }
 
 // TestFramePresizing proves pushFrame consumes the verifier's MaxStack:
-// with pre-sizing, a wide-operand-stack method reserves its whole frame in
-// one step; with a flat reservation (header + locals + 8) the interpreter
-// must grow the stack repeatedly as the operand stack deepens. Only Step
-// checks the headroom before every instruction, so the flat run steps.
+// a method whose operand stack is 200 deep reserves its whole frame in
+// one step, far beyond a flat reservation (header + locals + 8), so its
+// stack grows at most twice. Frame entry is the only place either
+// driver grows a stack, so Run and a Step loop grow it equally often.
 func TestFramePresizing(t *testing.T) {
 	prog := deepExprProgram(200, 5)
-
-	run := func(presize bool) uint64 {
+	f, _ := prog.MethodByName("Main.f")
+	grows := map[string]uint64{}
+	for name, drive := range map[string]func(*VM) error{"run": (*VM).Run, "step": stepToEnd} {
 		m, err := New(prog, Config{StackSlots: 16})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.frameNeed == nil {
-			t.Fatal("verified program should have frameNeed populated")
-		}
-		drive := (*VM).Run
-		if !presize {
-			// White-box: a flat reservation instead of the image's.
-			m.frameNeed = make([]int, len(prog.Methods))
-			for i, mm := range prog.Methods {
-				m.frameNeed[i] = FrameHeader + mm.NLocals + 8
-			}
-			drive = stepToEnd
+		if want := FrameHeader + f.NLocals + 200; m.frameNeed[f.ID] < want {
+			t.Fatalf("frameNeed[Main.f] = %d, want at least %d: the verified depth reserved", m.frameNeed[f.ID], want)
 		}
 		if err := drive(m); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		return m.StackGrows()
+		grows[name] = m.StackGrows()
 	}
-
-	pre, fallback := run(true), run(false)
-	if pre >= fallback {
-		t.Fatalf("pre-sizing should reduce stack grows: presized=%d fallback=%d", pre, fallback)
+	if grows["run"] != grows["step"] {
+		t.Fatalf("stack grows differ between drivers: run %d, step %d", grows["run"], grows["step"])
 	}
-	if pre > 2 {
-		t.Fatalf("pre-sized run grew the stack %d times; want at most 2 (one reservation per deep frame)", pre)
+	if g := grows["run"]; g == 0 || g > 2 {
+		t.Fatalf("pre-sized run grew the stack %d times; want 1 or 2 (one reservation per deep frame)", g)
 	}
 }
 

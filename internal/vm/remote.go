@@ -222,42 +222,42 @@ func (vm *VM) remoteCallTarget(stub heap.Addr, name string, nargs int) (int, err
 // nativeRemoteDict is the mapped method (§3.1): it returns the initial
 // remote object — a stub for the remote VM_Dictionary — without invoking
 // anything in the remote space.
-func (vm *VM) nativeRemoteDict(t *threads.Thread) (control, int, error) {
+func (vm *VM) nativeRemoteDict(t *threads.Thread) (uint64, bool, error) {
 	if vm.remote == nil {
-		return 0, 0, fmt.Errorf("remotedict: no remote world attached")
+		return 0, false, fmt.Errorf("remotedict: no remote world attached")
 	}
 	dict, _, err := vm.remote.roots()
 	if err != nil {
-		return 0, 0, err
+		return 0, false, err
 	}
 	s, _, err := vm.makeStub(dict)
 	if err != nil {
-		return 0, 0, err
+		return 0, false, err
 	}
-	return ctrlNext, 0, vm.push(t, uint64(s), true)
+	return uint64(s), true, nil
 }
 
 // nativeRemoteThreads maps the remote thread registry.
-func (vm *VM) nativeRemoteThreads(t *threads.Thread) (control, int, error) {
+func (vm *VM) nativeRemoteThreads(t *threads.Thread) (uint64, bool, error) {
 	if vm.remote == nil {
-		return 0, 0, fmt.Errorf("remotethreads: no remote world attached")
+		return 0, false, fmt.Errorf("remotethreads: no remote world attached")
 	}
 	_, ths, err := vm.remote.roots()
 	if err != nil {
-		return 0, 0, err
+		return 0, false, err
 	}
 	s, _, err := vm.makeStub(ths)
 	if err != nil {
-		return 0, 0, err
+		return 0, false, err
 	}
-	return ctrlNext, 0, vm.push(t, uint64(s), true)
+	return uint64(s), true, nil
 }
 
-// nativeIsRemote pushes 1 if the popped reference is a remote stub.
-func (vm *VM) nativeIsRemote(t *threads.Thread) (control, int, error) {
+// nativeIsRemote returns 1 if the popped reference is a remote stub.
+func (vm *VM) nativeIsRemote(t *threads.Thread) (uint64, bool, error) {
 	a, err := vm.popRef(t)
 	if err != nil {
-		return 0, 0, err
+		return 0, false, err
 	}
-	return ctrlNext, 0, vm.push(t, boolWord(vm.isStub(a)), false)
+	return boolWord(vm.isStub(a)), false, nil
 }

@@ -1,8 +1,6 @@
 package vm
 
 import (
-	"fmt"
-
 	"dejavu/internal/bytecode"
 	"dejavu/internal/heap"
 	"dejavu/internal/threads"
@@ -11,6 +9,11 @@ import (
 // Activation stacks live in the VM heap as int64 arrays, as in Jalapeño.
 // The Go-side Tags slice is the reference map: Tags[i] marks slot i as
 // holding a reference, so the collector can trace and update it.
+//
+// Operand pushes and pops are fpush and fpop (fastpath.go). This file
+// holds the frame layer: pushFrame reserves each frame's verified
+// footprint at entry, the only place an interpreter stack grows, and
+// popFrame, spawnThread and the thread mirrors build on it.
 
 func (vm *VM) setSlot(t *threads.Thread, idx int, val uint64, isRef bool) {
 	vm.h.StoreWord(t.StackSeg, idx, val)
@@ -21,50 +24,21 @@ func (vm *VM) slot(t *threads.Thread, idx int) (uint64, bool) {
 	return vm.h.LoadWord(t.StackSeg, idx), t.Tags[idx]
 }
 
-func (vm *VM) push(t *threads.Thread, val uint64, isRef bool) error {
-	if t.SP >= vm.h.Len(t.StackSeg) {
-		// Growth is not allowed mid-instruction: a collection here could
-		// move objects whose addresses the interpreter holds in Go locals
-		// (popped but untagged slots). Both drivers guarantee headroom
-		// at every instruction boundary, so reaching this means an opcode
-		// pushed more than the guaranteed margin — fail loudly.
-		return fmt.Errorf("internal: operand stack overflow mid-instruction (op pushed past the headroom margin)")
-	}
-	vm.setSlot(t, t.SP, val, isRef)
-	t.SP++
-	return nil
-}
-
-func (vm *VM) pop(t *threads.Thread) (uint64, bool, error) {
-	if t.SP <= t.FP+FrameHeader {
-		return 0, false, fmt.Errorf("operand stack underflow")
-	}
-	t.SP--
-	v, tag := vm.slot(t, t.SP)
-	t.Tags[t.SP] = false
-	return v, tag, nil
-}
-
-// popPrim pops a value that must be primitive.
+// popPrim pops a value that must be primitive. The kind checks of these
+// typed wrappers are live: the verifier admits VUnknown operands.
 func (vm *VM) popPrim(t *threads.Thread) (int64, error) {
-	v, tag, err := vm.pop(t)
-	if err != nil {
-		return 0, err
-	}
+	v, tag := vm.fpop(t)
 	if tag {
-		return 0, fmt.Errorf("type error: expected primitive, found reference")
+		return 0, errWantPrim
 	}
 	return int64(v), nil
 }
 
 // popRef pops a value that must be a reference (possibly null).
 func (vm *VM) popRef(t *threads.Thread) (heap.Addr, error) {
-	v, tag, err := vm.pop(t)
-	if err != nil {
-		return 0, err
-	}
+	v, tag := vm.fpop(t)
 	if !tag {
-		return 0, fmt.Errorf("type error: expected reference, found primitive")
+		return 0, errWantRef
 	}
 	return heap.Addr(v), nil
 }
@@ -72,13 +46,10 @@ func (vm *VM) popRef(t *threads.Thread) (heap.Addr, error) {
 // popObj pops a non-null reference.
 func (vm *VM) popObj(t *threads.Thread) (heap.Addr, error) {
 	a, err := vm.popRef(t)
-	if err != nil {
-		return 0, err
+	if err == nil && a == 0 {
+		err = errNullRef
 	}
-	if a == 0 {
-		return 0, fmt.Errorf("null reference")
-	}
-	return a, nil
+	return a, err
 }
 
 // growStack reallocates the thread's stack segment — the paper's "stack
@@ -147,19 +118,19 @@ func (vm *VM) pushFrame(t *threads.Thread, m *bytecode.Method, argStart int) err
 // popFrame returns from the current frame. It reports done=true when the
 // bottom frame was popped (the thread terminates); otherwise the caller
 // resumes at resumePC.
-func (vm *VM) popFrame(t *threads.Thread) (done bool, resumePC int, err error) {
+func (vm *VM) popFrame(t *threads.Thread) (done bool, resumePC int) {
 	fp := t.FP
 	callerFP := int(int64(vm.h.LoadWord(t.StackSeg, fp+FrameCallerFP)))
 	savedSP := int(int64(vm.h.LoadWord(t.StackSeg, fp+FrameSavedSP)))
 	if callerFP < 0 {
 		t.SP = 0
 		t.FP = -1
-		return true, 0, nil
+		return true, 0
 	}
 	t.SP = savedSP
 	t.FP = callerFP
 	resumePC = int(int64(vm.h.LoadWord(t.StackSeg, callerFP+FramePC))) + 1
-	return false, resumePC, nil
+	return false, resumePC
 }
 
 // frameMethod returns the method executing in t's current frame.
